@@ -162,7 +162,8 @@ def load_image_set(cfg: BenchConfig) -> list[BenchImage]:
     return images
 
 
-def _check_finite(name: str, data: np.ndarray) -> np.ndarray:
+def check_finite(name: str, data: np.ndarray) -> np.ndarray:
+    """Return ``data``; raise NumericError if any sample is not finite."""
     if not np.all(np.isfinite(data)):
         raise NumericError(f"{name} produced non-finite samples")
     return data
@@ -173,11 +174,16 @@ def _to_unit_clipped(signed: np.ndarray) -> Image2D:
 
 
 class DdpmDenoiser:
-    """Checkpoint-backed reverse-process denoiser."""
+    """Checkpoint-backed reverse-process denoiser.
 
-    def __init__(self, checkpoint_path, variant: str):
+    ``inject_seed`` is passed through to ``denoise_from``.
+    """
+
+    def __init__(self, checkpoint_path, variant: str,
+                 inject_seed: int | None = None):
         self.params, self.net_cfg = load_model(checkpoint_path)
         self.variant = variant
+        self.inject_seed = inject_seed
 
     def predictor(self, img: Image2D, t: int) -> np.ndarray:
         eps_hat, _ = unet_forward(self.params, self.net_cfg,
@@ -187,8 +193,13 @@ class DdpmDenoiser:
 
     def __call__(self, noisy_signed: Image2D, t_start: int,
                  sched: NoiseSchedule) -> np.ndarray:
+        div = 1 << self.net_cfg.depth
+        if noisy_signed.height % div or noisy_signed.width % div:
+            raise ValueError(f"image extent {noisy_signed.height}x"
+                             f"{noisy_signed.width} is not divisible by the "
+                             f"model's 2^depth = {div}")
         out = denoise_from(noisy_signed, t_start, self.predictor, sched,
-                           self.variant)
+                           self.variant, inject_seed=self.inject_seed)
         return out.data
 
 
@@ -197,11 +208,11 @@ def run_method(method: str, noisy_signed: Image2D, t_start: int,
                ddpm: DdpmDenoiser | None) -> Image2D:
     ab = sched.alpha_bar(t_start)
     if method == "noisy":
-        return _to_unit_clipped(_check_finite("noisy", noisy_signed.data))
+        return _to_unit_clipped(check_finite("noisy", noisy_signed.data))
     if method == "ddpm":
         if ddpm is None:
             raise ValueError("ddpm method requested without a checkpoint")
-        return _to_unit_clipped(_check_finite("ddpm",
+        return _to_unit_clipped(check_finite("ddpm",
                                               ddpm(noisy_signed, t_start, sched)))
     # classical baselines: undo attenuation, hand over the analytic sigma
     rescaled = noisy_signed.data.astype(np.float64) / math.sqrt(ab)
@@ -219,7 +230,7 @@ def run_method(method: str, noisy_signed: Image2D, t_start: int,
                                             hard_threshold=cfg.bm3d_hard_threshold,
                                             sigma=sigma_unit,
                                             stages=cfg.bm3d_stages))
-    return Image2D(np.clip(_check_finite(method, out.data), 0.0, 1.0),
+    return Image2D(np.clip(check_finite(method, out.data), 0.0, 1.0),
                    RANGE_UNIT)
 
 

@@ -18,11 +18,16 @@ import numpy as np
 
 from usdenoise import COMPILED_KERNELS, __version__
 from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
-from usdenoise.bench import BenchConfig, NumericError, run_bench
+from usdenoise.bench import (
+    BenchConfig,
+    DdpmDenoiser,
+    NumericError,
+    check_finite,
+    run_bench,
+)
 from usdenoise.diffusion import (
     PAPER_LITERAL,
     STANDARD_POSTERIOR,
-    denoise_from,
     forward_jump,
     make_schedule,
 )
@@ -36,7 +41,7 @@ from usdenoise.formats import (
     write_rf,
 )
 from usdenoise.image import RANGE_EIGHT_BIT, RANGE_UNIT, Image2D
-from usdenoise.nnet import TrainConfig, UNetConfig, load_model, train, unet_forward
+from usdenoise.nnet import TrainConfig, UNetConfig, load_model, train
 from usdenoise.rng import GaussianField
 from usdenoise.ultrasound import (
     Cyst,
@@ -49,14 +54,8 @@ from usdenoise.ultrasound import (
 )
 
 
-def _check_finite(name: str, data: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
-        raise NumericError(f"{name} produced non-finite samples")
-    return data
-
-
 def _write_image(path, img: Image2D) -> None:
-    _check_finite(str(path), img.data)
+    check_finite(str(path), img.data)
     write_pgm(path, img)
 
 
@@ -173,18 +172,11 @@ def cmd_train(args) -> int:
 
 def cmd_denoise(args) -> int:
     img = image_from_pgm_signed(args.input)
-    params, net_cfg = load_model(args.ckpt)
+    denoiser = DdpmDenoiser(args.ckpt, args.variant,
+                            inject_seed=args.seed if args.inject else None)
     sched = make_schedule(args.T, "constant-beta", args.beta)
-
-    def predictor(image, t):
-        eps_hat, _ = unet_forward(params, net_cfg,
-                                  image.data[None, None].astype(np.float64),
-                                  np.array([t]))
-        return eps_hat[0, 0]
-
-    out = denoise_from(img, args.t_start, predictor, sched, args.variant,
-                       inject_seed=args.seed if args.inject else None)
-    unit = Image2D(np.clip((_check_finite("denoise", out.data) + 1.0) / 2.0,
+    out = denoiser(img, args.t_start, sched)
+    unit = Image2D(np.clip((check_finite("denoise", out) + 1.0) / 2.0,
                            0.0, 1.0), RANGE_UNIT)
     _write_image(args.out, unit)
     print(f"denoised {args.input} from t={args.t_start} ({args.variant}) "

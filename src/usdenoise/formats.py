@@ -126,18 +126,21 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     return bytes(out)
 
 
-def _parse_tensor(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one embedded tensor; returns (array, bytes consumed)."""
-    if blob[offset:offset + 4] != TENSOR_MAGIC:
+def _parse_tensor(blob: bytes, offset: int = 0,
+                  end: int | None = None) -> tuple[np.ndarray, int]:
+    """Parse one embedded tensor from ``blob[offset:end]`` without slicing
+    ``blob``; returns (array, bytes consumed)."""
+    end = len(blob) if end is None else end
+    if end < offset + 4 or blob[offset:offset + 4] != TENSOR_MAGIC:
         raise MagicError("bad tensor magic")
     pos = offset + 4
-    if len(blob) < pos + 4:
+    if end < pos + 4:
         raise LengthError("truncated tensor header")
     (ndim,) = struct.unpack_from("<I", blob, pos)
     pos += 4
     if not 1 <= ndim <= 4:
         raise HeaderError(f"tensor ndim {ndim} outside 1..4")
-    if len(blob) < pos + 4 * ndim:
+    if end < pos + 4 * ndim:
         raise LengthError("truncated tensor dims")
     dims = struct.unpack_from(f"<{ndim}I", blob, pos)
     pos += 4 * ndim
@@ -147,9 +150,9 @@ def _parse_tensor(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
             raise HeaderError("zero-sized tensor dimension")
         count *= d
     nbytes = 4 * count
-    if len(blob) < pos + nbytes:
+    if end < pos + nbytes:
         raise LengthError(f"tensor payload needs {nbytes} bytes, "
-                          f"{len(blob) - pos} available")
+                          f"{end - pos} available")
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
     return arr.reshape(dims).copy(), pos + nbytes - offset
 
@@ -190,7 +193,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     if len(blob) < 8 + 8 + 4:
         raise LengthError("checkpoint too short")
     stored_crc = struct.unpack_from("<I", blob, len(blob) - 4)[0]
-    actual_crc = zlib.crc32(blob[:-4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(blob)[:-4]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise ChecksumError(f"checkpoint CRC mismatch: stored {stored_crc:#010x}, "
                             f"computed {actual_crc:#010x}")
@@ -207,11 +210,15 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         pos += 2
         if end < pos + name_len:
             raise LengthError("truncated checkpoint entry name")
-        name = blob[pos:pos + name_len].decode("utf-8")
+        try:
+            name = blob[pos:pos + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise HeaderError(f"checkpoint entry name at byte {pos} is not "
+                              "valid UTF-8") from None
         pos += name_len
         if name in entries:
             raise HeaderError(f"duplicate checkpoint entry {name!r}")
-        arr, consumed = _parse_tensor(blob[:end], pos)
+        arr, consumed = _parse_tensor(blob, pos, end)
         pos += consumed
         entries[name] = arr
     if pos != end:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from usdenoise.cli import main
-from usdenoise.formats import read_pgm
+from usdenoise.formats import read_pgm, write_pgm
+from usdenoise.image import Image2D
 from usdenoise.metrics import psnr
+from usdenoise.nnet import UNetConfig, init_params, save_model
 
 
 def run_cli(*args):
@@ -129,6 +131,19 @@ def test_train_and_denoise_cycle(tmp_path, phantom_dir):
     assert run_cli("denoise", "--in", noisy, "--ckpt", tr / "model.ckpt",
                    "--t-start", 10, "--out", out) == 0
     assert read_pgm(out).data.shape == (64, 64)
+
+
+def test_denoise_extent_not_divisible_by_depth_exits_2(tmp_path, capsys):
+    net_cfg = UNetConfig(base_channels=4, depth=2, time_embed_dim=8,
+                         image_size=8)
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, init_params(net_cfg, seed=0), net_cfg)
+    src = tmp_path / "odd.pgm"
+    write_pgm(src, Image2D(np.full((66, 66), 0.5, dtype=np.float32)))
+    assert run_cli("denoise", "--in", src, "--ckpt", ckpt, "--t-start", 3,
+                   "--out", tmp_path / "dn.pgm") == 2
+    assert "not divisible" in capsys.readouterr().err
+    assert not (tmp_path / "dn.pgm").exists()
 
 
 def test_bench_cli_with_config(tmp_path):

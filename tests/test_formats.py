@@ -1,8 +1,10 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+import usdenoise.formats as fm
 from usdenoise.formats import (
     ChecksumError,
     FormatError,
@@ -143,6 +145,48 @@ def test_checkpoint_crc_detects_payload_flip(tmp_path):
     p.write_bytes(bytes(blob))
     with pytest.raises(ChecksumError):
         read_checkpoint(p)
+
+
+def test_checkpoint_non_utf8_name_is_header_error(tmp_path):
+    body = bytearray(b"DDPMCKPT" + struct.pack("<II", 1, 1))
+    body += struct.pack("<H", 2) + b"\xff\xfe"
+    body += fm.tensor_bytes(np.ones(3, dtype=np.float32))
+    body += struct.pack("<I", zlib.crc32(bytes(body)))
+    p = tmp_path / "badname.ckpt"
+    p.write_bytes(bytes(body))
+    with pytest.raises(HeaderError, match="UTF-8"):
+        read_checkpoint(p)
+
+
+def test_checkpoint_entries_parse_from_one_buffer(tmp_path, monkeypatch):
+    # Every entry is parsed out of the same file buffer, bounded by an end
+    # offset, rather than out of a fresh copy of the file per entry.
+    seen = []
+    real = fm._parse_tensor
+
+    def spy(blob, offset=0, end=None):
+        seen.append((blob, end))
+        return real(blob, offset, end)
+
+    monkeypatch.setattr(fm, "_parse_tensor", spy)
+    p = tmp_path / "m.ckpt"
+    write_checkpoint(p, _params_table())
+    assert len(read_checkpoint(p)) == 3
+    assert len(seen) == 3
+    assert all(blob is seen[0][0] for blob, _ in seen)
+    assert all(end == p.stat().st_size - 4 for _, end in seen)
+
+
+def test_parse_tensor_stops_at_end():
+    blob = fm.tensor_bytes(np.arange(4, dtype=np.float32))
+    padded = blob + b"\x00" * 16
+    arr, consumed = fm._parse_tensor(padded, 0, len(blob))
+    assert consumed == len(blob)
+    assert np.array_equal(arr, np.arange(4, dtype=np.float32))
+    with pytest.raises(LengthError):
+        fm._parse_tensor(padded, 0, len(blob) - 1)
+    with pytest.raises(MagicError):
+        fm._parse_tensor(padded, 0, 3)
 
 
 # ------------------------------------------------------------------ CIFAR

@@ -20,6 +20,7 @@ from usdenoise.nnet import (
     unet_backward,
     unet_forward,
 )
+from usdenoise.nnet.ops import conv2d_bwd, conv2d_fwd
 
 TINY = UNetConfig(in_channels=1, base_channels=4, depth=1, time_embed_dim=8,
                   image_size=8)
@@ -91,6 +92,74 @@ def test_time_index_reaches_output():
     a, _ = unet_forward(params, TINY, x, np.array([1]))
     b, _ = unet_forward(params, TINY, x, np.array([300]))
     assert not np.allclose(a, b)
+
+
+# ------------------------------------------------------- conv primitives
+
+# (B, C, O, H, W, stride): channel counts and extents all differ
+CONV_CASES = [(2, 3, 5, 6, 8, 1), (2, 3, 5, 6, 8, 2), (1, 4, 2, 5, 7, 1),
+              (3, 2, 3, 4, 10, 2)]
+
+
+def _conv_by_taps(x, w, b, stride):
+    """Reference 3x3 same-padding convolution: one product per kernel tap."""
+    B, C, H, W = x.shape
+    OH, OW = (H - 1) // stride + 1, (W - 1) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    y = np.zeros((B, w.shape[0], OH, OW)) + b[None, :, None, None]
+    for ky in range(3):
+        for kx in range(3):
+            tap = xp[:, :, ky:ky + stride * OH:stride, kx:kx + stride * OW:stride]
+            y += np.einsum("oc,bchw->bohw", w[:, :, ky, kx], tap)
+    return y
+
+
+def _conv_case(case, seed=0):
+    B, C, O, H, W, stride = case
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(B, C, H, W)), rng.normal(size=(O, C, 3, 3)),
+            rng.normal(size=O), stride)
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv2d_fwd_matches_tap_loop(case):
+    x, w, b, stride = _conv_case(case)
+    y, cache = conv2d_fwd(x, w, b, stride)
+    ref = _conv_by_taps(x, w, b, stride)
+    assert y.shape == ref.shape
+    assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
+    assert cache[0] is x and cache[1] is w and cache[2] == stride
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv2d_bwd_matches_finite_differences(case, delta=1e-5):
+    x, w, b, stride = _conv_case(case, seed=1)
+    y, cache = conv2d_fwd(x, w, b, stride)
+    g = np.random.default_rng(2).normal(size=y.shape)
+    dx, dw, db = conv2d_bwd(g, cache)
+    assert (dx.shape, dw.shape, db.shape) == (x.shape, w.shape, b.shape)
+
+    def numeric(arr):
+        out = np.zeros_like(arr)
+        flat, grad = arr.reshape(-1), out.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + delta
+            hi = np.sum(conv2d_fwd(x, w, b, stride)[0] * g)
+            flat[j] = orig - delta
+            lo = np.sum(conv2d_fwd(x, w, b, stride)[0] * g)
+            flat[j] = orig
+            grad[j] = (hi - lo) / (2 * delta)
+        return out
+
+    for analytic, arr in ((dx, x), (dw, w), (db, b)):
+        assert np.allclose(analytic, numeric(arr), rtol=1e-6, atol=1e-6)
+
+
+def test_conv2d_rejects_channel_mismatch():
+    x, w, b, _ = _conv_case(CONV_CASES[0])
+    with pytest.raises(ValueError, match="channels"):
+        conv2d_fwd(x[:, :2], w, b)
 
 
 # ---------------------------------------------------------------- backward
