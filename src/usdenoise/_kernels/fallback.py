@@ -6,6 +6,8 @@ floating-point reordering tolerance (and exactly for ``match_blocks``).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -94,20 +96,63 @@ def deposit_pulses(tau: np.ndarray, amp: np.ndarray, phase: np.ndarray,
     ``amp * exp(-dt^2 / (2 sigma_t^2)) * cos(2 pi f0 dt + phase)`` with
     ``dt = k/fs - tau`` over the ``2*half_width+1`` samples around its
     arrival time; samples falling outside the trace are dropped.
+
+    Works tap by tap: with ``c = floor(tau*fs)`` and ``x = c - tau*fs`` in
+    (-1, 0], tap ``j`` (sample ``c + j``) has ``dt = (x + j)/fs``.  The carrier
+    is the per-scatterer phasor ``amp*exp(i(theta x + phase))`` rotated by the
+    scalar ``exp(i theta j)``, ``theta = 2 pi f0/fs``.  The Gaussian
+    ``exp(-b (x + j)^2)``, ``b = 1/(2 (sigma_t fs)^2)``, is the scalar
+    ``exp(-b j^2)`` times ``exp(-b x^2 - 2 b x j)``, which steps by
+    ``exp(-2 b x)`` from tap to tap.  That recurrence stays inside float64
+    range while ``b*(2*half_width+1) < 700``, i.e. for pulses wider than about
+    a twentieth of a sample; narrower ones take the exponential at every tap.
+    Each tap is one ``bincount`` over the centre samples, read at offset ``j``.
     """
     tau = np.asarray(tau, dtype=np.float64)
     amp = np.asarray(amp, dtype=np.float64)
     phase = np.asarray(phase, dtype=np.float64)
-    trace = np.zeros(int(n_samples), dtype=np.float64)
+    n, hw = int(n_samples), int(half_width)
+    trace = np.zeros(n, dtype=np.float64)
     if tau.size == 0:
         return trace
-    centers = np.floor(tau * fs).astype(np.int64)
-    ks = centers[:, None] + np.arange(-half_width, half_width + 1)[None, :]
-    dt = ks / fs - tau[:, None]
-    vals = (amp[:, None] * np.exp(-(dt * dt) / (2.0 * sigma_t * sigma_t))
-            * np.cos(2.0 * np.pi * f0 * dt + phase[:, None]))
-    valid = (ks >= 0) & (ks < n_samples)
-    np.add.at(trace, ks[valid], vals[valid])
+    pos = tau * fs
+    centers = np.floor(pos)
+    hit = (centers >= -hw) & (centers < n + hw)
+    if not hit.all():
+        centers, pos, amp, phase = (centers[hit], pos[hit], amp[hit],
+                                    phase[hit])
+    x = centers - pos
+    theta = 2.0 * np.pi * f0 / fs
+    carrier = theta * x + phase
+    re = amp * np.cos(carrier)
+    im = amp * np.sin(carrier)
+    # bin c + hw collects the scatterers centred on sample c, so for tap j
+    # the bins from hw - j on line up with samples 0, 1, ..., n - 1
+    idx = centers.astype(np.int64) + hw
+    n_bins = n + 2 * hw
+    b = 0.5 / (sigma_t * fs) ** 2
+    q = None
+    if b * (2 * hw + 1) < 700.0:
+        g = np.exp(-b * x * (x - 2.0 * hw))
+        re *= g
+        im *= g
+        q = np.exp(-2.0 * b * x)
+    w = np.empty_like(x)
+    t = np.empty_like(x)
+    for j in range(-hw, hw + 1):
+        if q is None:
+            g = np.exp(-b * (x + j) ** 2)
+            cr, ci, s = re * g, im * g, 1.0
+        else:
+            cr, ci, s = re, im, math.exp(-b * j * j)
+        np.multiply(cr, s * math.cos(theta * j), out=w)
+        np.multiply(ci, s * math.sin(theta * j), out=t)
+        w -= t
+        trace += np.bincount(idx, weights=w,
+                             minlength=n_bins)[hw - j:hw - j + n]
+        if q is not None:
+            re *= q
+            im *= q
     return trace
 
 

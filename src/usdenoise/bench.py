@@ -23,6 +23,7 @@ from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.diffusion import (
     STANDARD_POSTERIOR,
     NoiseSchedule,
+    PredictorFailure,
     denoise_from,
     forward_jump,
     make_schedule,
@@ -169,14 +170,16 @@ def check_finite(name: str, data: np.ndarray) -> np.ndarray:
     return data
 
 
-def _to_unit_clipped(signed: np.ndarray) -> Image2D:
+def to_unit_clipped(signed: np.ndarray) -> Image2D:
+    """Map signed-unit samples to a unit-interval image, clipped to [0, 1]."""
     return Image2D(np.clip((signed + 1.0) / 2.0, 0.0, 1.0), RANGE_UNIT)
 
 
 class DdpmDenoiser:
     """Checkpoint-backed reverse-process denoiser.
 
-    ``inject_seed`` is passed through to ``denoise_from``.
+    ``inject_seed`` is passed through to ``denoise_from``.  A non-finite
+    noise prediction raises ``NumericError``.
     """
 
     def __init__(self, checkpoint_path, variant: str,
@@ -189,7 +192,7 @@ class DdpmDenoiser:
         eps_hat, _ = unet_forward(self.params, self.net_cfg,
                                   img.data[None, None].astype(np.float64),
                                   np.array([t]))
-        return eps_hat[0, 0]
+        return check_finite("ddpm predictor", eps_hat[0, 0])
 
     def __call__(self, noisy_signed: Image2D, t_start: int,
                  sched: NoiseSchedule) -> np.ndarray:
@@ -198,8 +201,13 @@ class DdpmDenoiser:
             raise ValueError(f"image extent {noisy_signed.height}x"
                              f"{noisy_signed.width} is not divisible by the "
                              f"model's 2^depth = {div}")
-        out = denoise_from(noisy_signed, t_start, self.predictor, sched,
-                           self.variant, inject_seed=self.inject_seed)
+        try:
+            out = denoise_from(noisy_signed, t_start, self.predictor, sched,
+                               self.variant, inject_seed=self.inject_seed)
+        except PredictorFailure as exc:
+            if isinstance(exc.__cause__, NumericError):
+                raise NumericError(str(exc)) from exc
+            raise
         return out.data
 
 
@@ -208,12 +216,12 @@ def run_method(method: str, noisy_signed: Image2D, t_start: int,
                ddpm: DdpmDenoiser | None) -> Image2D:
     ab = sched.alpha_bar(t_start)
     if method == "noisy":
-        return _to_unit_clipped(check_finite("noisy", noisy_signed.data))
+        return to_unit_clipped(check_finite("noisy", noisy_signed.data))
     if method == "ddpm":
         if ddpm is None:
             raise ValueError("ddpm method requested without a checkpoint")
-        return _to_unit_clipped(check_finite("ddpm",
-                                              ddpm(noisy_signed, t_start, sched)))
+        return to_unit_clipped(check_finite("ddpm",
+                                             ddpm(noisy_signed, t_start, sched)))
     # classical baselines: undo attenuation, hand over the analytic sigma
     rescaled = noisy_signed.data.astype(np.float64) / math.sqrt(ab)
     sigma_unit = math.sqrt((1.0 - ab) / ab) / 2.0
@@ -238,15 +246,15 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None,
               write_files: bool = True):
     """Execute the benchmark; returns (MetricsReport, per-image rows)."""
     sched = make_schedule(cfg.schedule_T, "constant-beta", cfg.schedule_beta)
-    if images is None:
-        images = load_image_set(cfg) if cfg.image_dir else make_phantom_set(cfg)
-    if not images:
-        raise ValueError("empty test set")
     ddpm = None
     if "ddpm" in cfg.methods:
         if cfg.checkpoint is None:
             raise ValueError("ddpm method requested without a checkpoint")
         ddpm = DdpmDenoiser(cfg.checkpoint, cfg.variant)
+    if images is None:
+        images = load_image_set(cfg) if cfg.image_dir else make_phantom_set(cfg)
+    if not images:
+        raise ValueError("empty test set")
 
     per_image = []
     for i, ti in enumerate(images):

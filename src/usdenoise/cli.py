@@ -24,6 +24,7 @@ from usdenoise.bench import (
     NumericError,
     check_finite,
     run_bench,
+    to_unit_clipped,
 )
 from usdenoise.diffusion import (
     PAPER_LITERAL,
@@ -112,8 +113,7 @@ def cmd_corrupt(args) -> int:
         sched = make_schedule(args.T, "constant-beta", args.beta)
         eps = GaussianField(img.shape, args.seed, draw_index=args.t)
         out = forward_jump(img, args.t, sched, eps)
-    unit = Image2D(np.clip((out.data + 1.0) / 2.0, 0.0, 1.0), RANGE_UNIT)
-    _write_image(args.out, unit)
+    _write_image(args.out, to_unit_clipped(out.data))
     print(f"corrupted {args.input} at t={args.t} -> {args.out}")
     return 0
 
@@ -176,9 +176,7 @@ def cmd_denoise(args) -> int:
                             inject_seed=args.seed if args.inject else None)
     sched = make_schedule(args.T, "constant-beta", args.beta)
     out = denoiser(img, args.t_start, sched)
-    unit = Image2D(np.clip((check_finite("denoise", out) + 1.0) / 2.0,
-                           0.0, 1.0), RANGE_UNIT)
-    _write_image(args.out, unit)
+    _write_image(args.out, to_unit_clipped(check_finite("denoise", out)))
     print(f"denoised {args.input} from t={args.t_start} ({args.variant}) "
           f"-> {args.out}")
     return 0

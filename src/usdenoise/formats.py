@@ -17,6 +17,7 @@ Formats:
 from __future__ import annotations
 
 import io
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -90,6 +91,10 @@ def read_pgm(path) -> Image2D:
             raise HeaderError(f"only maxval 255 supported, got {maxval}")
         if width < 1 or height < 1:
             raise HeaderError(f"bad PGM dimensions {width}x{height}")
+        left = os.fstat(f.fileno()).st_size - buf.tell()
+        if width * height > left:
+            raise LengthError(f"PGM payload is {left} bytes, "
+                              f"expected {width * height}")
         payload = buf.read(width * height + 1)
         if len(payload) != width * height:
             raise LengthError(f"PGM payload is {len(payload)} bytes, "

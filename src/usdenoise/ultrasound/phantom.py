@@ -19,6 +19,7 @@ from usdenoise.image import Image2D
 from usdenoise.metrics import RegionMask
 from usdenoise.rng import standard_normal, uniforms
 from usdenoise.ultrasound.beamform import bmode_from_frames, tx_delay
+from usdenoise.ultrasound.signal import log_compress
 from usdenoise.ultrasound.types import ImagingGrid, RFFrame, TransducerGeometry
 
 # Gaussian pulse std in seconds, as a fraction of the carrier period
@@ -214,13 +215,5 @@ def speckle_patches(count: int, size: int = 32, seed: int = 0,
 
     out = np.empty((count, size, size), dtype=np.float32)
     for i in range(count):
-        out[i] = np.asarray(
-            _log_unit(env[i], 50.0), dtype=np.float32)
+        out[i] = log_compress(env[i], 50.0).data
     return out
-
-
-def _log_unit(env: np.ndarray, dr_db: float) -> np.ndarray:
-    peak = env.max()
-    floor = peak * 10.0 ** (-dr_db / 20.0)
-    db = 20.0 * np.log10(np.maximum(env, floor) / peak)
-    return (db + dr_db) / dr_db

@@ -162,9 +162,41 @@ def test_bench_cli_with_config(tmp_path):
     assert p20 < p10
 
 
-def test_bench_ddpm_without_ckpt_exits_2(tmp_path):
+def test_bench_ddpm_without_ckpt_exits_2(tmp_path, monkeypatch):
+    import usdenoise.bench as bench
+
+    def no_phantoms(cfg):
+        raise AssertionError("built the test set before checking --ckpt")
+
+    # the checkpoint is checked before any phantom is synthesized
+    monkeypatch.setattr(bench, "make_phantom_set", no_phantoms)
     assert run_cli("bench", "--methods", "ddpm", "--images", 1,
                    "--out", tmp_path) == 2
+
+
+def test_pgm_header_larger_than_file_exits_3(tmp_path, capsys):
+    src = tmp_path / "huge.pgm"
+    src.write_bytes(b"P5\n99999999 99999999\n255\n")
+    assert run_cli("baseline", "--method", "nlm", "--sigma", 0.1,
+                   "--in", src, "--out", tmp_path / "o.pgm") == 3
+    assert "format error" in capsys.readouterr().err
+    assert not (tmp_path / "o.pgm").exists()
+
+
+def test_denoise_nan_checkpoint_exits_4(tmp_path, capsys):
+    net_cfg = UNetConfig(base_channels=4, depth=1, time_embed_dim=8,
+                         image_size=8)
+    params = init_params(net_cfg, seed=0)
+    for w in params.tensors.values():
+        w[...] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_model(ckpt, params, net_cfg)
+    src = tmp_path / "in.pgm"
+    write_pgm(src, Image2D(np.full((8, 8), 0.5, dtype=np.float32)))
+    assert run_cli("denoise", "--in", src, "--ckpt", ckpt, "--t-start", 3,
+                   "--out", tmp_path / "dn.pgm") == 4
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "dn.pgm").exists()
 
 
 def test_version_flag():

@@ -74,6 +74,15 @@ def test_pgm_rejects_maxval_not_255(tmp_path):
         read_pgm(p)
 
 
+def test_pgm_header_larger_than_file_raises_length_error(tmp_path):
+    # the size check comes before the read, so the claimed 10^16-byte
+    # payload is never allocated
+    p = tmp_path / "huge.pgm"
+    p.write_bytes(b"P5\n99999999 99999999\n255\n")
+    with pytest.raises(LengthError):
+        read_pgm(p)
+
+
 def test_pgm_accepts_comment_lines(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))

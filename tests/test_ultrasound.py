@@ -5,6 +5,7 @@ import pytest
 
 from tests.conftest import TEST_GEOMETRY
 from usdenoise import _kernels
+from usdenoise._kernels import fallback
 from usdenoise.image import Image2D
 from usdenoise.ultrasound import (
     Cyst,
@@ -19,6 +20,7 @@ from usdenoise.ultrasound import (
     fft,
     ifft,
     log_compress,
+    phantom,
     speckle_patches,
     synth_phantom,
     synth_rf,
@@ -137,6 +139,52 @@ def test_log_compress_rejects_bad_input():
         log_compress(np.array([[-1.0, 1.0]]), 60.0)
     with pytest.raises(ValueError):
         log_compress(np.ones((4, 4)), 0.0)
+
+
+# ------------------------------------------------------------ RF synthesis
+
+def _deposit_per_sample(tau, amp, phase, fs, f0, sigma_t, n_samples, hw):
+    """The compiled kernel's algorithm: one exp and one cos per sample."""
+    trace = np.zeros(n_samples)
+    for s in range(tau.size):
+        c = math.floor(tau[s] * fs)
+        for kk in range(max(c - hw, 0), min(c + hw, n_samples - 1) + 1):
+            dt = kk / fs - tau[s]
+            trace[kk] += (amp[s] * math.exp(-dt * dt / (2.0 * sigma_t ** 2))
+                          * math.cos(2.0 * math.pi * f0 * dt + phase[s]))
+    return trace
+
+
+def _deposit_cases():
+    fs, n = 50e6, 96
+    rng = np.random.default_rng(11)
+    shared = (40 + rng.uniform(0.0, 1.0, 5)) / fs      # one centre sample
+    return {
+        "random": rng.uniform(0.0, n / fs, 60),
+        "clipped_both_ends": np.array([0.0, 3.2, 11.9, n - 12.5, n - 1.0,
+                                       n - 0.3]) / fs,
+        "negative": np.array([-0.4, -5.5, -12.9, -13.5, -40.0]) / fs,
+        "past_trace": np.array([n + 0.2, n + 7.5, n + 12.99, n + 13.5,
+                                n + 80.0]) / fs,
+        "shared_centre": shared,
+        "empty": np.zeros(0),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_deposit_cases()))
+@pytest.mark.parametrize("sigma_t", [62.5e-9, 1e-9])
+def test_deposit_pulses_matches_per_sample_loop(case, sigma_t):
+    # 62.5 ns is the simulator's pulse (half_width 13 at 50 MHz); 1 ns is a
+    # twentieth of a sample, too narrow for the Gaussian recurrence
+    tau = _deposit_cases()[case]
+    rng = np.random.default_rng(12)
+    amp = rng.normal(size=tau.size)
+    phase = rng.uniform(-np.pi, np.pi, tau.size)
+    args = (tau, amp, phase, 50e6, 8e6, sigma_t, 96, 13)
+    got = fallback.deposit_pulses(*args)
+    want = _deposit_per_sample(*args)
+    assert got.shape == (96,) and got.dtype == np.float64
+    assert np.abs(got - want).max(initial=0.0) < 1e-12
 
 
 # ---------------------------------------------------------------- DAS
@@ -321,3 +369,24 @@ def test_speckle_patches_shape_range_determinism():
     assert np.array_equal(a, b)
     c = speckle_patches(6, size=32, seed=5)
     assert not np.array_equal(a, c)
+
+
+def test_speckle_patches_log_compression_bit_identical(monkeypatch):
+    # log_compress replaced a private copy of the same formula; the patches
+    # must not change by a single bit
+    envs = []
+    real = phantom.log_compress
+
+    def spy(env, dynamic_range_db):
+        envs.append(np.array(env))
+        return real(env, dynamic_range_db)
+
+    monkeypatch.setattr(phantom, "log_compress", spy)
+    out = speckle_patches(4, size=16, seed=2)
+    assert len(envs) == 4
+    for got, env in zip(out, envs):
+        peak = env.max()
+        floor = peak * 10.0 ** (-50.0 / 20.0)
+        db = 20.0 * np.log10(np.maximum(env, floor) / peak)
+        want = np.asarray((db + 50.0) / 50.0, dtype=np.float32)
+        assert np.array_equal(got, want)
