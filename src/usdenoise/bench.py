@@ -190,8 +190,7 @@ class DdpmDenoiser:
 
     def predictor(self, img: Image2D, t: int) -> np.ndarray:
         eps_hat, _ = unet_forward(self.params, self.net_cfg,
-                                  img.data[None, None].astype(np.float64),
-                                  np.array([t]))
+                                  img.data[None, None], np.array([t]))
         return check_finite("ddpm predictor", eps_hat[0, 0])
 
     def __call__(self, noisy_signed: Image2D, t_start: int,

@@ -17,6 +17,7 @@ Formats:
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 import zlib
@@ -299,16 +300,23 @@ def read_rf(path) -> RFFrame:
         angle = float(fields["angle_rad"])
     except ValueError as exc:
         raise HeaderError(f"bad RF header value: {exc}") from None
+    if elements < 1 or samples < 0:
+        raise HeaderError(f"bad RF extent {elements}x{samples}")
+    if not all(math.isfinite(v) for v in (fs, c, pitch, f0, angle)):
+        raise HeaderError("non-finite RF header value")
     payload = blob[sep + 2:]
     expected = 4 * elements * samples
     if len(payload) != expected:
         raise LengthError(f"RF payload is {len(payload)} bytes, "
                           f"expected {expected}")
     data = np.frombuffer(payload, dtype="<f4").reshape(elements, samples).copy()
-    geometry = TransducerGeometry(element_count=elements, pitch=pitch,
-                                  sampling_rate=fs, sound_speed=c,
-                                  center_frequency=f0)
-    return RFFrame(samples=data, steer_angle=angle, geometry=geometry)
+    try:
+        geometry = TransducerGeometry(element_count=elements, pitch=pitch,
+                                      sampling_rate=fs, sound_speed=c,
+                                      center_frequency=f0)
+        return RFFrame(samples=data, steer_angle=angle, geometry=geometry)
+    except ValueError as exc:      # a non-positive size or a steep angle
+        raise HeaderError(f"bad RF header value: {exc}") from None
 
 
 # ------------------------------------------------------------ image glue

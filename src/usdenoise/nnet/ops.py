@@ -1,8 +1,14 @@
 """Array primitives for the noise-prediction network.
 
-Parameters are stored float32 (so checkpoints round-trip bit-exactly) but
-all arithmetic here runs in float64: central finite differences at delta =
-1e-3 need the extra headroom to certify gradients to 1e-3 relative error.
+Every primitive computes in the floating dtype of the arrays it is given
+and returns that dtype; every buffer it allocates takes the input's dtype,
+so float32 in means float32 arithmetic throughout and nothing upcasts
+silently.  Parameters are stored float32 (so checkpoints round-trip
+bit-exactly); the U-Net casts them to its input's dtype.  Training and
+sampling run in float32, which doubles the GEMM throughput.  Float64 stays
+available, by passing float64 input, for the finite-difference gradient
+checks: central differences at delta = 1e-3 need its headroom to certify
+gradients to 1e-3 relative error.
 
 Convolutions are im2col + one BLAS matmul, laid out channel-major: the
 column matrix is (C*3*3, B*OH*OW), filled by nine shifted slice copies of a
@@ -13,11 +19,14 @@ next layer's channel-major copy reads contiguous memory again.
 
 The backward pass rebuilds the column matrix for dW instead of keeping it
 on the tape: for the default U-Net at B=16 on 32x32 the column matrices of
-one forward pass total about 235 MB, as much again as the whole training
-run's peak resident memory.  dX is the transposed convolution: the same
-forward convolution of dY with every kernel flipped in both spatial axes
-and the in/out channels swapped.  For stride 2, dY is first scattered onto
-the even pixels of a zero (H, W) grid, which makes it exact.
+one forward pass total about 235 MB in float64 and half that in float32,
+against a training run's peak resident memory of about 230 MB.  At stride
+1, dX is the transposed convolution: the same forward convolution of dY
+with every kernel flipped in both spatial axes and the in/out channels
+swapped.  At stride 2 that convolution would run over a dY grid that is
+three quarters zeros, so dX is instead one matmul W^T dY, giving each
+input window's nine tap gradients, followed by nine stride-2 adds into a
+zero-padded buffer.
 """
 
 from __future__ import annotations
@@ -29,9 +38,9 @@ def _im2col(x: np.ndarray, stride: int) -> np.ndarray:
     """(C*3*3, B*OH*OW) columns of the 3x3 same-padded windows of x."""
     B, C, H, W = x.shape
     OH, OW = (H - 1) // stride + 1, (W - 1) // stride + 1
-    xp = np.zeros((C, B, H + 2, W + 2))
+    xp = np.zeros((C, B, H + 2, W + 2), dtype=x.dtype)
     xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
-    cols = np.empty((C, 3, 3, B, OH, OW))
+    cols = np.empty((C, 3, 3, B, OH, OW), dtype=x.dtype)
     for ky in range(3):
         for kx in range(3):
             cols[:, ky, kx] = xp[:, :, ky:ky + stride * OH:stride,
@@ -63,17 +72,23 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
 def conv2d_bwd(dy: np.ndarray, cache):
     """Gradients of conv2d_fwd; returns (dx, dw, db)."""
     x, w, stride = cache
-    B, _, H, W = x.shape
+    B, C, H, W = x.shape
     O = w.shape[0]
-    dy_cm = dy.transpose(1, 0, 2, 3)
-    dw = (dy_cm.reshape(O, -1) @ _im2col(x, stride).T).reshape(w.shape)
+    dy_mat = dy.transpose(1, 0, 2, 3).reshape(O, -1)
+    dw = (dy_mat @ _im2col(x, stride).T).reshape(w.shape)
     db = dy.sum(axis=(0, 2, 3))
-    if stride > 1:
-        up = np.zeros((O, B, H, W))
-        up[:, :, ::stride, ::stride] = dy_cm
-        dy_cm = up
-    w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    dx = _conv(dy_cm.transpose(1, 0, 2, 3), w_t, 1)
+    if stride == 1:
+        w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = _conv(dy, w_t, 1)
+    else:
+        OH, OW = dy.shape[2:]
+        taps = (w.reshape(O, C * 9).T @ dy_mat).reshape(C, 3, 3, B, OH, OW)
+        dxp = np.zeros((C, B, H + 2, W + 2), dtype=taps.dtype)
+        for ky in range(3):
+            for kx in range(3):
+                dxp[:, :, ky:ky + stride * OH:stride,
+                    kx:kx + stride * OW:stride] += taps[:, ky, kx]
+        dx = dxp[:, :, 1:-1, 1:-1]
     return dx.transpose(1, 0, 2, 3), dw, db
 
 

@@ -87,8 +87,9 @@ def _as_batch_array(dataset) -> np.ndarray:
 
 def _corrupt(x0: np.ndarray, t: np.ndarray, sched: NoiseSchedule,
              eps: np.ndarray) -> np.ndarray:
+    """The forward jump, rounded to float32 so the network runs in float32."""
     ab = sched.alpha_bars[t - 1][:, None, None, None]
-    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
+    return (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps).astype(np.float32)
 
 
 def heldout_l1(params: UNetParams, cfg: UNetConfig, heldout: np.ndarray,

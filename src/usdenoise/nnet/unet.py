@@ -136,10 +136,6 @@ def check_compatible(params: UNetParams, cfg: UNetConfig):
                              f"{params.tensors[name].shape}, expected {shape}")
 
 
-def _f64(params: UNetParams) -> dict:
-    return {k: v.astype(np.float64) for k, v in params.tensors.items()}
-
-
 def unet_forward(params: UNetParams, cfg: UNetConfig, x: np.ndarray,
                  t: np.ndarray):
     """Predict the per-pixel noise for a batch.
@@ -147,9 +143,17 @@ def unet_forward(params: UNetParams, cfg: UNetConfig, x: np.ndarray,
     ``x`` is (B, in_channels, H, W) with H and W divisible by 2^depth;
     ``t`` holds one step index per batch item.  Returns ``(eps_hat, tape)``
     where the tape carries every intermediate needed for exact gradients.
+
+    The pass runs in the floating dtype of ``x``,
+    ``np.result_type(x.dtype, np.float32)``: float32 input (training and
+    sampling) computes and returns float32 without copying the float32
+    parameters, float64 input (the finite-difference gradient checks)
+    computes and returns float64.
     """
     check_compatible(params, cfg)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    dt = np.result_type(x.dtype, np.float32)
+    x = x.astype(dt, copy=False)
     t = np.atleast_1d(np.asarray(t, dtype=np.int64))
     B, C, H, W = x.shape
     if C != cfg.in_channels:
@@ -160,8 +164,9 @@ def unet_forward(params: UNetParams, cfg: UNetConfig, x: np.ndarray,
     if H % div or W % div:
         raise ValueError(f"input extent {H}x{W} not divisible by {div}")
 
-    p = _f64(params)
-    emb = np.stack([time_embed(int(ti), cfg.time_embed_dim) for ti in t])
+    p = {k: v.astype(dt, copy=False) for k, v in params.tensors.items()}
+    emb = np.stack([time_embed(int(ti), cfg.time_embed_dim)
+                    for ti in t]).astype(dt)
     tape: dict = {"emb": emb, "cfg": cfg, "params": params,
                   "params_step": params.step}
 
@@ -195,7 +200,9 @@ def unet_backward(tape: dict, dloss_deps_hat: np.ndarray) -> dict:
     """Exact gradients of the forward pass; keys match the parameter table.
 
     The tape must come from a forward run against the current parameters;
-    updating the parameters invalidates outstanding tapes.
+    updating the parameters invalidates outstanding tapes.  The gradients
+    take the dtype the forward pass ran in, and the upstream gradient is
+    cast to it.
     """
     cfg: UNetConfig = tape["cfg"]
     if tape["params"].step != tape["params_step"]:
@@ -223,7 +230,7 @@ def unet_backward(tape: dict, dloss_deps_hat: np.ndarray) -> dict:
         grads[f"{name}.conv1.b"] = db
         return dx
 
-    dy = np.asarray(dloss_deps_hat, dtype=np.float64)
+    dy = np.asarray(dloss_deps_hat, dtype=emb.dtype)
     dy = conv_back("head", dy)
     dskips = {}
     for d in range(cfg.depth):

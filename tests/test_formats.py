@@ -290,6 +290,29 @@ def test_rf_payload_length_mismatch(tmp_path):
         read_rf(p)
 
 
+@pytest.mark.parametrize("edits", [
+    {"elements": "0", "samples": "0"},       # empty frame, empty payload
+    {"elements": "-1", "samples": "-1"},     # negative extents, 4-byte payload
+    {"fs_hz": "nan"},
+    {"pitch_m": "inf"},
+    {"c_mps": "-1540.0"},
+    {"angle_rad": "0.8"},                    # steeper than pi/4
+])
+def test_rf_invalid_header_values_are_header_errors(tmp_path, edits):
+    # each of these raised ValueError (or, for NaN, loaded) before
+    head, _, payload = _valid_rf(tmp_path).partition(b"\n\n")
+    lines = []
+    for line in head.decode().split("\n"):
+        key = line.split("=")[0]
+        lines.append(f"{key}={edits[key]}" if key in edits else line)
+    if "samples" in edits:
+        payload = b"\x00" * (4 * int(edits["elements"]) * int(edits["samples"]))
+    p = tmp_path / "bad.rf"
+    p.write_bytes("\n".join(lines).encode() + b"\n\n" + payload)
+    with pytest.raises(HeaderError):
+        read_rf(p)
+
+
 # --------------------------------------------- mutation robustness sweep
 
 def _valid_pgm(tmp_path):

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -20,7 +21,14 @@ from usdenoise.nnet import (
     unet_backward,
     unet_forward,
 )
-from usdenoise.nnet.ops import conv2d_bwd, conv2d_fwd
+from usdenoise.nnet.ops import (
+    conv2d_bwd,
+    conv2d_fwd,
+    silu_bwd,
+    silu_fwd,
+    upsample2_bwd,
+    upsample2_fwd,
+)
 
 TINY = UNetConfig(in_channels=1, base_channels=4, depth=1, time_embed_dim=8,
                   image_size=8)
@@ -160,6 +168,90 @@ def test_conv2d_rejects_channel_mismatch():
     x, w, b, _ = _conv_case(CONV_CASES[0])
     with pytest.raises(ValueError, match="channels"):
         conv2d_fwd(x[:, :2], w, b)
+
+
+# ------------------------------------------------------------------ dtypes
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_primitives_return_their_input_dtype(dtype, stride):
+    x, w, b, _ = _conv_case((2, 3, 5, 6, 8, stride))
+    x, w, b = x.astype(dtype), w.astype(dtype), b.astype(dtype)
+    y, cache = conv2d_fwd(x, w, b, stride)
+    assert y.dtype == dtype
+    assert all(g.dtype == dtype
+               for g in conv2d_bwd(np.ones_like(y), cache))
+    h, act = silu_fwd(y)
+    assert h.dtype == dtype and silu_bwd(h, act).dtype == dtype
+    up = upsample2_fwd(y)
+    assert up.dtype == dtype and upsample2_bwd(up).dtype == dtype
+
+
+def _forward_backward(params, x, t, dy):
+    eps_hat, tape = unet_forward(params, TINY, x, t)
+    return eps_hat, unet_backward(tape, dy)
+
+
+def _rel(a, ref):
+    ref = ref.astype(np.float64)
+    return float(np.linalg.norm(a - ref) / max(np.linalg.norm(ref), 1e-30))
+
+
+def test_unet_runs_in_the_dtype_of_its_input():
+    params = init_params(TINY, seed=4)
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2, 1, 8, 8))
+    dy = rng.normal(size=x.shape)
+    t = np.array([3, 250])
+    ref, ref_grads = _forward_backward(params, x, t, dy)
+    assert ref.dtype == np.float64
+    assert all(g.dtype == np.float64 for g in ref_grads.values())
+
+    out, grads = _forward_backward(params, x.astype(np.float32), t, dy)
+    assert out.dtype == np.float32
+    assert all(g.dtype == np.float32 for g in grads.values())
+    # float32 rounding only: same weights, relative L2 error within 1e-4
+    assert _rel(out, ref) <= 1e-4
+    for name, g in grads.items():
+        assert _rel(g, ref_grads[name]) <= 1e-4, name
+
+
+def _record_forward_dtypes(monkeypatch, module):
+    seen = []
+    real = module.unet_forward
+
+    def spy(params, cfg, x, t):
+        seen.append(x.dtype)
+        return real(params, cfg, x, t)
+
+    monkeypatch.setattr(module, "unet_forward", spy)
+    return seen
+
+
+def test_train_and_heldout_run_the_network_in_float32(monkeypatch):
+    # the package's ``train`` function shadows its module of the same name
+    train_mod = importlib.import_module("usdenoise.nnet.train")
+    seen = _record_forward_dtypes(monkeypatch, train_mod)
+    data = _toy_data(8, 16, seed=4)
+    train(data, make_schedule(300), TrainConfig(epochs=1, batch_size=4),
+          SMALL, heldout_set=data[:4])
+    assert len(seen) == 3            # two training batches, one held-out
+    assert set(seen) == {np.dtype(np.float32)}
+
+
+def test_ddpm_denoiser_runs_the_network_in_float32(monkeypatch, tmp_path):
+    import usdenoise.bench as bench
+    from usdenoise.diffusion import STANDARD_POSTERIOR
+    from usdenoise.image import RANGE_SIGNED, Image2D
+
+    seen = _record_forward_dtypes(monkeypatch, bench)
+    ckpt = tmp_path / "tiny.ckpt"
+    save_model(ckpt, init_params(TINY, seed=0), TINY)
+    denoiser = bench.DdpmDenoiser(ckpt, STANDARD_POSTERIOR)
+    noisy = np.random.default_rng(8).uniform(-1, 1, (8, 8))
+    out = denoiser(Image2D(noisy, RANGE_SIGNED), 3, make_schedule(300))
+    assert out.shape == (8, 8)
+    assert seen == [np.dtype(np.float32)] * 3
 
 
 # ---------------------------------------------------------------- backward
