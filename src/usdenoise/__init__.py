@@ -9,13 +9,15 @@ Library layout:
 - ``ultrasound``  -- FFT, envelope detection, DAS beamforming, phantoms
 - ``formats``     -- bit-exact file formats (PGM, tensors, checkpoints, RF)
 - ``bench``       -- benchmark harness behind the ``usdenoise bench`` command
-- ``_kernels``    -- compiled hot loops with a NumPy fallback
+- ``_kernels``    -- NumPy hot loops (NLM, block matching, pulse synthesis, DAS)
 """
 
-from usdenoise._kernels import COMPILED_KERNELS
 from usdenoise.image import Image2D, RANGE_EIGHT_BIT, RANGE_SIGNED, RANGE_UNIT
 
 __version__ = "0.1.0"
+
+# The kernels are NumPy only; the benchmark's provenance line reads this.
+COMPILED_KERNELS = False
 
 __all__ = [
     "COMPILED_KERNELS",

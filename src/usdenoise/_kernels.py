@@ -1,7 +1,9 @@
-"""NumPy implementations of the kernel entry points.
+"""Hot-loop kernels, in NumPy:
 
-These are the reference semantics; the Cython core must agree with them to
-floating-point reordering tolerance (and exactly for ``match_blocks``).
+- ``nlm_filter``      patchwise non-local means on a padded image
+- ``match_blocks``    top-K similar-block search for collaborative filtering
+- ``deposit_pulses``  scatterer echo synthesis onto an RF trace
+- ``das_sum``         delay-and-sum accumulation with linear interpolation
 """
 
 from __future__ import annotations
@@ -58,13 +60,16 @@ def match_blocks(blocks: np.ndarray, ref_rows: np.ndarray, ref_cols: np.ndarray,
     ``blocks`` is (Py, Px, bsize*bsize): the flattened block starting at each
     top-left position.  Candidates are block positions within Chebyshev
     distance ``search_radius`` of the reference.  Similarity is the summed
-    squared difference; ties break on ascending linear position so both
-    backends select identical groups.  The reference block itself is always
+    squared difference; ties break on ascending linear position, so the
+    groups are deterministic.  The reference block itself is always
     part of its group (in flat regions full distance ties could otherwise
     crowd it out, leaving pixels with no aggregated estimate).  Returns
     (R, k) linear indices into the (Py, Px) position grid, best first.
     """
     py, px, _ = blocks.shape
+    # a wider window selects the same candidates; clipping keeps the window
+    # arithmetic inside int64
+    search_radius = min(int(search_radius), max(py, px))
     ref_rows = np.asarray(ref_rows, dtype=np.int64)
     ref_cols = np.asarray(ref_cols, dtype=np.int64)
     out = np.empty((ref_rows.size, k), dtype=np.int64)

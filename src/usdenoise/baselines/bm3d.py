@@ -43,9 +43,9 @@ class Bm3dConfig:
             raise ValueError("max_matches must be a power of two")
         if self.search_radius < 1:
             raise ValueError("search radius must be >= 1")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if self.hard_threshold <= 0:
+        if not self.hard_threshold > 0:
             raise ValueError("hard threshold must be positive")
         if self.stages not in ("one", "two"):
             raise ValueError("stages must be 'one' or 'two'")
@@ -108,7 +108,10 @@ def _stage2(noisy: np.ndarray, pilot: np.ndarray, cfg: Bm3dConfig) -> np.ndarray
     matches, px = _match(spectra_p, cfg)          # group on the pilot
     acc = np.zeros_like(noisy)
     wacc = np.zeros_like(noisy)
-    s2 = cfg.sigma ** 2
+    # the same bits as float ** 2, but inf for a huge sigma instead of
+    # OverflowError
+    with np.errstate(over="ignore"):
+        s2 = np.float64(cfg.sigma) ** 2
     for lin in matches:
         ys, xs = lin // px, lin % px
         p = haar1(spectra_p[ys, xs])

@@ -27,9 +27,10 @@ class NlmConfig:
     def __post_init__(self):
         if self.patch_radius < 1 or self.search_radius < 1:
             raise ValueError("radii must be >= 1")
-        if self.h <= 0:
-            raise ValueError("filtering strength h must be positive")
-        if self.sigma < 0:
+        if not (self.h > 0 and self.h * self.h > 0):
+            raise ValueError("filtering strength h must be positive, "
+                             "with h^2 above float64 underflow")
+        if not self.sigma >= 0:
             raise ValueError("sigma must be non-negative")
 
 

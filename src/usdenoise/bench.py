@@ -29,7 +29,7 @@ from usdenoise.diffusion import (
     make_schedule,
 )
 from usdenoise.formats import image_from_pgm_unit
-from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
+from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D, NumericError
 from usdenoise.metrics import (
     PSNR_STANDARD,
     MetricsReport,
@@ -44,10 +44,6 @@ from usdenoise.ultrasound.phantom import annulus_mask, cyst_mask
 from usdenoise.rng import uniforms
 
 METHODS = ("noisy", "nlm", "bm3d", "ddpm")
-
-
-class NumericError(RuntimeError):
-    """A pipeline produced non-finite samples."""
 
 
 @dataclass

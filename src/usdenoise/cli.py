@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from usdenoise import COMPILED_KERNELS, __version__
+from usdenoise import __version__
 from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.bench import (
     BenchConfig,
     DdpmDenoiser,
-    NumericError,
     check_finite,
     run_bench,
     to_unit_clipped,
@@ -41,7 +40,7 @@ from usdenoise.formats import (
     write_pgm,
     write_rf,
 )
-from usdenoise.image import RANGE_EIGHT_BIT, RANGE_UNIT, Image2D
+from usdenoise.image import RANGE_EIGHT_BIT, RANGE_UNIT, Image2D, NumericError
 from usdenoise.nnet import TrainConfig, UNetConfig, load_model, train
 from usdenoise.rng import GaussianField
 from usdenoise.ultrasound import (
@@ -283,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="usdenoise",
         description="Speckle-preserving ultrasound denoising toolkit")
     p.add_argument("--version", action="version",
-                   version=f"usdenoise {__version__} "
-                           f"(compiled kernels: {COMPILED_KERNELS})")
+                   version=f"usdenoise {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("phantom", parents=[common],

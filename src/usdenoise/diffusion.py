@@ -50,7 +50,7 @@ class NoiseSchedule:
         betas = np.asarray(self.betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
             raise ValueError("schedule needs at least one step")
-        if np.any(betas <= 0.0) or np.any(betas >= 1.0):
+        if not np.all((betas > 0.0) & (betas < 1.0)):
             raise ValueError("every per-step variance must lie in (0, 1)")
         object.__setattr__(self, "betas", betas)
         alphas = 1.0 - betas

@@ -17,6 +17,10 @@ _BOUNDS = {
 }
 
 
+class NumericError(ValueError):
+    """Samples that must be finite are not."""
+
+
 def range_bounds(value_range: str) -> tuple[float, float]:
     try:
         return _BOUNDS[value_range]
@@ -30,8 +34,8 @@ class Image2D:
 
     ``value_range`` is a declared nominal range tag, not a clamp: transient
     intermediates (e.g. after adding noise) may exceed the nominal bounds.
-    All samples must stay finite.  ``meta`` carries provenance such as the
-    sampler variant that produced the image.
+    All samples must stay finite, else ``NumericError``.  ``meta`` carries
+    provenance such as the sampler variant that produced the image.
     """
 
     data: np.ndarray
@@ -43,7 +47,7 @@ class Image2D:
         if arr.ndim != 2:
             raise ValueError(f"image data must be 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("image contains non-finite samples")
+            raise NumericError("image contains non-finite samples")
         range_bounds(self.value_range)
         self.data = arr
 

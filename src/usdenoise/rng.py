@@ -23,6 +23,8 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0 ** -53
+# samples per pass of standard_normal
+_NORMAL_CHUNK = 1 << 18
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -52,15 +54,24 @@ def uniforms(n: int, seed: int, draw_index: int = 0) -> np.ndarray:
 
 
 def standard_normal(shape, seed: int, draw_index: int = 0) -> np.ndarray:
-    """Standard-normal field of the given shape (float32, row-major draws)."""
+    """Standard-normal field of the given shape (float32, row-major draws).
+
+    Filled ``_NORMAL_CHUNK`` samples at a time, so the float64 temporaries
+    stay a few MB whatever the shape; every sample depends only on its own
+    two words, so the result does not depend on the chunking.
+    """
     shape = tuple(int(s) for s in np.atleast_1d(shape))
     n = int(np.prod(shape)) if shape else 1
-    words = raw_words(2 * n, seed, draw_index)
-    # u1 in (0, 1] so log() is safe; u2 in [0, 1)
-    u1 = ((words[0::2] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _U53
-    u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _U53
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return z.reshape(shape).astype(np.float32)
+    out = np.empty(n, dtype=np.float32)
+    for i in range(0, n, _NORMAL_CHUNK):
+        m = min(_NORMAL_CHUNK, n - i)
+        words = raw_words(2 * m, seed, draw_index, offset=2 * i)
+        # u1 in (0, 1] so log() is safe; u2 in [0, 1)
+        u1 = ((words[0::2] >> np.uint64(11))
+              + np.uint64(1)).astype(np.float64) * _U53
+        u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _U53
+        out[i:i + m] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return out.reshape(shape)
 
 
 @dataclass(frozen=True)

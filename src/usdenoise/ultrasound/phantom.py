@@ -24,6 +24,8 @@ from usdenoise.ultrasound.types import ImagingGrid, RFFrame, TransducerGeometry
 
 # Gaussian pulse std in seconds, as a fraction of the carrier period
 PULSE_SIGMA_PERIODS = 0.5
+# speckle_patches blurs and averages this many patches per pass
+_PATCH_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -197,9 +199,15 @@ def speckle_patches(count: int, size: int = 32, seed: int = 0,
     taps = np.exp(-x * x / (2 * blur_px * blur_px))
     taps /= taps.sum()
 
-    re = standard_normal((count, looks, size, size), seed, 0).astype(np.float64)
-    im = standard_normal((count, looks, size, size), seed, 1).astype(np.float64)
-    env = np.hypot(_sep_blur(re, taps), _sep_blur(im, taps)).mean(axis=1)
+    re = standard_normal((count, looks, size, size), seed, 0)
+    im = standard_normal((count, looks, size, size), seed, 1)
+    # a few patches at a time, so the float64 looks stay small
+    env = np.empty((count, size, size), dtype=np.float64)
+    for i in range(0, count, _PATCH_CHUNK):
+        j = min(i + _PATCH_CHUNK, count)
+        env[i:j] = np.hypot(_sep_blur(re[i:j].astype(np.float64), taps),
+                            _sep_blur(im[i:j].astype(np.float64), taps)
+                            ).mean(axis=1)
 
     n_cysts = int(round(count * cyst_fraction))
     if n_cysts:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from usdenoise import __version__
 from usdenoise.cli import main
 from usdenoise.formats import read_pgm, write_pgm
 from usdenoise.image import Image2D
@@ -199,5 +200,50 @@ def test_denoise_nan_checkpoint_exits_4(tmp_path, capsys):
     assert not (tmp_path / "dn.pgm").exists()
 
 
-def test_version_flag():
+def test_nan_and_underflowing_arguments_exit_2(tmp_path, capsys):
+    # NaN passed the "> 0" style range checks of the schedule and the
+    # baseline configs, and only the non-finite image it produced was caught;
+    # an NLM h whose square underflows raised ZeroDivisionError
+    src = tmp_path / "in.pgm"
+    write_pgm(src, Image2D(np.full((24, 24), 0.5, dtype=np.float32)))
+    out = f"--out={tmp_path / 'o.pgm'}"
+    for argv in (["corrupt", "--t=5", "--beta=nan"],
+                 ["baseline", "--method=nlm", "--sigma=0.1", "--h=nan"],
+                 ["baseline", "--method=nlm", "--sigma=0.1", "--h=1e-200"],
+                 ["baseline", "--method=nlm", "--sigma=nan"],
+                 ["baseline", "--method=bm3d", "--sigma=nan"],
+                 ["baseline", "--method=bm3d", "--sigma=0.1",
+                  "--threshold=nan"]):
+        assert run_cli(*argv, "--in", src, out) == 2
+        assert "must" in capsys.readouterr().err
+    assert not (tmp_path / "o.pgm").exists()
+
+
+def test_bm3d_extreme_arguments_exit_0(tmp_path):
+    # sigma ** 2 raised OverflowError, and a search radius past int64
+    # overflowed in the block-matching window arithmetic
+    src = tmp_path / "in.pgm"
+    write_pgm(src, Image2D(np.full((24, 24), 0.5, dtype=np.float32)))
+    for argv in (["--sigma=1e308"], ["--sigma=0.1", f"--search={2 ** 63}"]):
+        assert run_cli("baseline", "--method=bm3d", *argv, "--in", src,
+                       "--out", tmp_path / "o.pgm") == 0
+
+
+def test_denoise_non_finite_state_exits_4(tmp_path, capsys):
+    # a variance this small makes 1 - abar_t exactly 0, so the reverse step
+    # divides by zero; a non-finite image is a numeric failure, not exit 2
+    net_cfg = UNetConfig(base_channels=4, depth=1, time_embed_dim=8,
+                         image_size=8)
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, init_params(net_cfg, seed=0), net_cfg)
+    src = tmp_path / "in.pgm"
+    write_pgm(src, Image2D(np.full((8, 8), 0.5, dtype=np.float32)))
+    assert run_cli("denoise", "--in", src, "--ckpt", ckpt, "--t-start", 2,
+                   "--beta=1e-300", "--out", tmp_path / "dn.pgm") == 4
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "dn.pgm").exists()
+
+
+def test_version_flag(capsys):
     assert run_cli("--version") == 0
+    assert capsys.readouterr().out == f"usdenoise {__version__}\n"

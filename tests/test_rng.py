@@ -1,6 +1,7 @@
 import numpy as np
 
-from usdenoise.rng import GaussianField, standard_normal, uniforms
+from usdenoise import rng
+from usdenoise.rng import GaussianField, raw_words, standard_normal, uniforms
 
 
 def test_reproducible():
@@ -22,6 +23,16 @@ def test_row_major_layout_independent_of_shape():
     flat = standard_normal((24,), seed=42, draw_index=3)
     grid = standard_normal((4, 6), seed=42, draw_index=3)
     assert np.array_equal(flat, grid.reshape(-1))
+
+
+def test_chunked_fill_equals_one_shot_box_muller():
+    n = 2 * rng._NORMAL_CHUNK + 123
+    words = raw_words(2 * n, seed=5, draw_index=2)
+    u1 = ((words[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    u2 = (words[1::2] >> np.uint64(11)) * 2.0 ** -53
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    got = standard_normal((n,), seed=5, draw_index=2)
+    assert np.array_equal(got, z.astype(np.float32))
 
 
 def test_moments_are_standard_normal():

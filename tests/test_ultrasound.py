@@ -5,8 +5,8 @@ import pytest
 
 from tests.conftest import TEST_GEOMETRY
 from usdenoise import _kernels
-from usdenoise._kernels import fallback
 from usdenoise.image import Image2D
+from usdenoise.rng import standard_normal
 from usdenoise.ultrasound import (
     Cyst,
     ImagingGrid,
@@ -181,7 +181,7 @@ def test_deposit_pulses_matches_per_sample_loop(case, sigma_t):
     amp = rng.normal(size=tau.size)
     phase = rng.uniform(-np.pi, np.pi, tau.size)
     args = (tau, amp, phase, 50e6, 8e6, sigma_t, 96, 13)
-    got = fallback.deposit_pulses(*args)
+    got = _kernels.deposit_pulses(*args)
     want = _deposit_per_sample(*args)
     assert got.shape == (96,) and got.dtype == np.float64
     assert np.abs(got - want).max(initial=0.0) < 1e-12
@@ -369,6 +369,23 @@ def test_speckle_patches_shape_range_determinism():
     assert np.array_equal(a, b)
     c = speckle_patches(6, size=32, seed=5)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("seed", [3, 100])
+def test_speckle_patches_chunks_equal_one_shot(seed):
+    # the looks are blurred and averaged a chunk of patches at a time; all
+    # at once must give the same bits
+    count, size, looks = 2 * phantom._PATCH_CHUNK + 5, 32, 10
+    out = speckle_patches(count, size=size, seed=seed, looks=looks,
+                          cyst_fraction=0.0)
+    taps = np.exp(-np.arange(-2.0, 3.0) ** 2 / 2.0)
+    taps /= taps.sum()
+    re = standard_normal((count, looks, size, size), seed, 0)
+    im = standard_normal((count, looks, size, size), seed, 1)
+    env = np.hypot(phantom._sep_blur(re.astype(np.float64), taps),
+                   phantom._sep_blur(im.astype(np.float64), taps)).mean(axis=1)
+    for got, e in zip(out, env):
+        assert np.array_equal(got, log_compress(e, 50.0).data)
 
 
 def test_speckle_patches_log_compression_bit_identical(monkeypatch):
