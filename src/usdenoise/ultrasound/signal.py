@@ -1,4 +1,4 @@
-"""Radix-2 FFT, analytic-signal envelope detection, and log compression."""
+"""Power-of-two FFT, analytic-signal envelope detection and log compression."""
 
 from __future__ import annotations
 
@@ -14,34 +14,13 @@ def _check_pow2(n: int) -> int:
 
 
 def fft(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time DFT along the last axis.
+    """DFT along the last axis, whose length must be a power of two.
 
-    The transform length must be a power of two.  Works on batched inputs:
-    any leading axes are carried through.
+    Works on batched inputs: any leading axes are carried through.
     """
     x = np.asarray(x)
-    n = _check_pow2(x.shape[-1])
-    out = x.astype(np.complex128).copy()
-    if n == 1:
-        return out
-    # bit-reversal permutation
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    bits = n.bit_length() - 1
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    out = out[..., rev]
-    # butterfly stages
-    half = 1
-    while half < n:
-        tw = np.exp(-1j * np.pi * np.arange(half) / half)
-        blocks = out.reshape(*out.shape[:-1], n // (2 * half), 2 * half)
-        even = blocks[..., :half].copy()
-        odd = blocks[..., half:] * tw
-        blocks[..., :half] = even + odd
-        blocks[..., half:] = even - odd
-        half *= 2
-    return out
+    _check_pow2(x.shape[-1])
+    return np.fft.fft(x.astype(np.complex128), axis=-1)
 
 
 def ifft(x: np.ndarray) -> np.ndarray:

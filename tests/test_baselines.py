@@ -11,8 +11,10 @@ from usdenoise.baselines import (
     ihaar1,
     nlm_denoise,
 )
+from usdenoise.baselines import bm3d
 from usdenoise.image import RANGE_UNIT, Image2D
 from usdenoise.metrics import psnr
+from usdenoise.ultrasound import speckle_patches
 
 
 def unit_image(data):
@@ -216,3 +218,76 @@ def test_bm3d_rejects_degenerate_config():
         Bm3dConfig(stages="three")
     with pytest.raises(ValueError):
         bm3d_denoise(unit_image(np.zeros((8, 8))), Bm3dConfig(sigma=0.1))
+
+
+# ------------------------------------------------- BM3D per-group reference
+# One group at a time, each block added into the image by a slice; the
+# array-at-a-time stages must give the same image up to summation order.
+
+def _aggregate(acc, wacc, est, weight, ys, xs, b):
+    for k in range(est.shape[0]):
+        acc[ys[k]:ys[k] + b, xs[k]:xs[k] + b] += weight * est[k]
+        wacc[ys[k]:ys[k] + b, xs[k]:xs[k] + b] += weight
+
+
+def _stage1_per_group(noisy, cfg):
+    b = cfg.block_size
+    spectra = bm3d._block_spectra(noisy, b)
+    matches, px = bm3d._match(spectra, cfg)
+    acc = np.zeros_like(noisy)
+    wacc = np.zeros_like(noisy)
+    thr = cfg.hard_threshold * cfg.sigma
+    for lin in matches:
+        ys, xs = lin // px, lin % px
+        coeffs = haar1(spectra[ys, xs])
+        keep = np.abs(coeffs) >= thr
+        keep[0, 0, 0] = True                      # group DC always survives
+        retained = int(keep.sum())
+        est = idct2(ihaar1(np.where(keep, coeffs, 0.0)))
+        _aggregate(acc, wacc, est, 1.0 / retained, ys, xs, b)
+    return acc / wacc
+
+
+def _stage2_per_group(noisy, pilot, cfg):
+    b = cfg.block_size
+    spectra_n = bm3d._block_spectra(noisy, b)
+    spectra_p = bm3d._block_spectra(pilot, b)
+    matches, px = bm3d._match(spectra_p, cfg)
+    acc = np.zeros_like(noisy)
+    wacc = np.zeros_like(noisy)
+    s2 = cfg.sigma ** 2
+    for lin in matches:
+        ys, xs = lin // px, lin % px
+        p = haar1(spectra_p[ys, xs])
+        n = haar1(spectra_n[ys, xs])
+        shrink = p * p / (p * p + s2)
+        est = idct2(ihaar1(shrink * n))
+        weight = 1.0 / max(float((shrink * shrink).sum()), 1e-12)
+        _aggregate(acc, wacc, est, weight, ys, xs, b)
+    return acc / wacc
+
+
+def _speckle(height, width, seed):
+    return speckle_patches(1, size=max(height, width),
+                           seed=seed)[0, :height, :width].astype(np.float64)
+
+
+@pytest.mark.parametrize("noisy, cfg", [
+    (_speckle(64, 64, 1), Bm3dConfig(sigma=0.02)),
+    (_speckle(64, 64, 1), Bm3dConfig(sigma=0.2)),
+    (np.full((40, 40), 0.5), Bm3dConfig(sigma=0.1)),
+    (np.round(_speckle(48, 48, 2) * 20) / 20, Bm3dConfig(sigma=0.05)),
+    (_speckle(40, 52, 3), Bm3dConfig(block_size=4, sigma=0.05)),
+    (_speckle(48, 48, 4), Bm3dConfig(block_size=16, sigma=0.05)),
+    (_speckle(40, 40, 5), Bm3dConfig(max_matches=1, sigma=0.05)),
+], ids=["speckle-sigma0.02", "speckle-sigma0.2", "constant", "quantised",
+        "block4", "block16", "matches1"])
+def test_bm3d_stages_match_per_group_reference(noisy, cfg):
+    groups = len(bm3d._ref_positions(noisy.shape[0], cfg.block_size)) * len(
+        bm3d._ref_positions(noisy.shape[1], cfg.block_size))
+    if noisy.shape == (64, 64):          # more than one chunk, the last short
+        assert groups > bm3d.GROUP_CHUNK and groups % bm3d.GROUP_CHUNK
+    basic = bm3d._stage1(noisy, cfg)
+    assert np.abs(basic - _stage1_per_group(noisy, cfg)).max() <= 1e-12
+    final = bm3d._stage2(noisy, basic, cfg)
+    assert np.abs(final - _stage2_per_group(noisy, basic, cfg)).max() <= 1e-12

@@ -229,6 +229,18 @@ def test_bm3d_extreme_arguments_exit_0(tmp_path):
                        "--out", tmp_path / "o.pgm") == 0
 
 
+def test_nlm_tiny_h_exits_0(tmp_path):
+    # 1/h^2 overflowed to inf and 0 * inf made NaN weights, so the image was
+    # non-finite and the command exited 4
+    src = tmp_path / "in.pgm"
+    rng = np.random.default_rng(0)
+    write_pgm(src, Image2D(rng.random((24, 24)).astype(np.float32)))
+    out = tmp_path / "o.pgm"
+    assert run_cli("baseline", "--method", "nlm", "--sigma", 0.1,
+                   "--h", 1e-160, "--in", src, "--out", out) == 0
+    assert np.isfinite(read_pgm(out).data).all()
+
+
 def test_denoise_non_finite_state_exits_4(tmp_path, capsys):
     # a variance this small makes 1 - abar_t exactly 0, so the reverse step
     # divides by zero; a non-finite image is a numeric failure, not exit 2

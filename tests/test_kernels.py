@@ -41,6 +41,22 @@ def test_nlm_filter_matches_per_pixel_loop():
     assert np.abs(got - want).max() < 1e-12
 
 
+def test_nlm_filter_tiny_h_takes_the_zero_limit():
+    # 1/h^2 overflows for h below about 1e-154, and 0 * inf gave NaN weights;
+    # the loop's scalar division overflows to inf instead, which is the
+    # h -> 0 limit: weight 1 at zero excess, else 0.  Integer pixels make
+    # every patch distance exact, so both pick the same patches
+    rng = np.random.default_rng(3)
+    img = rng.integers(0, 4, size=(12, 12)).astype(np.float64)
+    padded = np.pad(img, 4, mode="symmetric")
+    got = _kernels.nlm_filter(padded, 12, 12, 1, 3, 1e-160, 0.5)
+    with np.errstate(over="ignore"):
+        want = _nlm_per_pixel(padded, 12, 12, 1, 3, 1e-160, 0.5)
+    assert np.isfinite(got).all()
+    assert np.abs(got - want).max() < 1e-12
+    assert not np.array_equal(got, img)     # some neighbours do get weight 1
+
+
 def _match_brute_force(blocks, ref_rows, ref_cols, search_radius, k):
     py, px, _ = blocks.shape
     out = []
@@ -60,14 +76,33 @@ def _match_brute_force(blocks, ref_rows, ref_cols, search_radius, k):
 
 def test_match_blocks_matches_brute_force_random_and_degenerate():
     rng = np.random.default_rng(1)
-    refs = np.arange(0, 20, 3, dtype=np.int64)
-    rr = np.repeat(refs, refs.size)
-    cc = np.tile(refs, refs.size)
-    # in the all-ones field every distance ties, so positions decide and the
-    # reference block has to be put back into its own group
-    for blocks in (rng.normal(size=(20, 20, 16)), np.ones((20, 20, 16))):
-        got = _kernels.match_blocks(blocks, rr, cc, 5, 8)
-        assert np.array_equal(got, _match_brute_force(blocks, rr, cc, 5, 8))
+    # the windows clip at all four edges of the 20 x 20 grid, and the
+    # references come in shuffled order, more than one chunk of them
+    refs = np.array([0, 1, 3, 6, 9, 12, 15, 18, 19], dtype=np.int64)
+    order = rng.permutation(refs.size ** 2)
+    rr = np.repeat(refs, refs.size)[order]
+    cc = np.tile(refs, refs.size)[order]
+    assert rr.size > _kernels.MATCH_CHUNK
+    noise = rng.normal(size=(20, 20, 16))
+    cases = [
+        (noise, 5, 8),
+        # every distance ties, so positions decide and the reference block
+        # has to be put back into its own group
+        (np.ones((20, 20, 16)), 5, 8),
+        (np.round(noise), 5, 8),   # exact ties at non-zero distances
+        # near ties: the GEMM's cancellation error on the offset is larger
+        # than the gaps between some distances, so its ranking differs
+        (1000.0 + np.round(noise) / 10, 5, 8),
+        # the GEMM overflows, so every candidate is scored exactly
+        (noise * 1e200, 5, 8),
+        (noise, 5, 1),
+        (noise, 19, 400),          # k is the whole window
+    ]
+    for blocks, radius, k in cases:
+        got = _kernels.match_blocks(blocks, rr, cc, radius, k)
+        with np.errstate(over="ignore"):
+            want = _match_brute_force(blocks, rr, cc, radius, k)
+        assert np.array_equal(got, want)
 
 
 def test_match_blocks_include_self_and_sorted():
