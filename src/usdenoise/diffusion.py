@@ -140,14 +140,17 @@ def reverse_step(x_t: Image2D, t: int, eps_hat, sched: NoiseSchedule,
     e = _noise_array(eps_hat, x_t.shape)
     a = sched.alpha(t)
     ab = sched.alpha_bar(t)
-    coef = (1.0 - a) / np.sqrt(1.0 - ab)
-    if variant == PAPER_LITERAL:
-        out = x_t.data / np.float32(np.sqrt(a)) + np.float32(coef) * e
-    else:
-        out = (x_t.data - np.float32(coef) * e) / np.float32(np.sqrt(a))
-        if inject is not None and t > 1:
-            z = _noise_array(inject, x_t.shape)
-            out = out + np.float32(np.sqrt(sched.beta(t))) * z
+    # a degenerate schedule (1 - abar_t == 0) or a diverging chain gives
+    # inf or NaN here; Image2D rejects it with NumericError, so no warning
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        coef = (1.0 - a) / np.sqrt(1.0 - ab)
+        if variant == PAPER_LITERAL:
+            out = x_t.data / np.float32(np.sqrt(a)) + np.float32(coef) * e
+        else:
+            out = (x_t.data - np.float32(coef) * e) / np.float32(np.sqrt(a))
+            if inject is not None and t > 1:
+                z = _noise_array(inject, x_t.shape)
+                out = out + np.float32(np.sqrt(sched.beta(t))) * z
     return x_t.like(out, t=t - 1, sampler_variant=variant)
 
 

@@ -27,11 +27,32 @@ swapped.  At stride 2 that convolution would run over a dY grid that is
 three quarters zeros, so dX is instead one matmul W^T dY, giving each
 input window's nine tap gradients, followed by nine stride-2 adds into a
 zero-padded buffer.
+
+Upsampling is never materialised.  The decoder's nearest-neighbour 2x
+upsampling followed by a 3x3 convolution (a resize-convolution) is computed
+at the low resolution as a sub-pixel convolution: output row 2i + p reads,
+through kernel tap k, the input row i + floor((p + k - 1) / 2), so along
+each axis parity p = 0 sees the taps (w0 | w1 + w2 | 0) at input offsets
+(-1, 0, +1) and parity p = 1 sees (0 | w0 + w1 | w2).  The four parity
+kernels are folded from W by one matmul with a constant 0/1 matrix,
+stacked into one (4*O, C, 3, 3) stride-1 convolution of the low-resolution
+input, and its channels are interleaved into the (B, O, 2H, 2W) output.
+The flops are those of the full-resolution convolution, but the column
+matrix is 4x smaller, the GEMM has 4*O rows and the tape keeps the
+low-resolution input.  The backward pass de-interleaves dY, runs the
+convolution's backward and folds dW back with the transposed matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# _TAPS[p, k, j] = 1 where tap k of a kernel over the 2x-upsampled input
+# lands on tap j of the kernel over the input itself, for output parity p
+_TAPS = np.array([[[1, 0, 0], [0, 1, 0], [0, 1, 0]],
+                  [[0, 1, 0], [0, 1, 0], [0, 0, 1]]], dtype=np.float64)
+# (ky*3 + kx) -> ((py*2 + px)*9 + jy*3 + jx): the four folded 3x3 kernels
+_FOLD = np.einsum("pkj,qlm->klpqjm", _TAPS, _TAPS).reshape(9, 36)
 
 
 def _im2col(x: np.ndarray, stride: int) -> np.ndarray:
@@ -92,24 +113,60 @@ def conv2d_bwd(dy: np.ndarray, cache):
     return dx.transpose(1, 0, 2, 3), dw, db
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) as 0.5 (1 + tanh(x / 2)), which cannot overflow."""
+    s = np.tanh(x * 0.5)
+    s += 1.0
+    s *= 0.5
+    return s
+
+
 def silu_fwd(x: np.ndarray):
-    s = 1.0 / (1.0 + np.exp(-x))
-    return x * s, x
+    return x * _sigmoid(x), x
 
 
 def silu_bwd(dy: np.ndarray, x: np.ndarray):
-    s = 1.0 / (1.0 + np.exp(-x))
+    s = _sigmoid(x)
     return dy * s * (1.0 + x * (1.0 - s))
 
 
-def upsample2_fwd(x: np.ndarray):
-    """Nearest-neighbor 2x upsampling."""
-    return x.repeat(2, axis=2).repeat(2, axis=3)
+def upconv2d_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """``conv2d_fwd(upsample2(x), w, b)`` computed at x's resolution.
+
+    x is (B, C, H, W); returns ``(y, cache)`` with y (B, O, 2H, 2W), where
+    upsample2 is nearest-neighbour 2x upsampling.  One stride-1 convolution
+    of x with the (4*O, C, 3, 3) parity-folded kernels gives every output
+    parity; its channels are interleaved into the output pixels.
+    """
+    O, C = w.shape[:2]
+    wf = w.reshape(O * C, 9) @ _FOLD.astype(w.dtype, copy=False)
+    wf = wf.reshape(O, C, 4, 3, 3).transpose(2, 0, 1, 3, 4)
+    y4, cache = conv2d_fwd(x, wf.reshape(4 * O, C, 3, 3), np.tile(b, 4))
+    B, _, H, W = y4.shape
+    # y4 is a view of (py, px, O, B, H, W) memory; write (O, B, 2H, 2W) by
+    # parity, which runs 2-4x faster than one transposed copy
+    parts = y4.transpose(1, 0, 2, 3).reshape(2, 2, O, B, H, W)
+    y = np.empty((O, B, H, 2, W, 2), dtype=y4.dtype)
+    for py in range(2):
+        for px in range(2):
+            y[:, :, :, py, :, px] = parts[py, px]
+    return y.reshape(O, B, 2 * H, 2 * W).transpose(1, 0, 2, 3), cache
 
 
-def upsample2_bwd(dy: np.ndarray):
-    B, C, H2, W2 = dy.shape
-    return dy.reshape(B, C, H2 // 2, 2, W2 // 2, 2).sum(axis=(3, 5))
+def upconv2d_bwd(dy: np.ndarray, cache):
+    """Gradients of upconv2d_fwd; returns (dx, dw, db)."""
+    x, wf, _ = cache
+    B, C, H, W = x.shape
+    O = wf.shape[0] // 4
+    # de-interleave into (py, px, O, B, H, W) memory, the channel-major
+    # layout conv2d_bwd reads without a copy
+    src = dy.transpose(1, 0, 2, 3).reshape(O, B, H, 2, W, 2)
+    parts = np.ascontiguousarray(src.transpose(3, 5, 0, 1, 2, 4))
+    dy4 = parts.reshape(4 * O, B, H, W).transpose(1, 0, 2, 3)
+    dx, dwf, dbf = conv2d_bwd(dy4, cache)
+    dwf = dwf.reshape(4, O, C, 9).transpose(1, 2, 0, 3).reshape(O * C, 36)
+    dw = (dwf @ _FOLD.T.astype(dwf.dtype, copy=False)).reshape(O, C, 3, 3)
+    return dx, dw, dbf.reshape(4, O).sum(axis=0)
 
 
 def mse_loss(eps_hat: np.ndarray, eps: np.ndarray):

@@ -4,8 +4,10 @@ Topology (per down/up level): two 3x3 convolutions with SiLU activations,
 the time embedding projected by a learned linear map and added as a
 per-channel bias after the first convolution of every block.  Downsampling
 is a stride-2 convolution, upsampling is nearest-neighbor followed by a
-convolution, and skip connections concatenate channels.  The network is
-fully convolutional: any input whose extent is divisible by 2^depth works.
+convolution (``upconv2d_fwd`` computes the pair at the low resolution and
+never forms the upsampled tensor), and skip connections concatenate
+channels.  The network is fully convolutional: any input whose extent is
+divisible by 2^depth works.
 
 Forward returns an activation tape from which ``unet_backward`` computes
 exact reverse-mode gradients for every parameter; no autograd involved.
@@ -23,8 +25,8 @@ from usdenoise.nnet.ops import (
     conv2d_fwd,
     silu_bwd,
     silu_fwd,
-    upsample2_bwd,
-    upsample2_fwd,
+    upconv2d_bwd,
+    upconv2d_fwd,
 )
 from usdenoise.rng import uniforms
 
@@ -188,8 +190,7 @@ def unet_forward(params: UNetParams, cfg: UNetConfig, x: np.ndarray,
                                          stride=2)
     h = block("mid", h)
     for d in reversed(range(cfg.depth)):
-        h = upsample2_fwd(h)
-        h, tape[f"up{d}"] = conv2d_fwd(h, p[f"up{d}.w"], p[f"up{d}.b"])
+        h, tape[f"up{d}"] = upconv2d_fwd(h, p[f"up{d}.w"], p[f"up{d}.b"])
         h = np.concatenate([h, skips[d]], axis=1)
         h = block(f"dec{d}", h)
     eps_hat, tape["head"] = conv2d_fwd(h, p["head.w"], p["head.b"])
@@ -237,8 +238,8 @@ def unet_backward(tape: dict, dloss_deps_hat: np.ndarray) -> dict:
         dy = block_back(f"dec{d}", dy)
         c = cfg.channels(d)
         dskips[d] = dy[:, c:]
-        dy = conv_back(f"up{d}", dy[:, :c])
-        dy = upsample2_bwd(dy)
+        dy, grads[f"up{d}.w"], grads[f"up{d}.b"] = upconv2d_bwd(
+            dy[:, :c], tape[f"up{d}"])
     dy = block_back("mid", dy)
     for d in reversed(range(cfg.depth)):
         dy = conv_back(f"down{d}", dy)

@@ -109,6 +109,9 @@ def synth_rf(spec: PhantomSpec, angle: float) -> RFFrame:
     """Per-element RF traces for one steered plane-wave transmission."""
     g = spec.geometry
     xs, zs, amp, phase = _scatterers(spec)
+    # anechoic scatterers add exact zeros to the traces: drop them
+    echo = amp != 0.0
+    xs, zs, amp, phase = xs[echo], zs[echo], amp[echo], phase[echo]
     sigma_t = PULSE_SIGMA_PERIODS / g.center_frequency
     half_width = int(math.ceil(4.0 * sigma_t * g.sampling_rate))
     tx = tx_delay(xs, zs, angle, g)

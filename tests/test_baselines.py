@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from usdenoise.baselines import (
     Bm3dConfig,
@@ -291,3 +294,29 @@ def test_bm3d_stages_match_per_group_reference(noisy, cfg):
     assert np.abs(basic - _stage1_per_group(noisy, cfg)).max() <= 1e-12
     final = bm3d._stage2(noisy, basic, cfg)
     assert np.abs(final - _stage2_per_group(noisy, basic, cfg)).max() <= 1e-12
+
+
+def test_bm3d_aggregation_memory_does_not_grow_with_the_groups():
+    # A filter that returns each group's own pixel blocks at weight 1 must
+    # give the image back.  The aggregation's traced peak must stay below
+    # half of one whole-image (groups, K, b, b) float64 estimate array, so
+    # it cannot hold every group's estimates or pixel indices at once.
+    noisy = _speckle(128, 128, 6)
+    cfg = Bm3dConfig(sigma=0.1)
+    b = cfg.block_size
+    matches, px = bm3d._match(bm3d._block_spectra(noisy, b), cfg)
+    blocks = sliding_window_view(noisy, (b, b)).reshape(-1, b, b)
+
+    def own_blocks(lin):
+        return blocks[lin], np.ones(lin.shape[1])
+
+    tracemalloc.start()
+    try:
+        out = bm3d._collaborate(noisy.shape, matches, px, b, own_blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(out, noisy, rtol=0, atol=1e-12)
+    whole_image_estimates = matches.size * b * b * 8
+    assert matches.shape[0] > 20 * bm3d.GROUP_CHUNK
+    assert peak < whole_image_estimates / 2

@@ -26,8 +26,8 @@ from usdenoise.nnet.ops import (
     conv2d_fwd,
     silu_bwd,
     silu_fwd,
-    upsample2_bwd,
-    upsample2_fwd,
+    upconv2d_bwd,
+    upconv2d_fwd,
 )
 
 TINY = UNetConfig(in_channels=1, base_channels=4, depth=1, time_embed_dim=8,
@@ -164,6 +164,58 @@ def test_conv2d_bwd_matches_finite_differences(case, delta=1e-5):
         assert np.allclose(analytic, numeric(arr), rtol=1e-6, atol=1e-6)
 
 
+# (B, C, O, H, W): B > 1, odd C != O, H != W
+UPCONV_CASES = [(2, 3, 5, 3, 4), (3, 5, 2, 4, 2)]
+
+
+def _upsampled_conv(x, w, b):
+    return conv2d_fwd(x.repeat(2, axis=2).repeat(2, axis=3), w, b)
+
+
+@pytest.mark.parametrize("case", UPCONV_CASES)
+def test_upconv2d_matches_upsample_then_conv(case):
+    B, C, O, H, W = case
+    x, w, b, _ = _conv_case((B, C, O, H, W, 1), seed=3)
+    y, cache = upconv2d_fwd(x, w, b)
+    ref, ref_cache = _upsampled_conv(x, w, b)
+    assert y.shape == ref.shape == (B, O, 2 * H, 2 * W)
+    assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
+
+    g = np.random.default_rng(4).normal(size=y.shape)
+    dx, dw, db = upconv2d_bwd(g, cache)
+    ref_dx, ref_dw, ref_db = conv2d_bwd(g, ref_cache)
+    # the upsampling's backward sums each 2x2 block of the gradient
+    ref_dx = ref_dx.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5))
+    for got, want in ((dx, ref_dx), (dw, ref_dw), (db, ref_db)):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", UPCONV_CASES)
+def test_upconv2d_bwd_matches_finite_differences(case, delta=1e-5):
+    B, C, O, H, W = case
+    x, w, b, _ = _conv_case((B, C, O, H, W, 1), seed=5)
+    y, cache = upconv2d_fwd(x, w, b)
+    g = np.random.default_rng(6).normal(size=y.shape)
+    dx, dw, db = upconv2d_bwd(g, cache)
+
+    def numeric(arr):
+        out = np.zeros_like(arr)
+        flat, grad = arr.reshape(-1), out.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + delta
+            hi = np.sum(upconv2d_fwd(x, w, b)[0] * g)
+            flat[j] = orig - delta
+            lo = np.sum(upconv2d_fwd(x, w, b)[0] * g)
+            flat[j] = orig
+            grad[j] = (hi - lo) / (2 * delta)
+        return out
+
+    for analytic, arr in ((dx, x), (dw, w), (db, b)):
+        assert np.allclose(analytic, numeric(arr), rtol=1e-6, atol=1e-6)
+
+
 def test_conv2d_rejects_channel_mismatch():
     x, w, b, _ = _conv_case(CONV_CASES[0])
     with pytest.raises(ValueError, match="channels"):
@@ -183,8 +235,10 @@ def test_primitives_return_their_input_dtype(dtype, stride):
                for g in conv2d_bwd(np.ones_like(y), cache))
     h, act = silu_fwd(y)
     assert h.dtype == dtype and silu_bwd(h, act).dtype == dtype
-    up = upsample2_fwd(y)
-    assert up.dtype == dtype and upsample2_bwd(up).dtype == dtype
+    up, up_cache = upconv2d_fwd(x, w, b)
+    assert up.dtype == dtype
+    assert all(g.dtype == dtype
+               for g in upconv2d_bwd(np.ones_like(up), up_cache))
 
 
 def _forward_backward(params, x, t, dy):
@@ -255,6 +309,27 @@ def test_ddpm_denoiser_runs_the_network_in_float32(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------- backward
+
+@pytest.mark.parametrize("batch", [16, 14])   # 14: a short last chunk
+def test_chunked_step_matches_one_pass(batch):
+    train_mod = importlib.import_module("usdenoise.nnet.train")
+    assert batch > train_mod.STEP_CHUNK
+    params = init_params(TINY, seed=5)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(batch, 1, 8, 8))
+    eps = rng.normal(size=x.shape)
+    t = rng.integers(1, 301, size=batch)
+    loss, grads = train_mod._loss_and_grads(params, TINY, x, t, eps)
+
+    eps_hat, tape = unet_forward(params, TINY, x, t)
+    ref_loss, dloss = mse_loss(eps_hat, eps)
+    ref = unet_backward(tape, dloss)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert set(grads) == set(ref)
+    for name, g in grads.items():
+        assert g.dtype == np.float64
+        assert np.allclose(g, ref[name], rtol=1e-12, atol=1e-12), name
+
 
 def _sampled_gradient_check(cfg, n_per_tensor, delta=1e-3, seed=0):
     params = init_params(cfg, seed=1)

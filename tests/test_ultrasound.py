@@ -319,6 +319,35 @@ def test_anechoic_cyst_contract():
     assert env[inner].mean() < 0.2 * env[background].mean()
 
 
+def test_synth_rf_skips_zero_amplitude_scatterers_exactly(monkeypatch):
+    cyst = Cyst(cx=0.0, cz=10.0e-3, radius=1.5e-3, echogenicity=0.0)
+    spec = PhantomSpec(geometry=TEST_GEOMETRY, scatterer_density=2.0,
+                       seed=5, cysts=(cyst,), angles=(0.1,))
+    xs, zs, amp, phase = phantom._scatterers(spec)
+    assert (amp == 0).sum() > 0.02 * amp.size
+    deposited = []
+    real = _kernels.deposit_pulses
+
+    def spy(tau, a, *args):
+        deposited.append((tau.size, real(tau, a, *args)))
+        return deposited[-1][1]
+
+    monkeypatch.setattr(_kernels, "deposit_pulses", spy)
+    synth_rf(spec, 0.1)
+    monkeypatch.undo()
+    g = spec.geometry
+    tx = tx_delay(xs, zs, 0.1, g)
+    sigma_t = phantom.PULSE_SIGMA_PERIODS / g.center_frequency
+    half_width = math.ceil(4.0 * sigma_t * g.sampling_rate)
+    assert len(deposited) == g.element_count
+    for x_e, (n, trace) in zip(g.element_x(), deposited):
+        assert n == (amp != 0).sum()
+        full = real(tx + np.hypot(xs - x_e, zs) / g.sound_speed, amp, phase,
+                    g.sampling_rate, g.center_frequency, sigma_t, trace.size,
+                    half_width)
+        assert np.array_equal(trace, full)
+
+
 def test_phantom_deterministic():
     cyst = Cyst(cx=0.5e-3, cz=9.0e-3, radius=1.0e-3)
     spec = PhantomSpec(geometry=TEST_GEOMETRY, seed=11, cysts=(cyst,),
