@@ -164,9 +164,4 @@ def bm3d_denoise(img: Image2D, cfg: Bm3dConfig) -> Image2D:
     out = _stage2(noisy, basic, cfg) if cfg.stages == "two" else basic
     lo, hi = img.bounds()
     out = np.clip(out, lo, hi)
-    return img.like(out.astype(np.float32), method="bm3d",
-                    bm3d_config={"block_size": b,
-                                 "max_matches": cfg.max_matches,
-                                 "search_radius": cfg.search_radius,
-                                 "hard_threshold": cfg.hard_threshold,
-                                 "sigma": cfg.sigma, "stages": cfg.stages})
+    return img.like(out.astype(np.float32))

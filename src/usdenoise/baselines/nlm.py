@@ -47,7 +47,4 @@ def nlm_denoise(img: Image2D, cfg: NlmConfig) -> Image2D:
     out = _kernels.nlm_filter(padded, img.height, img.width,
                               cfg.patch_radius, cfg.search_radius,
                               cfg.h, cfg.sigma)
-    return img.like(out.astype(np.float32), method="nlm",
-                    nlm_config={"patch_radius": cfg.patch_radius,
-                                "search_radius": cfg.search_radius,
-                                "h": cfg.h, "sigma": cfg.sigma})
+    return img.like(out.astype(np.float32))

@@ -9,6 +9,7 @@ failure (non-finite samples detected).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -18,13 +19,7 @@ import numpy as np
 
 from usdenoise import __version__
 from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
-from usdenoise.bench import (
-    BenchConfig,
-    DdpmDenoiser,
-    check_finite,
-    run_bench,
-    to_unit_clipped,
-)
+from usdenoise.bench import BenchConfig, DdpmDenoiser, run_bench, to_unit_clipped
 from usdenoise.diffusion import (
     PAPER_LITERAL,
     STANDARD_POSTERIOR,
@@ -54,13 +49,13 @@ from usdenoise.ultrasound import (
 )
 
 
-def _write_image(path, img: Image2D) -> None:
-    check_finite(str(path), img.data)
-    write_pgm(path, img)
-
-
 def _parse_angles(text: str) -> tuple:
     return tuple(math.radians(float(a)) for a in text.split(","))
+
+
+def _schedule(args):
+    """The constant-beta schedule that --T and --beta describe."""
+    return make_schedule(args.T, "constant-beta", args.beta)
 
 
 # ----------------------------------------------------------------- phantom
@@ -84,12 +79,12 @@ def cmd_phantom(args) -> int:
     bmode, frames, masks = synth_phantom(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_image(out / "bmode.pgm", bmode)
+    write_pgm(out / "bmode.pgm", bmode)
     for i, frame in enumerate(frames):
         write_rf(out / f"rf_{i:03d}.rf", frame)
     for i, mask in enumerate(masks):
-        _write_image(out / f"mask_{i:02d}.pgm",
-                     Image2D(mask.mask * 255.0, RANGE_EIGHT_BIT))
+        write_pgm(out / f"mask_{i:02d}.pgm",
+                  Image2D(mask.mask * 255.0, RANGE_EIGHT_BIT))
     (out / "meta.json").write_text(json.dumps({
         "seed": spec.seed, "nx": spec.nx, "nz": spec.nz,
         "width_m": spec.width_m, "depth_m": spec.depth_m, "z0_m": spec.z0_m,
@@ -109,10 +104,10 @@ def cmd_corrupt(args) -> int:
     if args.t == 0:
         out = img
     else:
-        sched = make_schedule(args.T, "constant-beta", args.beta)
+        sched = _schedule(args)
         eps = GaussianField(img.shape, args.seed, draw_index=args.t)
         out = forward_jump(img, args.t, sched, eps)
-    _write_image(args.out, to_unit_clipped(out.data))
+    write_pgm(args.out, to_unit_clipped(out.data))
     print(f"corrupted {args.input} at t={args.t} -> {args.out}")
     return 0
 
@@ -137,12 +132,14 @@ def _load_dataset(source: str, image_size: int, seed: int) -> np.ndarray:
 
 
 def cmd_train(args) -> int:
+    if not 0.0 < args.heldout_frac < 1.0:
+        raise ValueError("--heldout-frac must lie in (0, 1)")
     data = _load_dataset(args.data, args.image_size, args.seed)
     n_hold = max(1, int(round(args.heldout_frac * data.shape[0])))
     if data.shape[0] - n_hold < 1:
         raise ValueError("dataset too small for the held-out split")
     train_set, heldout_set = data[:-n_hold], data[-n_hold:]
-    sched = make_schedule(args.T, "constant-beta", args.beta)
+    sched = _schedule(args)
     cfg = TrainConfig(batch_size=args.batch_size, lr=args.lr,
                       lr_gamma=args.lr_gamma, lr_step_epochs=args.lr_step,
                       epochs=args.epochs, seed=args.seed)
@@ -173,9 +170,8 @@ def cmd_denoise(args) -> int:
     img = image_from_pgm_signed(args.input)
     denoiser = DdpmDenoiser(args.ckpt, args.variant,
                             inject_seed=args.seed if args.inject else None)
-    sched = make_schedule(args.T, "constant-beta", args.beta)
-    out = denoiser(img, args.t_start, sched)
-    _write_image(args.out, to_unit_clipped(check_finite("denoise", out)))
+    out = denoiser(img, args.t_start, _schedule(args))
+    write_pgm(args.out, to_unit_clipped(out))
     print(f"denoised {args.input} from t={args.t_start} ({args.variant}) "
           f"-> {args.out}")
     return 0
@@ -197,7 +193,7 @@ def cmd_baseline(args) -> int:
                                            hard_threshold=args.threshold,
                                            sigma=args.sigma,
                                            stages=args.stages))
-    _write_image(args.out, out)
+    write_pgm(args.out, out)
     print(f"{args.method} denoised {args.input} -> {args.out}")
     return 0
 
@@ -221,7 +217,7 @@ def cmd_beamform(args) -> int:
                                 args.depth_mm * 1e-3, args.z0_mm * 1e-3)
     if args.compound:
         bmode = bmode_from_frames(frames, grid, args.dynamic_range)
-        _write_image(args.out, bmode)
+        write_pgm(args.out, bmode)
         print(f"compounded {len(frames)} angle(s) -> {args.out}")
     else:
         from usdenoise.ultrasound import das_beamform, envelope_image, log_compress
@@ -229,8 +225,8 @@ def cmd_beamform(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for i, f in enumerate(frames):
             env = envelope_image(das_beamform(f, grid).data)
-            _write_image(out / f"bmode_{i:03d}.pgm",
-                         log_compress(env, args.dynamic_range))
+            write_pgm(out / f"bmode_{i:03d}.pgm",
+                      log_compress(env, args.dynamic_range))
         print(f"wrote {len(frames)} single-angle image(s) to {out}")
     return 0
 
@@ -238,29 +234,17 @@ def cmd_beamform(args) -> int:
 # ------------------------------------------------------------------- bench
 
 def cmd_bench(args) -> int:
-    if args.config:
-        cfg = BenchConfig.from_json(args.config)
-    else:
-        cfg = BenchConfig()
-    overrides = {}
-    if args.out != ".":
-        overrides["out_dir"] = args.out
-    if args.seed_given:
-        overrides["seed"] = args.seed
-    if args.ckpt:
-        overrides["checkpoint"] = args.ckpt
-    if args.methods:
-        overrides["methods"] = tuple(args.methods.split(","))
-    if args.t_starts:
-        overrides["t_starts"] = tuple(int(t) for t in args.t_starts.split(","))
-    if args.images:
-        overrides["num_images"] = args.images
-    if args.image_dir:
-        overrides["image_dir"] = args.image_dir
-    if overrides:
-        merged = {**{k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
-                  **overrides}
-        cfg = BenchConfig(**merged)
+    cfg = BenchConfig.from_json(args.config) if args.config else BenchConfig()
+    overrides = {
+        "out_dir": args.out, "seed": args.seed, "checkpoint": args.ckpt,
+        "num_images": args.images, "image_dir": args.image_dir,
+        "methods": (None if args.methods is None
+                    else tuple(args.methods.split(","))),
+        "t_starts": (None if args.t_starts is None
+                     else tuple(int(t) for t in args.t_starts.split(","))),
+    }
+    cfg = dataclasses.replace(
+        cfg, **{k: v for k, v in overrides.items() if v is not None})
     report, _ = run_bench(cfg)
     print(report.to_csv(), end="")
     print(f"reports written to {cfg.out_dir}")
@@ -270,13 +254,30 @@ def cmd_bench(args) -> int:
 # ------------------------------------------------------------------ parser
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="deterministic run seed (default 0)")
-    common.add_argument("--config", default=None,
-                        help="JSON config file (bench)")
-    common.add_argument("--out", default=".",
-                        help="output file or directory")
+    def run_args(seed, out) -> argparse.ArgumentParser:
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument("--seed", type=int, default=seed,
+                       help="deterministic run seed (default 0)")
+        p.add_argument("--config", default=None,
+                       help="JSON config file (bench)")
+        p.add_argument("--out", default=out,
+                       help="output file or directory")
+        return p
+
+    common = run_args(0, ".")
+    # bench tells a given --seed or --out from an absent one by its None
+    # default; an absent one keeps the config's value
+    bench_common = run_args(None, None)
+    schedule = argparse.ArgumentParser(add_help=False)
+    schedule.add_argument("--T", type=int, default=300)
+    schedule.add_argument("--beta", type=float, default=1.0 / 300.0)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--nx", type=int, default=64)
+    grid.add_argument("--nz", type=int, default=64)
+    grid.add_argument("--width-mm", type=float, default=6.4)
+    grid.add_argument("--depth-mm", type=float, default=6.4)
+    grid.add_argument("--z0-mm", type=float, default=6.8)
+    grid.add_argument("--dynamic-range", type=float, default=60.0)
 
     p = argparse.ArgumentParser(
         prog="usdenoise",
@@ -285,32 +286,24 @@ def build_parser() -> argparse.ArgumentParser:
                    version=f"usdenoise {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("phantom", parents=[common],
+    q = sub.add_parser("phantom", parents=[common, grid],
                        help="synthesize a speckle phantom (B-mode + RF + masks)")
-    q.add_argument("--nx", type=int, default=64)
-    q.add_argument("--nz", type=int, default=64)
-    q.add_argument("--width-mm", type=float, default=6.4)
-    q.add_argument("--depth-mm", type=float, default=6.4)
-    q.add_argument("--z0-mm", type=float, default=6.8)
     q.add_argument("--density", type=float, default=8.0,
                    help="scatterers per wavelength-squared cell")
     q.add_argument("--cyst", action="append",
                    help="cx_mm,cz_mm,radius_mm,echogenicity (repeatable)")
     q.add_argument("--angles", default="-5,0,5", help="steering angles in deg")
     q.add_argument("--elements", type=int, default=128)
-    q.add_argument("--dynamic-range", type=float, default=60.0)
     q.set_defaults(func=cmd_phantom)
 
-    q = sub.add_parser("corrupt", parents=[common],
+    q = sub.add_parser("corrupt", parents=[common, schedule],
                        help="apply the forward corruption process to an image")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--t", type=int, required=True,
                    help="number of forward steps (0 copies the input)")
-    q.add_argument("--T", type=int, default=300)
-    q.add_argument("--beta", type=float, default=1.0 / 300.0)
     q.set_defaults(func=cmd_corrupt)
 
-    q = sub.add_parser("train", parents=[common],
+    q = sub.add_parser("train", parents=[common, schedule],
                        help="train the noise predictor")
     q.add_argument("--data", required=True,
                    help="PGM directory, CIFAR .bin batch, or speckle:N")
@@ -326,11 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--depth", type=int, default=2)
     q.add_argument("--time-dim", type=int, default=32)
     q.add_argument("--image-size", type=int, default=32)
-    q.add_argument("--T", type=int, default=300)
-    q.add_argument("--beta", type=float, default=1.0 / 300.0)
     q.set_defaults(func=cmd_train)
 
-    q = sub.add_parser("denoise", parents=[common],
+    q = sub.add_parser("denoise", parents=[common, schedule],
                        help="reverse-process denoising with a trained model")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--ckpt", required=True)
@@ -339,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[STANDARD_POSTERIOR, PAPER_LITERAL])
     q.add_argument("--inject", action="store_true",
                    help="inject fresh noise during posterior sampling")
-    q.add_argument("--T", type=int, default=300)
-    q.add_argument("--beta", type=float, default=1.0 / 300.0)
     q.set_defaults(func=cmd_denoise)
 
     q = sub.add_parser("baseline", parents=[common],
@@ -359,22 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--stages", default="two", choices=["one", "two"])
     q.set_defaults(func=cmd_baseline)
 
-    q = sub.add_parser("beamform", parents=[common],
+    q = sub.add_parser("beamform", parents=[common, grid],
                        help="delay-and-sum reconstruction from RF files")
     q.add_argument("--rf", required=True, help="RF file or directory")
     q.add_argument("--angles", default=None,
                    help="keep only these steering angles (deg, comma list)")
     q.add_argument("--compound", action=argparse.BooleanOptionalAction,
                    default=True)
-    q.add_argument("--nx", type=int, default=64)
-    q.add_argument("--nz", type=int, default=64)
-    q.add_argument("--width-mm", type=float, default=6.4)
-    q.add_argument("--depth-mm", type=float, default=6.4)
-    q.add_argument("--z0-mm", type=float, default=6.8)
-    q.add_argument("--dynamic-range", type=float, default=60.0)
     q.set_defaults(func=cmd_beamform)
 
-    q = sub.add_parser("bench", parents=[common],
+    q = sub.add_parser("bench", parents=[bench_common],
                        help="full PSNR/GCNR benchmark over a test set")
     q.add_argument("--ckpt", default=None)
     q.add_argument("--methods", default=None,
@@ -393,7 +376,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    args.seed_given = "--seed" in argv
     try:
         return args.func(args)
     except NumericError as exc:

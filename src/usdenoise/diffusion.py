@@ -117,7 +117,7 @@ def forward_step(x_prev: Image2D, t: int, sched: NoiseSchedule, eps=None) -> Ima
     e = _noise_array(eps, x_prev.shape)
     b = sched.beta(t)
     out = np.float32(np.sqrt(1.0 - b)) * x_prev.data + np.float32(np.sqrt(b)) * e
-    return x_prev.like(out, t=t)
+    return x_prev.like(out)
 
 
 def forward_jump(x0: Image2D, t: int, sched: NoiseSchedule, eps=None) -> Image2D:
@@ -126,7 +126,7 @@ def forward_jump(x0: Image2D, t: int, sched: NoiseSchedule, eps=None) -> Image2D
     e = _noise_array(eps, x0.shape)
     ab = sched.alpha_bar(t)
     out = np.float32(np.sqrt(ab)) * x0.data + np.float32(np.sqrt(1.0 - ab)) * e
-    return x0.like(out, t=t)
+    return x0.like(out)
 
 
 def reverse_step(x_t: Image2D, t: int, eps_hat, sched: NoiseSchedule,
@@ -151,7 +151,7 @@ def reverse_step(x_t: Image2D, t: int, eps_hat, sched: NoiseSchedule,
             if inject is not None and t > 1:
                 z = _noise_array(inject, x_t.shape)
                 out = out + np.float32(np.sqrt(sched.beta(t))) * z
-    return x_t.like(out, t=t - 1, sampler_variant=variant)
+    return x_t.like(out)
 
 
 def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule,

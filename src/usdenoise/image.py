@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,20 +30,23 @@ def range_bounds(value_range: str) -> tuple[float, float]:
 
 @dataclass
 class Image2D:
-    """A height x width float32 image.
+    """A height x width float32 image: samples plus a range tag.
 
     ``value_range`` is a declared nominal range tag, not a clamp: transient
     intermediates (e.g. after adding noise) may exceed the nominal bounds.
-    All samples must stay finite, else ``NumericError``.  ``meta`` carries
-    provenance such as the sampler variant that produced the image.
+    Every sample must be finite after the cast to float32, else
+    ``NumericError``.  This is the package's one finiteness check: each
+    reverse step, denoiser output and written image passes through it.
     """
 
     data: np.ndarray
     value_range: str = RANGE_UNIT
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
+        # a float64 sample past the float32 range casts to inf, which the
+        # finiteness check below reports
+        with np.errstate(over="ignore"):
+            arr = np.asarray(self.data, dtype=np.float32)
         if arr.ndim != 2:
             raise ValueError(f"image data must be 2-D, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -66,15 +69,15 @@ class Image2D:
     def bounds(self) -> tuple[float, float]:
         return range_bounds(self.value_range)
 
-    def like(self, data: np.ndarray, **extra_meta) -> "Image2D":
-        """New image with this one's range tag and merged metadata."""
-        return Image2D(data, self.value_range, {**self.meta, **extra_meta})
+    def like(self, data: np.ndarray) -> "Image2D":
+        """New image with this one's range tag."""
+        return Image2D(data, self.value_range)
 
     def to_range(self, target: str) -> "Image2D":
         """Affinely remap the nominal range; a no-op when tags match."""
         if target == self.value_range:
-            return Image2D(self.data.copy(), target, dict(self.meta))
+            return Image2D(self.data.copy(), target)
         lo, hi = self.bounds()
         tlo, thi = range_bounds(target)
         scale = (thi - tlo) / (hi - lo)
-        return Image2D((self.data - lo) * scale + tlo, target, dict(self.meta))
+        return Image2D((self.data - lo) * scale + tlo, target)

@@ -19,8 +19,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (self.lr > 0 and np.isfinite(self.lr)):
+            raise ValueError("learning rate must be positive and finite")
         if not 0.0 < self.lr_gamma <= 1.0:
             raise ValueError("lr decay factor must lie in (0, 1]")
         if self.batch_size < 1:

@@ -219,17 +219,11 @@ def unet_backward(tape: dict, dloss_deps_hat: np.ndarray) -> dict:
 
     def block_back(name, dy):
         dy = silu_bwd(dy, tape[f"{name}.act2"])
-        dx, dw, db = conv2d_bwd(dy, tape[f"{name}.conv2"])
-        grads[f"{name}.conv2.w"] = dw
-        grads[f"{name}.conv2.b"] = db
-        dy = silu_bwd(dx, tape[f"{name}.act1"])
+        dy = silu_bwd(conv_back(f"{name}.conv2", dy), tape[f"{name}.act1"])
         dbias = dy.sum(axis=(2, 3))                  # (B, C)
         grads[f"{name}.time.w"] = dbias.T @ emb
         grads[f"{name}.time.b"] = dbias.sum(axis=0)
-        dx, dw, db = conv2d_bwd(dy, tape[f"{name}.conv1"])
-        grads[f"{name}.conv1.w"] = dw
-        grads[f"{name}.conv1.b"] = db
-        return dx
+        return conv_back(f"{name}.conv1", dy)
 
     dy = np.asarray(dloss_deps_hat, dtype=emb.dtype)
     dy = conv_back("head", dy)

@@ -52,9 +52,7 @@ def das_beamform(rf: RFFrame, grid: ImagingGrid,
     idx = (tx[None, :] + rx) * g.sampling_rate
     summed = _kernels.das_sum(rf.samples.astype(np.float64) * weights[:, None],
                               idx)
-    return Image2D(summed.reshape(grid.nz, grid.nx).astype(np.float32),
-                   RANGE_UNIT, {"steer_angle": float(rf.steer_angle),
-                                "apodization": apodization})
+    return Image2D(summed.reshape(grid.nz, grid.nx), RANGE_UNIT)
 
 
 def compound(images: list) -> Image2D:
@@ -69,17 +67,12 @@ def compound(images: list) -> Image2D:
             raise ValueError(f"image dims differ: {a.shape} vs {shape}")
     mean = np.mean(np.stack(arrays), axis=0)
     first = images[0]
-    if isinstance(first, Image2D):
-        return first.like(mean, compounded=len(images))
-    return Image2D(mean.astype(np.float32), RANGE_UNIT,
-                   {"compounded": len(images)})
+    return Image2D(mean, first.value_range if isinstance(first, Image2D)
+                   else RANGE_UNIT)
 
 
 def bmode_from_frames(frames: list[RFFrame], grid: ImagingGrid,
                       dynamic_range_db: float = 60.0) -> Image2D:
     """Beamform each steered frame, compound envelopes, log-compress."""
     envelopes = [envelope_image(das_beamform(f, grid).data) for f in frames]
-    comp = compound(envelopes)
-    out = log_compress(comp.data, dynamic_range_db)
-    out.meta["compounded"] = len(frames)
-    return out
+    return log_compress(compound(envelopes).data, dynamic_range_db)

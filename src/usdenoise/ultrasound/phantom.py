@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from usdenoise import _kernels
-from usdenoise.image import Image2D
 from usdenoise.metrics import RegionMask
 from usdenoise.rng import standard_normal, uniforms
 from usdenoise.ultrasound.beamform import bmode_from_frames, tx_delay
@@ -42,6 +41,10 @@ class Cyst:
     echogenicity: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.cx, self.cz, self.radius,
+                                       self.echogenicity))):
+            raise ValueError("cyst position, radius and echogenicity must "
+                             "be finite")
         if self.radius <= 0:
             raise ValueError("cyst radius must be positive")
         if self.echogenicity < 0:
@@ -70,6 +73,10 @@ class PhantomSpec:
     dynamic_range_db: float = 60.0
 
     def __post_init__(self):
+        for name in ("width_m", "depth_m", "z0_m", "scatterer_density",
+                     "dynamic_range_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.scatterer_density <= 0:
             raise ValueError("scatterer density must be positive")
         if self.nx < 1 or self.nz < 1 or self.width_m <= 0 or self.depth_m <= 0:
@@ -162,7 +169,6 @@ def synth_phantom(spec: PhantomSpec):
     """
     frames = [synth_rf(spec, a) for a in spec.angles]
     bmode = bmode_from_frames(frames, spec.grid(), spec.dynamic_range_db)
-    bmode.meta.update(seed=spec.seed, angles=list(spec.angles))
     masks = [cyst_mask(spec, c) for c in spec.cysts]
     return bmode, frames, masks
 

@@ -77,8 +77,8 @@ def log_compress(env, dynamic_range_db: float = 60.0) -> Image2D:
     """
     data = env.data if isinstance(env, Image2D) else np.asarray(env)
     data = data.astype(np.float64)
-    if dynamic_range_db <= 0:
-        raise ValueError("dynamic range must be positive")
+    if not (dynamic_range_db > 0 and np.isfinite(dynamic_range_db)):
+        raise ValueError("dynamic range must be positive and finite")
     if np.any(data < 0):
         raise ValueError("envelope must be non-negative")
     peak = data.max()
@@ -86,5 +86,4 @@ def log_compress(env, dynamic_range_db: float = 60.0) -> Image2D:
         raise ValueError("all-zero envelope cannot be log-compressed")
     floor = peak * 10.0 ** (-dynamic_range_db / 20.0)
     db = 20.0 * np.log10(np.maximum(data, floor) / peak)
-    return Image2D((db + dynamic_range_db) / dynamic_range_db, RANGE_UNIT,
-                   {"dynamic_range_db": float(dynamic_range_db)})
+    return Image2D((db + dynamic_range_db) / dynamic_range_db, RANGE_UNIT)

@@ -81,6 +81,8 @@ class ImagingGrid:
     def __post_init__(self):
         if self.nx < 1 or self.nz < 1:
             raise ValueError("grid needs at least one pixel per axis")
+        if not all(map(math.isfinite, (self.x0, self.z0, self.dx, self.dz))):
+            raise ValueError("grid origin and pixel pitch must be finite")
         if self.dx <= 0 or self.dz <= 0 or self.z0 <= 0:
             raise ValueError("pixel pitch and start depth must be positive")
 
@@ -95,6 +97,8 @@ class ImagingGrid:
     @classmethod
     def centered(cls, nx: int, nz: int, width: float, depth: float,
                  z0: float) -> "ImagingGrid":
+        if nx < 1 or nz < 1:
+            raise ValueError("grid needs at least one pixel per axis")
         dx = width / nx
         dz = depth / nz
         return cls(nx=nx, nz=nz, x0=-width / 2 + dx / 2, z0=z0 + dz / 2,

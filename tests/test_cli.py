@@ -175,6 +175,81 @@ def test_bench_ddpm_without_ckpt_exits_2(tmp_path, monkeypatch):
                    "--out", tmp_path) == 2
 
 
+def _small_bench_config(tmp_path, **extra):
+    cfg = {"methods": ["noisy"], "t_starts": [10], "num_images": 1,
+           "phantom_nx": 32, "phantom_nz": 32, "phantom_elements": 32,
+           "phantom_angles_deg": [0.0], "seed": 3,
+           "out_dir": str(tmp_path / "from_config"), **extra}
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_bench_overrides_given_with_equals_are_kept(tmp_path):
+    # "--seed" in argv missed "--seed=5", so the config's seed was recorded
+    cfg_path = _small_bench_config(tmp_path)
+    out = tmp_path / "given"
+    assert run_cli("bench", "--config", cfg_path, "--seed=5",
+                   f"--out={out}") == 0
+    meta = json.loads((out / "report.json").read_text())["metadata"]
+    assert meta["seed"] == 5
+    assert meta["out_dir"] == str(out)
+    assert not (tmp_path / "from_config").exists()
+
+
+def test_bench_absent_overrides_keep_the_config(tmp_path):
+    assert run_cli("bench", "--config", _small_bench_config(tmp_path)) == 0
+    meta = json.loads(
+        (tmp_path / "from_config" / "report.json").read_text())["metadata"]
+    assert meta["seed"] == 3
+    assert meta["num_images"] == 1
+
+
+def test_bench_zero_images_exits_2(tmp_path, monkeypatch, capsys):
+    import usdenoise.bench as bench
+
+    def no_phantoms(cfg):
+        raise AssertionError("--images 0 fell back to the default count")
+
+    # "if args.images:" dropped a zero, so 16 phantoms ran
+    monkeypatch.setattr(bench, "make_phantom_set", no_phantoms)
+    assert run_cli("bench", "--methods", "noisy", "--images", 0,
+                   "--out", tmp_path) == 2
+    assert "num_images" in capsys.readouterr().err
+
+
+def test_phantom_non_finite_size_exits_2(tmp_path, capsys):
+    # the scatterer count rounded inf and raised OverflowError (exit 1)
+    assert run_cli("phantom", "--width-mm", "inf", "--out", tmp_path) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "bmode.pgm").exists()
+
+
+def test_train_non_finite_arguments_exit_2(tmp_path, capsys):
+    # round(inf * N) raised OverflowError (exit 1), and a NaN learning rate
+    # passed "lr <= 0" and wrote a NaN checkpoint (exit 0)
+    for argv, named in ((["--heldout-frac", "inf"], "--heldout-frac"),
+                        (["--lr", "nan"], "learning rate"),
+                        (["--lr", "inf"], "learning rate")):
+        assert run_cli("train", "--data", "speckle:8", "--epochs", 1, *argv,
+                       "--out", tmp_path) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_beamform_and_cyst_bad_geometry_exits_2(tmp_path, phantom_dir,
+                                                capsys):
+    # --nx 0 raised ZeroDivisionError (exit 1), an infinite dynamic range
+    # made a non-finite image (exit 4), and a NaN cyst passed every check
+    out = tmp_path / "b.pgm"
+    for argv in (["beamform", "--rf", phantom_dir, "--nx", 0],
+                 ["beamform", "--rf", phantom_dir, "--dynamic-range", "inf"],
+                 ["phantom", "--cyst", "nan,10,1,0"]):
+        assert run_cli(*argv, "--out", out) == 2
+        assert "invalid input" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pgm_header_larger_than_file_exits_3(tmp_path, capsys):
     src = tmp_path / "huge.pgm"
     src.write_bytes(b"P5\n99999999 99999999\n255\n")

@@ -186,7 +186,6 @@ def test_reverse_step_zero_prediction_paper_literal():
     x = img(standard_normal((8, 8), seed=6))
     out = reverse_step(x, 12, np.zeros((8, 8)), s, PAPER_LITERAL)
     assert np.allclose(out.data, x.data / math.sqrt(s.alpha(12)), rtol=1e-6)
-    assert out.meta["sampler_variant"] == PAPER_LITERAL
 
 
 def test_reverse_step_posterior_inverts_t1():
