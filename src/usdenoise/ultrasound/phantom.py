@@ -83,6 +83,10 @@ class PhantomSpec:
             raise ValueError("bad grid")
         if self.z0_m <= 0:
             raise ValueError("grid must start below the array (z0 > 0)")
+        if not all(math.isfinite(a) and abs(a) < math.pi / 4
+                   for a in self.angles):
+            raise ValueError("steering angles must be finite with "
+                             f"|angle| < pi/4 rad, got {self.angles}")
         for c in self.cysts:
             if (abs(c.cx) + c.radius > self.width_m / 2
                     or c.cz - c.radius < self.z0_m

@@ -9,6 +9,7 @@ from usdenoise.formats import read_pgm, write_pgm
 from usdenoise.image import Image2D
 from usdenoise.metrics import psnr
 from usdenoise.nnet import UNetConfig, init_params, save_model
+from usdenoise.ultrasound import phantom
 
 
 def run_cli(*args):
@@ -222,6 +223,21 @@ def test_phantom_non_finite_size_exits_2(tmp_path, capsys):
     # the scatterer count rounded inf and raised OverflowError (exit 1)
     assert run_cli("phantom", "--width-mm", "inf", "--out", tmp_path) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "bmode.pgm").exists()
+
+
+def test_phantom_bad_angles_exit_2_before_synthesis(tmp_path, monkeypatch,
+                                                    capsys):
+    # --angles 0,0,60 synthesized every frame before RFFrame rejected it,
+    # inf exited with "math domain error" and nan with a float conversion
+    def no_synthesis(*args, **kwargs):
+        pytest.fail("synth_rf called with an invalid steering angle")
+
+    monkeypatch.setattr(phantom, "synth_rf", no_synthesis)
+    for angles in ("0,0,60", "inf", "nan", "-45"):
+        assert run_cli("phantom", f"--angles={angles}",
+                       "--out", tmp_path) == 2
+        assert "steering angles" in capsys.readouterr().err
     assert not (tmp_path / "bmode.pgm").exists()
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,9 +105,11 @@ def test_time_index_reaches_output():
 
 # ------------------------------------------------------- conv primitives
 
-# (B, C, O, H, W, stride): channel counts and extents all differ
+# (B, C, O, H, W, stride): channel counts and extents all differ; then a
+# stem-like C = 1 (GEMMs with K = 3), a head-like O = 1 and a B = 4 stride 2
 CONV_CASES = [(2, 3, 5, 6, 8, 1), (2, 3, 5, 6, 8, 2), (1, 4, 2, 5, 7, 1),
-              (3, 2, 3, 4, 10, 2)]
+              (3, 2, 3, 4, 10, 2), (2, 1, 4, 6, 8, 1), (2, 4, 1, 6, 8, 1),
+              (4, 3, 5, 6, 8, 2)]
 
 
 def _conv_by_taps(x, w, b, stride):
@@ -216,6 +219,23 @@ def test_upconv2d_bwd_matches_finite_differences(case, delta=1e-5):
         assert np.allclose(analytic, numeric(arr), rtol=1e-6, atol=1e-6)
 
 
+@pytest.mark.parametrize("case, bound", [
+    ((1, 32, 16, 64, 64, 1), 6.0), ((4, 32, 32, 32, 32, 1), 6.0),
+    ((1, 16, 32, 64, 64, 2), 3.0)])
+def test_conv2d_fwd_peak_allocation(case, bound):
+    # the 9x im2col column matrix peaked at 10.1x the input's bytes at
+    # stride 1 and 3.3x at stride 2; the 3x row-tap operand stays below
+    x, w, b, stride = _conv_case(case)
+    x, w, b = x.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
+    tracemalloc.start()
+    try:
+        conv2d_fwd(x, w, b, stride)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * x.nbytes
+
+
 def test_conv2d_rejects_channel_mismatch():
     x, w, b, _ = _conv_case(CONV_CASES[0])
     with pytest.raises(ValueError, match="channels"):
@@ -311,8 +331,10 @@ def test_ddpm_denoiser_runs_the_network_in_float32(monkeypatch, tmp_path):
 # ---------------------------------------------------------------- backward
 
 @pytest.mark.parametrize("batch", [16, 14])   # 14: a short last chunk
-def test_chunked_step_matches_one_pass(batch):
+def test_chunked_step_matches_one_pass(batch, monkeypatch):
     train_mod = importlib.import_module("usdenoise.nnet.train")
+    # a chunk of 4 splits both batches, whatever the production value
+    monkeypatch.setattr(train_mod, "STEP_CHUNK", 4)
     assert batch > train_mod.STEP_CHUNK
     params = init_params(TINY, seed=5)
     rng = np.random.default_rng(9)
