@@ -168,9 +168,11 @@ def to_unit_clipped(signed: np.ndarray) -> Image2D:
 class DdpmDenoiser:
     """Checkpoint-backed reverse-process denoiser.
 
-    ``inject_seed`` is passed through to ``denoise_from``.  A non-finite
-    noise prediction reaches ``reverse_step``, whose ``Image2D`` raises
-    ``NumericError``.
+    ``inject_seed`` is passed through to ``denoise_from``.  U-Net errors
+    propagate unchanged: an input the checkpoint cannot run (wrong channel
+    count, extent not divisible by 2^depth) raises ``unet_forward``'s
+    ``ValueError``.  A non-finite noise prediction reaches ``reverse_step``,
+    whose ``Image2D`` raises ``NumericError``.
     """
 
     def __init__(self, checkpoint_path, variant: str,
@@ -186,11 +188,6 @@ class DdpmDenoiser:
 
     def __call__(self, noisy_signed: Image2D, t_start: int,
                  sched: NoiseSchedule) -> np.ndarray:
-        div = 1 << self.net_cfg.depth
-        if noisy_signed.height % div or noisy_signed.width % div:
-            raise ValueError(f"image extent {noisy_signed.height}x"
-                             f"{noisy_signed.width} is not divisible by the "
-                             f"model's 2^depth = {div}")
         return denoise_from(noisy_signed, t_start, self.predictor, sched,
                             self.variant, inject_seed=self.inject_seed).data
 

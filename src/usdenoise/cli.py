@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: phantom | corrupt | train | denoise | baseline | beamform |
-bench.  Every command accepts --seed, --config (JSON), and --out.  Exit
-codes: 0 success, 2 usage/validation error, 3 IO/format error, 4 numeric
-failure (non-finite samples detected).
+bench.  Every command accepts --seed and --out; bench also reads a JSON
+--config.  Exit codes: 0 success, 2 usage/validation error, 3 IO/format
+error, 4 numeric failure (non-finite samples detected).
 """
 
 from __future__ import annotations
@@ -184,7 +184,8 @@ def cmd_baseline(args) -> int:
     if args.method == "nlm":
         out = nlm_denoise(img, NlmConfig(patch_radius=args.patch_radius,
                                          search_radius=args.search_radius,
-                                         h=args.h if args.h else 0.55 * args.sigma,
+                                         h=(0.55 * args.sigma if args.h is None
+                                            else args.h),
                                          sigma=args.sigma))
     else:
         out = bm3d_denoise(img, Bm3dConfig(block_size=args.block_size,
@@ -258,8 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = argparse.ArgumentParser(add_help=False)
         p.add_argument("--seed", type=int, default=seed,
                        help="deterministic run seed (default 0)")
-        p.add_argument("--config", default=None,
-                       help="JSON config file (bench)")
         p.add_argument("--out", default=out,
                        help="output file or directory")
         return p
@@ -268,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     # bench tells a given --seed or --out from an absent one by its None
     # default; an absent one keeps the config's value
     bench_common = run_args(None, None)
+    bench_common.add_argument("--config", default=None,
+                              help="JSON BenchConfig file")
     schedule = argparse.ArgumentParser(add_help=False)
     schedule.add_argument("--T", type=int, default=300)
     schedule.add_argument("--beta", type=float, default=1.0 / 300.0)

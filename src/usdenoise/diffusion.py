@@ -31,14 +31,6 @@ STANDARD_POSTERIOR = "standard-posterior"
 _VARIANTS = (PAPER_LITERAL, STANDARD_POSTERIOR)
 
 
-class PredictorFailure(RuntimeError):
-    """A noise predictor raised during the reverse chain; carries the step."""
-
-    def __init__(self, step: int, cause: BaseException):
-        super().__init__(f"noise predictor failed at step t={step}: {cause}")
-        self.step = step
-
-
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-step variances b_t with derived a_t = 1 - b_t and cumulative
@@ -162,15 +154,13 @@ def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule
     ``predictor(x: Image2D, t: int) -> Image2D | ndarray`` supplies the
     per-step noise estimate.  When ``inject_seed`` is given and the variant
     is standard-posterior, a fresh reproducible noise field (draw index = t)
-    is injected at every step except t=1.
+    is injected at every step except t=1.  An exception the predictor raises
+    propagates unchanged.
     """
     t_start = sched._check_t(t_start)
     x = x_noisy
     for t in range(t_start, 0, -1):
-        try:
-            eps_hat = predictor(x, t)
-        except Exception as exc:
-            raise PredictorFailure(t, exc) from exc
+        eps_hat = predictor(x, t)
         inject = None
         if inject_seed is not None and variant == STANDARD_POSTERIOR and t > 1:
             inject = GaussianField(x.shape, inject_seed, draw_index=t)

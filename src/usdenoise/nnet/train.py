@@ -6,13 +6,12 @@ predicted and the true noise.  Per epoch the loop records the mean train
 MSE, a held-out L1 score on a frozen corruption of the validation set, and
 the learning rate; the log serializes as ``epoch,train_mse,heldout_l1,lr``.
 
-Each batch's forward and backward pass runs ``STEP_CHUNK`` samples at a
-time and the gradient tables are summed, which is the batch gradient; this
-bounds the activation tape of a large batch.  The chunk was 4 while the
-convolutions built 9x im2col matrices, which overflowed the cache at B=16
-on 32x32.  The row-tap convolutions' 3x operand does not: a 16-sample
-pass beat four 4-sample passes in 8 of 10 benchmark pairs (median +0.6%
-samples/s, same peak memory), so a B=16 batch now runs as one pass.
+Each batch is one forward and one backward pass.  ``_loss_and_grads``
+stays a function rather than inline in ``train``'s loop because its return
+frees the activation tape before the Adam step and the next batch's
+forward pass; inlined, the previous tape stays alive through that pass
+and the ``train`` benchmark's peak RSS rose from 103.7 to 114.9 MB
+(+11%; 2-vCPU VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from usdenoise.rng import standard_normal, uniforms
 
 CONFIG_KEY = "__config__"
 STEP_KEY = "__step__"
-STEP_CHUNK = 16  # samples per forward/backward pass within one batch
 
 
 def params_to_entries(params: UNetParams, cfg: UNetConfig) -> dict:
@@ -103,24 +101,10 @@ def _corrupt(x0: np.ndarray, t: np.ndarray, sched: NoiseSchedule,
 
 def _loss_and_grads(params: UNetParams, cfg: UNetConfig, x_t: np.ndarray,
                     t: np.ndarray, eps: np.ndarray) -> tuple[float, dict]:
-    """The batch's MSE and its gradient table, ``STEP_CHUNK`` samples at a
-    time: each chunk's loss gradient is scaled by its share of the batch and
-    the tables are summed; the MSE is the size-weighted mean."""
-    n = x_t.shape[0]
-    total, grads = 0.0, None
-    for lo in range(0, n, STEP_CHUNK):
-        sl = slice(lo, min(lo + STEP_CHUNK, n))
-        m = sl.stop - sl.start
-        eps_hat, tape = unet_forward(params, cfg, x_t[sl], t[sl])
-        loss, dloss = mse_loss(eps_hat, eps[sl])
-        chunk = unet_backward(tape, dloss * (m / n))
-        total += loss * m
-        if grads is None:
-            grads = chunk
-        else:
-            for name, g in chunk.items():
-                grads[name] += g
-    return total / n, grads
+    """The batch's MSE and its gradient table."""
+    eps_hat, tape = unet_forward(params, cfg, x_t, t)
+    loss, dloss = mse_loss(eps_hat, eps)
+    return loss, unet_backward(tape, dloss)
 
 
 def heldout_l1(params: UNetParams, cfg: UNetConfig, heldout: np.ndarray,

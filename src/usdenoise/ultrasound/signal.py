@@ -49,14 +49,7 @@ def envelope(line: np.ndarray) -> np.ndarray:
     line = np.asarray(line, dtype=np.float64)
     if line.ndim != 1:
         raise ValueError("envelope expects a 1-D vector")
-    n = line.size
-    m = 1 << max(0, (n - 1).bit_length())
-    if m != n:
-        padded = np.zeros(m)
-        padded[:n] = line
-    else:
-        padded = line
-    return np.abs(_analytic(padded))[:n]
+    return envelope_image(line[:, None])[:, 0]
 
 
 def envelope_image(rf_img: np.ndarray) -> np.ndarray:

@@ -148,6 +148,42 @@ def test_denoise_extent_not_divisible_by_depth_exits_2(tmp_path, capsys):
     assert not (tmp_path / "dn.pgm").exists()
 
 
+def _two_channel_checkpoint(tmp_path):
+    # a valid checkpoint whose network wants two input channels, so it
+    # cannot run on a one-channel PGM
+    net_cfg = UNetConfig(in_channels=2, base_channels=4, depth=1,
+                         time_embed_dim=8, image_size=16)
+    ckpt = tmp_path / "two.ckpt"
+    save_model(ckpt, init_params(net_cfg, seed=0), net_cfg)
+    return ckpt
+
+
+def test_denoise_checkpoint_channel_mismatch_exits_2(tmp_path, capsys):
+    # the U-Net's ValueError left cli.main wrapped in a RuntimeError (exit 1)
+    ckpt = _two_channel_checkpoint(tmp_path)
+    src = tmp_path / "in.pgm"
+    write_pgm(src, Image2D(np.full((16, 16), 0.5, dtype=np.float32)))
+    assert run_cli("denoise", "--in", src, "--ckpt", ckpt, "--t-start", 3,
+                   "--out", tmp_path / "dn.pgm") == 2
+    assert "expected 2 input channels, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "dn.pgm").exists()
+
+
+def test_bench_ddpm_checkpoint_channel_mismatch_exits_2(tmp_path, capsys):
+    ckpt = _two_channel_checkpoint(tmp_path)
+    images = tmp_path / "imgs"
+    images.mkdir()
+    write_pgm(images / "a.pgm",
+              Image2D(np.full((16, 16), 0.5, dtype=np.float32)))
+    out = tmp_path / "bench"
+    assert run_cli("bench", "--methods", "ddpm", "--ckpt", ckpt,
+                   "--image-dir", images, "--images", 1, "--t-starts", 3,
+                   "--out", out) == 2
+    assert "expected 2 input channels, got 1" in capsys.readouterr().err
+    assert not (out / "per_image.csv").exists()
+    assert not (out / "report.csv").exists()
+
+
 def test_bench_cli_with_config(tmp_path):
     cfg = {"methods": ["noisy"], "t_starts": [10, 20], "num_images": 2,
            "phantom_nx": 32, "phantom_nz": 32, "phantom_elements": 32,
@@ -294,13 +330,16 @@ def test_denoise_nan_checkpoint_exits_4(tmp_path, capsys):
 def test_nan_and_underflowing_arguments_exit_2(tmp_path, capsys):
     # NaN passed the "> 0" style range checks of the schedule and the
     # baseline configs, and only the non-finite image it produced was caught;
-    # an NLM h whose square underflows raised ZeroDivisionError
+    # an NLM h whose square underflows raised ZeroDivisionError; a zero h
+    # was taken as "not given" and replaced by 0.55 * sigma
     src = tmp_path / "in.pgm"
     write_pgm(src, Image2D(np.full((24, 24), 0.5, dtype=np.float32)))
     out = f"--out={tmp_path / 'o.pgm'}"
     for argv in (["corrupt", "--t=5", "--beta=nan"],
                  ["baseline", "--method=nlm", "--sigma=0.1", "--h=nan"],
                  ["baseline", "--method=nlm", "--sigma=0.1", "--h=1e-200"],
+                 ["baseline", "--method=nlm", "--sigma=0.1", "--h=0"],
+                 ["baseline", "--method=nlm", "--sigma=0.1", "--h=-0.0"],
                  ["baseline", "--method=nlm", "--sigma=nan"],
                  ["baseline", "--method=bm3d", "--sigma=nan"],
                  ["baseline", "--method=bm3d", "--sigma=0.1",
@@ -308,6 +347,21 @@ def test_nan_and_underflowing_arguments_exit_2(tmp_path, capsys):
         assert run_cli(*argv, "--in", src, out) == 2
         assert "must" in capsys.readouterr().err
     assert not (tmp_path / "o.pgm").exists()
+
+
+def test_config_is_a_bench_option_only(tmp_path, capsys):
+    # the other commands accepted --config and never opened the file
+    cfg = str(tmp_path / "nonexistent.json")
+    for argv in (["phantom"],
+                 ["corrupt", "--in=x.pgm", "--t=5"],
+                 ["train", "--data=speckle:8", "--epochs=0"],
+                 ["denoise", "--in=x.pgm", "--ckpt=m.ckpt", "--t-start=3"],
+                 ["baseline", "--method=nlm", "--in=x.pgm", "--sigma=0.1"],
+                 ["beamform", "--rf=x"]):
+        assert run_cli(*argv, "--config", cfg,
+                       "--out", tmp_path / "out") == 2, argv[0]
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bm3d_extreme_arguments_exit_0(tmp_path):

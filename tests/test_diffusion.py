@@ -7,7 +7,6 @@ from usdenoise.diffusion import (
     PAPER_LITERAL,
     STANDARD_POSTERIOR,
     NoiseSchedule,
-    PredictorFailure,
     denoise_from,
     forward_jump,
     forward_step,
@@ -265,14 +264,18 @@ def test_denoise_deterministic_with_injection():
     assert not np.array_equal(a.data, c.data)
 
 
-def test_predictor_failure_carries_step():
+def test_predictor_exception_propagates_unchanged():
     s = make_schedule(300)
+    called = []
 
     def predictor(im, t):
+        called.append(t)
         if t == 7:
-            raise RuntimeError("boom")
+            raise ValueError("boom at t=7")
         return np.zeros(im.shape)
 
-    with pytest.raises(PredictorFailure) as ei:
+    with pytest.raises(ValueError) as ei:
         denoise_from(const_img(0.1), 12, predictor, s)
-    assert ei.value.step == 7
+    assert type(ei.value) is ValueError
+    assert str(ei.value) == "boom at t=7"
+    assert called == [12, 11, 10, 9, 8, 7]

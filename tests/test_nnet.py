@@ -330,29 +330,6 @@ def test_ddpm_denoiser_runs_the_network_in_float32(monkeypatch, tmp_path):
 
 # ---------------------------------------------------------------- backward
 
-@pytest.mark.parametrize("batch", [16, 14])   # 14: a short last chunk
-def test_chunked_step_matches_one_pass(batch, monkeypatch):
-    train_mod = importlib.import_module("usdenoise.nnet.train")
-    # a chunk of 4 splits both batches, whatever the production value
-    monkeypatch.setattr(train_mod, "STEP_CHUNK", 4)
-    assert batch > train_mod.STEP_CHUNK
-    params = init_params(TINY, seed=5)
-    rng = np.random.default_rng(9)
-    x = rng.normal(size=(batch, 1, 8, 8))
-    eps = rng.normal(size=x.shape)
-    t = rng.integers(1, 301, size=batch)
-    loss, grads = train_mod._loss_and_grads(params, TINY, x, t, eps)
-
-    eps_hat, tape = unet_forward(params, TINY, x, t)
-    ref_loss, dloss = mse_loss(eps_hat, eps)
-    ref = unet_backward(tape, dloss)
-    assert loss == pytest.approx(ref_loss, rel=1e-12)
-    assert set(grads) == set(ref)
-    for name, g in grads.items():
-        assert g.dtype == np.float64
-        assert np.allclose(g, ref[name], rtol=1e-12, atol=1e-12), name
-
-
 def _sampled_gradient_check(cfg, n_per_tensor, delta=1e-3, seed=0):
     params = init_params(cfg, seed=1)
     rng = np.random.default_rng(seed)
