@@ -14,20 +14,22 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.diffusion import (
+    DEFAULT_BETA,
+    DEFAULT_T,
     STANDARD_POSTERIOR,
     NoiseSchedule,
     denoise_from,
     forward_jump,
     make_schedule,
 )
-from usdenoise.formats import image_from_pgm_unit
+from usdenoise.formats import read_pgm
 from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
 from usdenoise.metrics import (
     PSNR_STANDARD,
@@ -37,10 +39,9 @@ from usdenoise.metrics import (
     psnr,
 )
 from usdenoise.nnet import load_model, unet_forward
-from usdenoise.rng import GaussianField
+from usdenoise.rng import standard_normal, uniforms
 from usdenoise.ultrasound import Cyst, PhantomSpec, TransducerGeometry, synth_phantom
 from usdenoise.ultrasound.phantom import annulus_mask, cyst_mask
-from usdenoise.rng import uniforms
 
 METHODS = ("noisy", "nlm", "bm3d", "ddpm")
 
@@ -58,8 +59,8 @@ class BenchConfig:
     psnr_formula: str = PSNR_STANDARD
     out_dir: str = "bench_out"
     checkpoint: str | None = None
-    schedule_T: int = 300
-    schedule_beta: float = 1.0 / 300.0
+    schedule_T: int = DEFAULT_T
+    schedule_beta: float = DEFAULT_BETA
     gcnr_bins: int = 64
     mask_erode_px: int = 2
     # phantom generation
@@ -88,6 +89,10 @@ class BenchConfig:
                 raise ValueError(f"unknown method {m!r}")
         if not self.t_starts:
             raise ValueError("need at least one t_start")
+        for name in ("methods", "t_starts"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} lists an entry twice: {list(values)}")
         if self.num_images < 1:
             raise ValueError("num_images must be at least 1")
         for t in self.t_starts:
@@ -97,14 +102,35 @@ class BenchConfig:
     @classmethod
     def from_json(cls, path) -> "BenchConfig":
         raw = json.loads(Path(path).read_text())
-        known = set(cls.__dataclass_fields__)
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise ValueError("a bench config must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("t_starts", "methods", "phantom_angles_deg"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
+        for key, value in raw.items():
+            if not _json_type_ok(value, fields[key].default):
+                raise ValueError(f"config key {key!r} has the wrong type: "
+                                 f"{value!r}")
+            if isinstance(value, list):
+                raw[key] = tuple(value)
         return cls(**raw)
+
+
+def _json_type_ok(value, default) -> bool:
+    """Whether a JSON value has the type of a BenchConfig field, judged by
+    the field's default: None means a string or null, a tuple a list whose
+    items match its first item, a float any number."""
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, tuple):
+        return (isinstance(value, list)
+                and all(_json_type_ok(v, default[0]) for v in value))
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 @dataclass
@@ -154,7 +180,7 @@ def load_image_set(cfg: BenchConfig) -> list[BenchImage]:
         raise ValueError(f"no PGM images found in {cfg.image_dir}")
     images = []
     for p in paths:
-        img = image_from_pgm_unit(p)
+        img = read_pgm(p).to_range(RANGE_UNIT)
         inside, outside = _default_masks(img.shape)
         images.append(BenchImage(p.stem, img, inside, outside))
     return images
@@ -221,10 +247,10 @@ def run_method(method: str, noisy_signed: Image2D, t_start: int,
     return Image2D(np.clip(out.data, 0.0, 1.0), RANGE_UNIT)
 
 
-def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None,
-              write_files: bool = True):
-    """Execute the benchmark; returns (MetricsReport, per-image rows)."""
-    sched = make_schedule(cfg.schedule_T, "constant-beta", cfg.schedule_beta)
+def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
+    """Execute the benchmark, write its reports to ``cfg.out_dir`` and
+    return (MetricsReport, per-image rows)."""
+    sched = make_schedule(cfg.schedule_T, cfg.schedule_beta)
     ddpm = None
     if "ddpm" in cfg.methods:
         if cfg.checkpoint is None:
@@ -240,8 +266,8 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None,
         clean_signed = ti.clean.to_range(RANGE_SIGNED)
         for t_start in cfg.t_starts:
             t_start = int(t_start)
-            eps = GaussianField(ti.clean.shape, cfg.seed,
-                                draw_index=7000 + i * 100 + t_start)
+            eps = standard_normal(ti.clean.shape, cfg.seed,
+                                  draw_index=7000 + i * 100 + t_start)
             noisy_signed = forward_jump(clean_signed, t_start, sched, eps)
             for method in cfg.methods:
                 est = run_method(method, noisy_signed, t_start, sched, cfg, ddpm)
@@ -255,14 +281,9 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None,
                 }
                 per_image.append(row)
 
-    report = MetricsReport(metadata={
-        **{k: (list(v) if isinstance(v, tuple) else v)
-           for k, v in asdict(cfg).items()},
-        "num_images": len(images),
-        "sampler_variant": cfg.variant,
-        "psnr_formula": cfg.psnr_formula,
-    })
-    for method in sorted(set(cfg.methods)):
+    report = MetricsReport(metadata={**asdict(cfg), "num_images": len(images),
+                                     "sampler_variant": cfg.variant})
+    for method in sorted(cfg.methods):
         for t_start in cfg.t_starts:
             rows = [r for r in per_image
                     if r["method"] == method and r["t_start"] == int(t_start)]
@@ -270,17 +291,16 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None,
                        float(np.mean([r["psnr_db"] for r in rows])),
                        float(np.mean([r["gcnr_percent"] for r in rows])))
 
-    if write_files:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_text(report.to_csv())
-        (out / "report.md").write_text(report.to_markdown())
-        (out / "report.json").write_text(
-            json.dumps({"metadata": report.metadata, "rows": report.sorted_rows()},
-                       indent=2, sort_keys=True))
-        lines = ["method,t_start,image,psnr_db,gcnr_percent"]
-        for r in per_image:
-            lines.append(f"{r['method']},{r['t_start']},{r['image']},"
-                         f"{r['psnr_db']:.4f},{r['gcnr_percent']:.2f}")
-        (out / "per_image.csv").write_text("\n".join(lines) + "\n")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.csv").write_text(report.to_csv())
+    (out / "report.md").write_text(report.to_markdown())
+    (out / "report.json").write_text(
+        json.dumps({"metadata": report.metadata, "rows": report.sorted_rows()},
+                   indent=2, sort_keys=True))
+    lines = ["method,t_start,image,psnr_db,gcnr_percent"]
+    for r in per_image:
+        lines.append(f"{r['method']},{r['t_start']},{r['image']},"
+                     f"{r['psnr_db']:.4f},{r['gcnr_percent']:.2f}")
+    (out / "per_image.csv").write_text("\n".join(lines) + "\n")
     return report, per_image

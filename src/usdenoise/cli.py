@@ -21,6 +21,8 @@ from usdenoise import __version__
 from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.bench import BenchConfig, DdpmDenoiser, run_bench, to_unit_clipped
 from usdenoise.diffusion import (
+    DEFAULT_BETA,
+    DEFAULT_T,
     PAPER_LITERAL,
     STANDARD_POSTERIOR,
     forward_jump,
@@ -28,16 +30,21 @@ from usdenoise.diffusion import (
 )
 from usdenoise.formats import (
     FormatError,
-    image_from_pgm_signed,
     load_cifar,
     read_pgm,
     read_rf,
     write_pgm,
     write_rf,
 )
-from usdenoise.image import RANGE_EIGHT_BIT, RANGE_UNIT, Image2D, NumericError
+from usdenoise.image import (
+    RANGE_EIGHT_BIT,
+    RANGE_SIGNED,
+    RANGE_UNIT,
+    Image2D,
+    NumericError,
+)
 from usdenoise.nnet import TrainConfig, UNetConfig, load_model, train
-from usdenoise.rng import GaussianField
+from usdenoise.rng import standard_normal
 from usdenoise.ultrasound import (
     Cyst,
     ImagingGrid,
@@ -51,11 +58,6 @@ from usdenoise.ultrasound import (
 
 def _parse_angles(text: str) -> tuple:
     return tuple(math.radians(float(a)) for a in text.split(","))
-
-
-def _schedule(args):
-    """The constant-beta schedule that --T and --beta describe."""
-    return make_schedule(args.T, "constant-beta", args.beta)
 
 
 # ----------------------------------------------------------------- phantom
@@ -100,12 +102,12 @@ def cmd_phantom(args) -> int:
 # ----------------------------------------------------------------- corrupt
 
 def cmd_corrupt(args) -> int:
-    img = image_from_pgm_signed(args.input)
+    img = read_pgm(args.input).to_range(RANGE_SIGNED)
     if args.t == 0:
         out = img
     else:
-        sched = _schedule(args)
-        eps = GaussianField(img.shape, args.seed, draw_index=args.t)
+        sched = make_schedule(args.T, args.beta)
+        eps = standard_normal(img.shape, args.seed, draw_index=args.t)
         out = forward_jump(img, args.t, sched, eps)
     write_pgm(args.out, to_unit_clipped(out.data))
     print(f"corrupted {args.input} at t={args.t} -> {args.out}")
@@ -122,7 +124,7 @@ def _load_dataset(source: str, image_size: int, seed: int) -> np.ndarray:
         return speckle_patches(n, size=image_size, seed=seed) * 2.0 - 1.0
     path = Path(source)
     if path.is_dir():
-        stacks = [image_from_pgm_signed(p).data
+        stacks = [read_pgm(p).to_range(RANGE_SIGNED).data
                   for p in sorted(path.glob("*.pgm"))]
         if not stacks:
             raise ValueError(f"no PGM images in {source}")
@@ -139,7 +141,7 @@ def cmd_train(args) -> int:
     if data.shape[0] - n_hold < 1:
         raise ValueError("dataset too small for the held-out split")
     train_set, heldout_set = data[:-n_hold], data[-n_hold:]
-    sched = _schedule(args)
+    sched = make_schedule(args.T, args.beta)
     cfg = TrainConfig(batch_size=args.batch_size, lr=args.lr,
                       lr_gamma=args.lr_gamma, lr_step_epochs=args.lr_step,
                       epochs=args.epochs, seed=args.seed)
@@ -167,10 +169,10 @@ def cmd_train(args) -> int:
 # ----------------------------------------------------------------- denoise
 
 def cmd_denoise(args) -> int:
-    img = image_from_pgm_signed(args.input)
+    img = read_pgm(args.input).to_range(RANGE_SIGNED)
     denoiser = DdpmDenoiser(args.ckpt, args.variant,
                             inject_seed=args.seed if args.inject else None)
-    out = denoiser(img, args.t_start, _schedule(args))
+    out = denoiser(img, args.t_start, make_schedule(args.T, args.beta))
     write_pgm(args.out, to_unit_clipped(out))
     print(f"denoised {args.input} from t={args.t_start} ({args.variant}) "
           f"-> {args.out}")
@@ -270,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_common.add_argument("--config", default=None,
                               help="JSON BenchConfig file")
     schedule = argparse.ArgumentParser(add_help=False)
-    schedule.add_argument("--T", type=int, default=300)
-    schedule.add_argument("--beta", type=float, default=1.0 / 300.0)
+    schedule.add_argument("--T", type=int, default=DEFAULT_T)
+    schedule.add_argument("--beta", type=float, default=DEFAULT_BETA)
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--nx", type=int, default=64)
     grid.add_argument("--nz", type=int, default=64)

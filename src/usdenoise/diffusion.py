@@ -11,7 +11,7 @@ image.  Two reverse-step variants are provided:
 The posterior variant algebraically inverts the forward jump when fed the
 exact noise, which is why it is the default; the literal variant is kept
 selectable.  The injected noise z is forced to zero at t=1 or when no
-injection field is supplied.
+injected noise is supplied.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from usdenoise.image import Image2D
-from usdenoise.rng import GaussianField
+from usdenoise.rng import standard_normal
 
 DEFAULT_T = 300
 DEFAULT_BETA = 1.0 / 300.0
@@ -69,35 +69,20 @@ class NoiseSchedule:
         return float(self.alpha_bars[self._check_t(t) - 1])
 
 
-def make_schedule(T: int = DEFAULT_T, mode: str = "constant-beta",
-                  beta_or_range=DEFAULT_BETA) -> NoiseSchedule:
-    """Build a schedule of ``T`` steps.
-
-    ``constant-beta`` takes a single variance; ``linear-beta`` takes a
-    ``(low, high)`` pair interpolated linearly over the steps.
-    """
+def make_schedule(T: int = DEFAULT_T, beta: float = DEFAULT_BETA) -> NoiseSchedule:
+    """Build a schedule of ``T`` steps that all have the variance ``beta``."""
     T = int(T)
     if T < 1:
         raise ValueError("T must be at least 1")
-    if mode == "constant-beta":
-        betas = np.full(T, float(beta_or_range), dtype=np.float64)
-    elif mode == "linear-beta":
-        lo, hi = (float(v) for v in beta_or_range)
-        betas = np.linspace(lo, hi, T, dtype=np.float64)
-    else:
-        raise ValueError(f"unknown schedule mode {mode!r}")
-    return NoiseSchedule(betas)
+    return NoiseSchedule(np.full(T, float(beta), dtype=np.float64))
 
 
 def _noise_array(eps, shape) -> np.ndarray:
-    """Accept a GaussianField, an array, a scalar, or None (= zero noise)."""
+    """The noise array ``eps`` as float32, or zero noise for ``None``;
+    its shape must be the image's."""
     if eps is None:
         return np.zeros(shape, dtype=np.float32)
-    if isinstance(eps, GaussianField):
-        eps = eps.samples
     arr = np.asarray(eps, dtype=np.float32)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr), dtype=np.float32)
     if arr.shape != tuple(shape):
         raise ValueError(f"noise shape {arr.shape} does not match image {tuple(shape)}")
     return arr
@@ -127,8 +112,6 @@ def reverse_step(x_t: Image2D, t: int, eps_hat, sched: NoiseSchedule,
     if variant not in _VARIANTS:
         raise ValueError(f"unknown sampler variant {variant!r}")
     t = sched._check_t(t)
-    if isinstance(eps_hat, Image2D):
-        eps_hat = eps_hat.data
     e = _noise_array(eps_hat, x_t.shape)
     a = sched.alpha(t)
     ab = sched.alpha_bar(t)
@@ -151,7 +134,7 @@ def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule
                  inject_seed: int | None = None) -> Image2D:
     """Iterate reverse_step from t_start down to 1.
 
-    ``predictor(x: Image2D, t: int) -> Image2D | ndarray`` supplies the
+    ``predictor(x: Image2D, t: int) -> ndarray`` supplies the
     per-step noise estimate.  When ``inject_seed`` is given and the variant
     is standard-posterior, a fresh reproducible noise field (draw index = t)
     is injected at every step except t=1.  An exception the predictor raises
@@ -163,6 +146,6 @@ def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule
         eps_hat = predictor(x, t)
         inject = None
         if inject_seed is not None and variant == STANDARD_POSTERIOR and t > 1:
-            inject = GaussianField(x.shape, inject_seed, draw_index=t)
+            inject = standard_normal(x.shape, inject_seed, draw_index=t)
         x = reverse_step(x, t, eps_hat, sched, variant, inject)
     return x

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from usdenoise.image import RANGE_EIGHT_BIT, RANGE_SIGNED, Image2D, range_bounds
+from usdenoise.image import RANGE_EIGHT_BIT, Image2D, range_bounds
 from usdenoise.ultrasound.types import RFFrame, TransducerGeometry
 
 TENSOR_MAGIC = b"NDF1"
@@ -318,13 +318,3 @@ def read_rf(path) -> RFFrame:
     except ValueError as exc:      # a non-positive size or a steep angle
         raise HeaderError(f"bad RF header value: {exc}") from None
 
-
-# ------------------------------------------------------------ image glue
-
-def image_from_pgm_unit(path) -> Image2D:
-    """Read a PGM and rescale to the unit interval."""
-    return read_pgm(path).to_range("unit-interval")
-
-
-def image_from_pgm_signed(path) -> Image2D:
-    return read_pgm(path).to_range(RANGE_SIGNED)

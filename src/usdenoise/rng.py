@@ -15,8 +15,6 @@ shape)`` always reproduces the same field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -73,15 +71,3 @@ def standard_normal(shape, seed: int, draw_index: int = 0) -> np.ndarray:
         out[i:i + m] = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     return out.reshape(shape)
 
-
-@dataclass(frozen=True)
-class GaussianField:
-    """Reproducible standard-normal field keyed by (seed, draw_index)."""
-
-    shape: tuple
-    seed: int
-    draw_index: int = 0
-
-    @property
-    def samples(self) -> np.ndarray:
-        return standard_normal(self.shape, self.seed, self.draw_index)

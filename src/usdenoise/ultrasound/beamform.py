@@ -23,24 +23,18 @@ def tx_delay(x, z, angle: float, geometry: TransducerGeometry):
             + ref) / geometry.sound_speed
 
 
-def das_beamform(rf: RFFrame, grid: ImagingGrid,
-                 apodization: str = "hann") -> Image2D:
+def das_beamform(rf: RFFrame, grid: ImagingGrid) -> Image2D:
     """Delay-and-sum image reconstruction (pre-envelope RF image).
 
     For every pixel the per-element delay is the plane-wave transmit time
     plus the return path to the element; element traces are sampled with
     linear interpolation and summed.  Delays outside the recorded window
-    contribute zero.  Receive apodization (``"hann"`` by default, ``"none"``
-    for a plain sum) tames aperture sidelobes; low f-numbers otherwise put
-    a noticeable clutter floor inside anechoic targets.
+    contribute zero.  A Hann receive window over the elements tames
+    aperture sidelobes; low f-numbers otherwise put a noticeable clutter
+    floor inside anechoic targets.
     """
     g = rf.geometry
-    if apodization == "hann":
-        weights = np.hanning(g.element_count)
-    elif apodization == "none":
-        weights = np.ones(g.element_count)
-    else:
-        raise ValueError(f"unknown apodization {apodization!r}")
+    weights = np.hanning(g.element_count)
     xs = grid.x
     zs = grid.z
     X, Z = np.meshgrid(xs, zs)            # (nz, nx)
@@ -56,19 +50,15 @@ def das_beamform(rf: RFFrame, grid: ImagingGrid,
 
 
 def compound(images: list) -> Image2D:
-    """Pixel-wise mean of per-angle envelope images (incoherent)."""
+    """Pixel-wise mean of per-angle envelope arrays (incoherent)."""
     if len(images) == 0:
         raise ValueError("need at least one image to compound")
-    arrays = [im.data if isinstance(im, Image2D) else np.asarray(im)
-              for im in images]
+    arrays = [np.asarray(im) for im in images]
     shape = arrays[0].shape
     for a in arrays[1:]:
         if a.shape != shape:
             raise ValueError(f"image dims differ: {a.shape} vs {shape}")
-    mean = np.mean(np.stack(arrays), axis=0)
-    first = images[0]
-    return Image2D(mean, first.value_range if isinstance(first, Image2D)
-                   else RANGE_UNIT)
+    return Image2D(np.mean(np.stack(arrays), axis=0), RANGE_UNIT)
 
 
 def bmode_from_frames(frames: list[RFFrame], grid: ImagingGrid,

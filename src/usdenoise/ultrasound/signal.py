@@ -68,8 +68,7 @@ def log_compress(env, dynamic_range_db: float = 60.0) -> Image2D:
     Computes 20*log10(env / max(env)), clamps to [-dynamic_range_db, 0],
     and rescales affinely to [0, 1].
     """
-    data = env.data if isinstance(env, Image2D) else np.asarray(env)
-    data = data.astype(np.float64)
+    data = np.asarray(env, dtype=np.float64)
     if not (dynamic_range_db > 0 and np.isfinite(dynamic_range_db)):
         raise ValueError("dynamic range must be positive and finite")
     if np.any(data < 0):

@@ -20,7 +20,7 @@ from usdenoise.diffusion import (
 )
 from usdenoise.image import RANGE_SIGNED, Image2D
 from usdenoise.metrics import RegionMask, gcnr, mse, psnr
-from usdenoise.rng import GaussianField, standard_normal
+from usdenoise.rng import standard_normal
 
 
 def _report(n, message):
@@ -31,7 +31,7 @@ def _report(n, message):
 
 def test_criterion_01_schedule_algebra():
     t0 = time.time()
-    s = make_schedule(300, "constant-beta", 1.0 / 300.0)
+    s = make_schedule(300, 1.0 / 300.0)
     direct = np.array([math.prod(s.alphas[:t + 1].tolist())
                        for t in range(s.T)])
     rel = np.abs(s.alpha_bars - direct) / direct

@@ -13,7 +13,7 @@ from usdenoise.bench import (
 from usdenoise.diffusion import forward_jump, make_schedule, STANDARD_POSTERIOR
 from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
 from usdenoise.metrics import psnr
-from usdenoise.rng import GaussianField
+from usdenoise.rng import standard_normal
 from usdenoise.ultrasound import speckle_patches
 
 
@@ -90,7 +90,7 @@ def test_baselines_beat_noisy_on_synthetic_set():
     t_start = 10
     for ti in images:
         clean_signed = ti.clean.to_range(RANGE_SIGNED)
-        eps = GaussianField(ti.clean.shape, 5, draw_index=1)
+        eps = standard_normal(ti.clean.shape, 5, draw_index=1)
         noisy_signed = forward_jump(clean_signed, t_start, sched, eps)
         noisy = run_method("noisy", noisy_signed, t_start, sched, cfg, None)
         for method in ("nlm", "bm3d"):
@@ -102,13 +102,13 @@ def test_baselines_beat_noisy_on_synthetic_set():
 def test_ddpm_without_checkpoint_rejected():
     cfg = BenchConfig(methods=("ddpm",))
     with pytest.raises(ValueError, match="checkpoint"):
-        run_bench(cfg, images=_test_images(), write_files=False)
+        run_bench(cfg, images=_test_images())
 
 
 def test_empty_test_set_rejected(tmp_path):
     cfg = BenchConfig(methods=("noisy",), image_dir=str(tmp_path))
     with pytest.raises(ValueError):
-        run_bench(cfg, write_files=False)
+        run_bench(cfg)
 
 
 def test_report_metadata_records_protocol(tmp_path):

@@ -242,6 +242,32 @@ def test_bench_absent_overrides_keep_the_config(tmp_path):
     assert meta["num_images"] == 1
 
 
+@pytest.mark.parametrize("config", [
+    5, [1, 2], {"t_starts": 10}, {"t_starts": [10.0]}, {"t_starts": ["10"]},
+    {"methods": "noisy"}, {"methods": [1]}, {"num_images": "2"},
+    {"num_images": True}, {"seed": 1.5}, {"image_dir": 3},
+    {"out_dir": None}, {"out_dir": 7}, {"checkpoint": 1},
+    {"schedule_beta": "0.01"}, {"phantom_angles_deg": 0.0},
+])
+def test_bench_config_of_the_wrong_json_type_exits_2(tmp_path, capsys, config):
+    # a TypeError from BenchConfig(**raw) escaped main() as exit 1
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("bench", "--config", path, "--out", tmp_path) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--methods", "noisy,noisy", "--t-starts", "10"),
+    ("--methods", "noisy", "--t-starts", "10,10"),
+])
+def test_bench_duplicate_methods_or_t_starts_exit_2(tmp_path, capsys, argv):
+    # each duplicate was run again and reported twice in report.csv
+    assert run_cli("bench", *argv, "--images", 1, "--out", tmp_path) == 2
+    assert "twice" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_bench_zero_images_exits_2(tmp_path, monkeypatch, capsys):
     import usdenoise.bench as bench
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from usdenoise import rng
-from usdenoise.rng import GaussianField, raw_words, standard_normal, uniforms
+from usdenoise.rng import raw_words, standard_normal, uniforms
 
 
 def test_reproducible():
@@ -49,9 +49,3 @@ def test_uniforms_cover_unit_interval():
     # all 10 deciles populated
     counts, _ = np.histogram(u, bins=10, range=(0, 1))
     assert counts.min() > 9_000
-
-
-def test_gaussian_field_dataclass():
-    f = GaussianField((8, 8), seed=3, draw_index=2)
-    assert f.samples.shape == (8, 8)
-    assert np.array_equal(f.samples, standard_normal((8, 8), 3, 2))

@@ -258,13 +258,6 @@ def test_das_linearity():
     assert np.allclose(img12, a * img1 + b * img2, atol=1e-3)
 
 
-def test_das_rejects_unknown_apodization():
-    g = TEST_GEOMETRY
-    frame = RFFrame(np.zeros((g.element_count, 64), dtype=np.float32), 0.0, g)
-    with pytest.raises(ValueError):
-        das_beamform(frame, PhantomSpec(geometry=g).grid(), apodization="boxcar")
-
-
 # ------------------------------------------------------------- compounding
 
 def test_compound_single_image_is_identity():
