@@ -23,7 +23,6 @@ from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.diffusion import (
     DEFAULT_BETA,
     DEFAULT_T,
-    STANDARD_POSTERIOR,
     NoiseSchedule,
     denoise_from,
     forward_jump,
@@ -31,13 +30,7 @@ from usdenoise.diffusion import (
 )
 from usdenoise.formats import read_pgm
 from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
-from usdenoise.metrics import (
-    PSNR_STANDARD,
-    MetricsReport,
-    RegionMask,
-    gcnr,
-    psnr,
-)
+from usdenoise.metrics import MIN_GCNR_BINS, MetricsReport, RegionMask, gcnr, psnr
 from usdenoise.nnet import load_model, unet_forward
 from usdenoise.rng import standard_normal, uniforms
 from usdenoise.ultrasound import Cyst, PhantomSpec, TransducerGeometry, synth_phantom
@@ -55,8 +48,6 @@ class BenchConfig:
     t_starts: tuple = (10, 20)
     methods: tuple = METHODS
     seed: int = 0
-    variant: str = STANDARD_POSTERIOR
-    psnr_formula: str = PSNR_STANDARD
     out_dir: str = "bench_out"
     checkpoint: str | None = None
     schedule_T: int = DEFAULT_T
@@ -98,6 +89,21 @@ class BenchConfig:
         for t in self.t_starts:
             if not 1 <= int(t) <= self.schedule_T:
                 raise ValueError(f"t_start {t} outside 1..{self.schedule_T}")
+        if self.gcnr_bins < MIN_GCNR_BINS:
+            raise ValueError(f"gcnr_bins must be at least {MIN_GCNR_BINS}")
+        # the baseline configs check their own keys; sigma is set per run
+        self.baseline_configs(1.0)
+
+    def baseline_configs(self, sigma: float) -> tuple[NlmConfig, Bm3dConfig]:
+        """The NLM and BM3D settings for noise standard deviation ``sigma``."""
+        return (NlmConfig(patch_radius=self.nlm_patch_radius,
+                          search_radius=self.nlm_search_radius,
+                          h=self.nlm_h_factor * sigma, sigma=sigma),
+                Bm3dConfig(block_size=self.bm3d_block_size,
+                           max_matches=self.bm3d_max_matches,
+                           search_radius=self.bm3d_search_radius,
+                           hard_threshold=self.bm3d_hard_threshold,
+                           sigma=sigma, stages=self.bm3d_stages))
 
     @classmethod
     def from_json(cls, path) -> "BenchConfig":
@@ -150,7 +156,7 @@ def _default_masks(shape) -> tuple[RegionMask, RegionMask]:
     inside = d2 <= r * r
     outer = math.sqrt(2.0) * (r + 2)
     outside = (d2 > (r + 2) ** 2) & (d2 <= outer * outer)
-    return RegionMask(inside, "inside"), RegionMask(outside, "outside")
+    return RegionMask(inside), RegionMask(outside)
 
 
 def make_phantom_set(cfg: BenchConfig) -> list[BenchImage]:
@@ -201,10 +207,8 @@ class DdpmDenoiser:
     whose ``Image2D`` raises ``NumericError``.
     """
 
-    def __init__(self, checkpoint_path, variant: str,
-                 inject_seed: int | None = None):
+    def __init__(self, checkpoint_path, inject_seed: int | None = None):
         self.params, self.net_cfg = load_model(checkpoint_path)
-        self.variant = variant
         self.inject_seed = inject_seed
 
     def predictor(self, img: Image2D, t: int) -> np.ndarray:
@@ -215,7 +219,7 @@ class DdpmDenoiser:
     def __call__(self, noisy_signed: Image2D, t_start: int,
                  sched: NoiseSchedule) -> np.ndarray:
         return denoise_from(noisy_signed, t_start, self.predictor, sched,
-                            self.variant, inject_seed=self.inject_seed).data
+                            inject_seed=self.inject_seed).data
 
 
 def run_method(method: str, noisy_signed: Image2D, t_start: int,
@@ -232,18 +236,9 @@ def run_method(method: str, noisy_signed: Image2D, t_start: int,
     rescaled = noisy_signed.data.astype(np.float64) / math.sqrt(ab)
     sigma_unit = math.sqrt((1.0 - ab) / ab) / 2.0
     unit = Image2D((rescaled + 1.0) / 2.0, RANGE_UNIT)
-    if method == "nlm":
-        out = nlm_denoise(unit, NlmConfig(patch_radius=cfg.nlm_patch_radius,
-                                          search_radius=cfg.nlm_search_radius,
-                                          h=cfg.nlm_h_factor * sigma_unit,
-                                          sigma=sigma_unit))
-    else:
-        out = bm3d_denoise(unit, Bm3dConfig(block_size=cfg.bm3d_block_size,
-                                            max_matches=cfg.bm3d_max_matches,
-                                            search_radius=cfg.bm3d_search_radius,
-                                            hard_threshold=cfg.bm3d_hard_threshold,
-                                            sigma=sigma_unit,
-                                            stages=cfg.bm3d_stages))
+    nlm_cfg, bm3d_cfg = cfg.baseline_configs(sigma_unit)
+    out = (nlm_denoise(unit, nlm_cfg) if method == "nlm"
+           else bm3d_denoise(unit, bm3d_cfg))
     return Image2D(np.clip(out.data, 0.0, 1.0), RANGE_UNIT)
 
 
@@ -255,7 +250,7 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
     if "ddpm" in cfg.methods:
         if cfg.checkpoint is None:
             raise ValueError("ddpm method requested without a checkpoint")
-        ddpm = DdpmDenoiser(cfg.checkpoint, cfg.variant)
+        ddpm = DdpmDenoiser(cfg.checkpoint)
     if images is None:
         images = load_image_set(cfg) if cfg.image_dir else make_phantom_set(cfg)
     if not images:
@@ -275,14 +270,13 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
                     "method": method,
                     "t_start": t_start,
                     "image": ti.name,
-                    "psnr_db": psnr(ti.clean, est, 1.0, cfg.psnr_formula),
+                    "psnr_db": psnr(ti.clean, est, 1.0),
                     "gcnr_percent": 100.0 * gcnr(est, ti.inside, ti.outside,
                                                  cfg.gcnr_bins),
                 }
                 per_image.append(row)
 
-    report = MetricsReport(metadata={**asdict(cfg), "num_images": len(images),
-                                     "sampler_variant": cfg.variant})
+    report = MetricsReport(metadata={**asdict(cfg), "num_images": len(images)})
     for method in sorted(cfg.methods):
         for t_start in cfg.t_starts:
             rows = [r for r in per_image

@@ -23,8 +23,6 @@ from usdenoise.bench import BenchConfig, DdpmDenoiser, run_bench, to_unit_clippe
 from usdenoise.diffusion import (
     DEFAULT_BETA,
     DEFAULT_T,
-    PAPER_LITERAL,
-    STANDARD_POSTERIOR,
     forward_jump,
     make_schedule,
 )
@@ -170,12 +168,10 @@ def cmd_train(args) -> int:
 
 def cmd_denoise(args) -> int:
     img = read_pgm(args.input).to_range(RANGE_SIGNED)
-    denoiser = DdpmDenoiser(args.ckpt, args.variant,
-                            inject_seed=args.seed if args.inject else None)
+    denoiser = DdpmDenoiser(args.ckpt, args.seed if args.inject else None)
     out = denoiser(img, args.t_start, make_schedule(args.T, args.beta))
     write_pgm(args.out, to_unit_clipped(out))
-    print(f"denoised {args.input} from t={args.t_start} ({args.variant}) "
-          f"-> {args.out}")
+    print(f"denoised {args.input} from t={args.t_start} -> {args.out}")
     return 0
 
 
@@ -329,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--ckpt", required=True)
     q.add_argument("--t-start", type=int, required=True)
-    q.add_argument("--variant", default=STANDARD_POSTERIOR,
-                   choices=[STANDARD_POSTERIOR, PAPER_LITERAL])
     q.add_argument("--inject", action="store_true",
                    help="inject fresh noise during posterior sampling")
     q.set_defaults(func=cmd_denoise)

@@ -2,16 +2,15 @@
 Markov processes.
 
 Step indices are 1-based: ``t`` runs over ``1..T`` and ``x_0`` is the clean
-image.  Two reverse-step variants are provided:
+image.  The reverse step is the DDPM posterior step (Ho et al. 2020,
+Algorithm 2):
 
-- ``"paper-literal"``:      x_{t-1} = x_t/sqrt(a_t) + (1-a_t)/sqrt(1-abar_t) * eps_hat
-- ``"standard-posterior"``: x_{t-1} = (x_t - (1-a_t)/sqrt(1-abar_t) * eps_hat)/sqrt(a_t)
-                                      + sigma_t * z,   sigma_t = sqrt(b_t)
+    x_{t-1} = (x_t - (1-a_t)/sqrt(1-abar_t) * eps_hat)/sqrt(a_t) + sigma_t * z,
+    sigma_t = sqrt(b_t)
 
-The posterior variant algebraically inverts the forward jump when fed the
-exact noise, which is why it is the default; the literal variant is kept
-selectable.  The injected noise z is forced to zero at t=1 or when no
-injected noise is supplied.
+At t=1, fed the exact noise, it algebraically inverts the forward jump.
+The injected noise z is zero at t=1 and whenever no injected noise is
+supplied.
 """
 
 from __future__ import annotations
@@ -25,10 +24,6 @@ from usdenoise.rng import standard_normal
 
 DEFAULT_T = 300
 DEFAULT_BETA = 1.0 / 300.0
-
-PAPER_LITERAL = "paper-literal"
-STANDARD_POSTERIOR = "standard-posterior"
-_VARIANTS = (PAPER_LITERAL, STANDARD_POSTERIOR)
 
 
 @dataclass(frozen=True)
@@ -107,10 +102,8 @@ def forward_jump(x0: Image2D, t: int, sched: NoiseSchedule, eps=None) -> Image2D
 
 
 def reverse_step(x_t: Image2D, t: int, eps_hat, sched: NoiseSchedule,
-                 variant: str = STANDARD_POSTERIOR, inject=None) -> Image2D:
+                 inject=None) -> Image2D:
     """One denoising step from x_t to x_{t-1} given predicted noise."""
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown sampler variant {variant!r}")
     t = sched._check_t(t)
     e = _noise_array(eps_hat, x_t.shape)
     a = sched.alpha(t)
@@ -119,33 +112,27 @@ def reverse_step(x_t: Image2D, t: int, eps_hat, sched: NoiseSchedule,
     # inf or NaN here; Image2D rejects it with NumericError, so no warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         coef = (1.0 - a) / np.sqrt(1.0 - ab)
-        if variant == PAPER_LITERAL:
-            out = x_t.data / np.float32(np.sqrt(a)) + np.float32(coef) * e
-        else:
-            out = (x_t.data - np.float32(coef) * e) / np.float32(np.sqrt(a))
-            if inject is not None and t > 1:
-                z = _noise_array(inject, x_t.shape)
-                out = out + np.float32(np.sqrt(sched.beta(t))) * z
+        out = (x_t.data - np.float32(coef) * e) / np.float32(np.sqrt(a))
+        if inject is not None and t > 1:
+            z = _noise_array(inject, x_t.shape)
+            out = out + np.float32(np.sqrt(sched.beta(t))) * z
     return x_t.like(out)
 
 
 def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule,
-                 variant: str = STANDARD_POSTERIOR,
                  inject_seed: int | None = None) -> Image2D:
     """Iterate reverse_step from t_start down to 1.
 
     ``predictor(x: Image2D, t: int) -> ndarray`` supplies the
-    per-step noise estimate.  When ``inject_seed`` is given and the variant
-    is standard-posterior, a fresh reproducible noise field (draw index = t)
-    is injected at every step except t=1.  An exception the predictor raises
-    propagates unchanged.
+    per-step noise estimate.  When ``inject_seed`` is given, a fresh
+    reproducible noise field (draw index = t) is injected at every step
+    except t=1.  An exception the predictor raises propagates unchanged.
     """
     t_start = sched._check_t(t_start)
     x = x_noisy
     for t in range(t_start, 0, -1):
         eps_hat = predictor(x, t)
-        inject = None
-        if inject_seed is not None and variant == STANDARD_POSTERIOR and t > 1:
-            inject = standard_normal(x.shape, inject_seed, draw_index=t)
-        x = reverse_step(x, t, eps_hat, sched, variant, inject)
+        inject = (standard_normal(x.shape, inject_seed, draw_index=t)
+                  if inject_seed is not None and t > 1 else None)
+        x = reverse_step(x, t, eps_hat, sched, inject)
     return x

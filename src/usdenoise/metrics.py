@@ -10,8 +10,7 @@ import numpy as np
 
 from usdenoise.image import Image2D
 
-PSNR_STANDARD = "standard"
-PSNR_LITERAL = "paper-literal"
+MIN_GCNR_BINS = 16
 
 
 def _data(img) -> np.ndarray:
@@ -27,37 +26,25 @@ def mse(i, k) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def psnr(i, k, max_val: float, formula: str = PSNR_STANDARD) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the images are identical.
-
-    ``standard`` is 10*log10(max_val^2 / MSE).  ``paper-literal`` drops the
-    square on the peak value and is kept selectable for fidelity; it is not
-    comparable with conventional dB figures.
-    """
+def psnr(i, k, max_val: float) -> float:
+    """Peak signal-to-noise ratio in dB, 10*log10(max_val^2 / MSE); +inf
+    when the images are identical."""
     if max_val <= 0:
         raise ValueError("max_val must be positive")
-    if formula not in (PSNR_STANDARD, PSNR_LITERAL):
-        raise ValueError(f"unknown PSNR formula {formula!r}")
     err = mse(i, k)
     if err == 0.0:
         return math.inf
-    if formula == PSNR_STANDARD:
-        return 10.0 * math.log10(max_val * max_val / err)
-    return 10.0 * math.log10(max_val / err)
+    return 10.0 * math.log10(max_val * max_val / err)
 
 
 @dataclass(frozen=True)
 class RegionMask:
-    """Boolean pixel mask with a role tag (``inside`` or ``outside``)."""
+    """Boolean pixel mask."""
 
     mask: np.ndarray
-    role: str = "inside"
 
     def __post_init__(self):
-        m = np.asarray(self.mask, dtype=bool)
-        object.__setattr__(self, "mask", m)
-        if self.role not in ("inside", "outside"):
-            raise ValueError(f"unknown region role {self.role!r}")
+        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
 
     @property
     def count(self) -> int:
@@ -72,8 +59,8 @@ def gcnr(img, inside: RegionMask, outside: RegionMask, bins: int = 64) -> float:
     intensity densities.  0 means indistinguishable regions, 1 means fully
     separated.  Tables report it as a percentage.
     """
-    if bins < 16:
-        raise ValueError("need at least 16 histogram bins")
+    if bins < MIN_GCNR_BINS:
+        raise ValueError(f"need at least {MIN_GCNR_BINS} histogram bins")
     data = _data(img)
     m_in, m_out = inside.mask, outside.mask
     if m_in.shape != data.shape or m_out.shape != data.shape:

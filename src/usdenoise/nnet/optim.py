@@ -8,6 +8,11 @@ import numpy as np
 
 from usdenoise.nnet.unet import UNetParams
 
+# Adam's moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -36,9 +41,7 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr * cfg.lr_gamma ** (epoch // cfg.lr_step_epochs)
 
 
-def adam_step(params: UNetParams, grads: dict, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps_adam: float = 1e-8) -> UNetParams:
+def adam_step(params: UNetParams, grads: dict, lr: float) -> UNetParams:
     """Bias-corrected Adam update, in place; increments the step counter.
 
     Moments are kept float32 alongside the weights (arithmetic in float64)
@@ -49,16 +52,16 @@ def adam_step(params: UNetParams, grads: dict, lr: float,
             raise KeyError(f"missing gradient for parameter {name!r}")
     params.step += 1
     t = params.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, w in params.tensors.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != w.shape:
             raise ValueError(f"gradient for {name!r} has shape {g.shape}, "
                              f"parameter is {w.shape}")
-        m = beta1 * params.m[name].astype(np.float64) + (1 - beta1) * g
-        v = beta2 * params.v[name].astype(np.float64) + (1 - beta2) * g * g
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps_adam)
+        m = BETA1 * params.m[name].astype(np.float64) + (1 - BETA1) * g
+        v = BETA2 * params.v[name].astype(np.float64) + (1 - BETA2) * g * g
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
         params.tensors[name] = (w.astype(np.float64) - update).astype(np.float32)
         params.m[name] = m.astype(np.float32)
         params.v[name] = v.astype(np.float32)

@@ -23,6 +23,7 @@ import numpy as np
 
 from usdenoise.diffusion import NoiseSchedule
 from usdenoise.formats import read_checkpoint, write_checkpoint
+from usdenoise.image import NumericError
 from usdenoise.nnet.ops import l1_eval, mse_loss
 from usdenoise.nnet.optim import TrainConfig, adam_step, lr_schedule
 from usdenoise.nnet.unet import (
@@ -131,7 +132,9 @@ def train(dataset, sched: NoiseSchedule, cfg: TrainConfig, net_cfg: UNetConfig,
 
     ``initial`` warm-starts from existing weights (shape-checked against
     ``net_cfg``); optimizer moments restart at zero.  ``history`` rows are
-    dicts with epoch, train_mse, heldout_l1, lr.
+    dicts with epoch, train_mse, heldout_l1, lr.  A non-finite batch loss
+    or held-out L1 raises ``NumericError`` before any checkpoint or log is
+    written.
     """
     data = _as_batch_array(dataset)
     n, h, w = data.shape
@@ -162,6 +165,9 @@ def train(dataset, sched: NoiseSchedule, cfg: TrainConfig, net_cfg: UNetConfig,
             eps = eps.astype(np.float64)
             x_t = _corrupt(x0, t, sched, eps)
             loss, grads = _loss_and_grads(params, net_cfg, x_t, t, eps)
+            if not math.isfinite(loss):
+                raise NumericError(f"training diverged: batch {bi} of epoch "
+                                   f"{epoch} has loss {loss}")
             adam_step(params, grads, lr)
             losses.append(loss)
         row = {"epoch": epoch, "train_mse": float(np.mean(losses)),
@@ -170,6 +176,9 @@ def train(dataset, sched: NoiseSchedule, cfg: TrainConfig, net_cfg: UNetConfig,
             row["heldout_l1"] = heldout_l1(params, net_cfg, heldout_set,
                                            sched, seed=cfg.seed + 2,
                                            batch_size=cfg.batch_size)
+            if not math.isfinite(row["heldout_l1"]):
+                raise NumericError(f"training diverged: held-out L1 of epoch "
+                                   f"{epoch} is {row['heldout_l1']}")
         history.append(row)
         if verbose:
             print(f"epoch {epoch:3d}  train_mse {row['train_mse']:.5f}  "

@@ -25,6 +25,11 @@ from usdenoise.ultrasound.types import ImagingGrid, RFFrame, TransducerGeometry
 PULSE_SIGMA_PERIODS = 0.5
 # speckle_patches blurs and averages this many patches per pass
 _PATCH_CHUNK = 16
+# speckle_patches: looks averaged per patch, Gaussian blur std (pixels),
+# and the share of patches that get a cyst
+PATCH_LOOKS = 10
+PATCH_BLUR_PX = 1.0
+PATCH_CYST_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,7 @@ def cyst_mask(spec: PhantomSpec, cyst: Cyst, erode: int = 0) -> RegionMask:
     X, Z = np.meshgrid(grid.x, grid.z)
     shrink = erode * max(grid.dx, grid.dz)
     r = max(cyst.radius - shrink, 0.0)
-    return RegionMask((X - cyst.cx) ** 2 + (Z - cyst.cz) ** 2 <= r * r, "inside")
+    return RegionMask((X - cyst.cx) ** 2 + (Z - cyst.cz) ** 2 <= r * r)
 
 
 def annulus_mask(spec: PhantomSpec, cyst: Cyst, gap: int = 2) -> RegionMask:
@@ -161,7 +166,7 @@ def annulus_mask(spec: PhantomSpec, cyst: Cyst, gap: int = 2) -> RegionMask:
     r_in = cyst.radius + pad
     r_out = math.sqrt(r_in ** 2 + cyst.radius ** 2)  # same area as the disc
     d2 = (X - cyst.cx) ** 2 + (Z - cyst.cz) ** 2
-    return RegionMask((d2 > r_in ** 2) & (d2 <= r_out ** 2), "outside")
+    return RegionMask((d2 > r_in ** 2) & (d2 <= r_out ** 2))
 
 
 def synth_phantom(spec: PhantomSpec):
@@ -194,26 +199,24 @@ def _sep_blur(field: np.ndarray, taps: np.ndarray) -> np.ndarray:
     return out
 
 
-def speckle_patches(count: int, size: int = 32, seed: int = 0,
-                    looks: int = 10, blur_px: float = 1.0,
-                    cyst_fraction: float = 0.5) -> np.ndarray:
+def speckle_patches(count: int, size: int = 32, seed: int = 0) -> np.ndarray:
     """Fast synthetic B-mode-like patches (no RF path).
 
     Each patch is the multi-look average of smoothed complex-Gaussian
     speckle envelopes, log-compressed to the unit interval; a random disc
-    with reduced echogenicity is stamped into ``cyst_fraction`` of them.
+    with reduced echogenicity is stamped into ``PATCH_CYST_FRACTION`` of them.
     Used for training data where full RF synthesis would be overkill.
     Returns float32 of shape (count, size, size) in [0, 1].
     """
     if count < 1 or size < 4:
         raise ValueError("need count >= 1 and size >= 4")
-    r = max(1, int(round(2 * blur_px)))
+    r = max(1, int(round(2 * PATCH_BLUR_PX)))
     x = np.arange(-r, r + 1, dtype=np.float64)
-    taps = np.exp(-x * x / (2 * blur_px * blur_px))
+    taps = np.exp(-x * x / (2 * PATCH_BLUR_PX * PATCH_BLUR_PX))
     taps /= taps.sum()
 
-    re = standard_normal((count, looks, size, size), seed, 0)
-    im = standard_normal((count, looks, size, size), seed, 1)
+    re = standard_normal((count, PATCH_LOOKS, size, size), seed, 0)
+    im = standard_normal((count, PATCH_LOOKS, size, size), seed, 1)
     # a few patches at a time, so the float64 looks stay small
     env = np.empty((count, size, size), dtype=np.float64)
     for i in range(0, count, _PATCH_CHUNK):
@@ -222,7 +225,7 @@ def speckle_patches(count: int, size: int = 32, seed: int = 0,
                             _sep_blur(im[i:j].astype(np.float64), taps)
                             ).mean(axis=1)
 
-    n_cysts = int(round(count * cyst_fraction))
+    n_cysts = int(round(count * PATCH_CYST_FRACTION))
     if n_cysts:
         u = uniforms(4 * count, seed, 2).reshape(count, 4)
         yy, xx = np.mgrid[0:size, 0:size]

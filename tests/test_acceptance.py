@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from usdenoise.diffusion import (
-    STANDARD_POSTERIOR,
     denoise_from,
     forward_jump,
     forward_step,
@@ -81,7 +80,7 @@ def test_criterion_03_sampler_inversion(bench_outputs):
     x0 = images[0].clean.to_range(RANGE_SIGNED)
     eps = standard_normal(x0.shape, seed=31)
     x1 = forward_jump(x0, 1, s, eps=eps)
-    rec = denoise_from(x1, 1, lambda im, t: eps, s, STANDARD_POSTERIOR)
+    rec = denoise_from(x1, 1, lambda im, t: eps, s)
     max_err = float(np.abs(rec.data - x0.data).max())
     assert max_err <= 1e-4
 
@@ -91,8 +90,7 @@ def test_criterion_03_sampler_inversion(bench_outputs):
         for t_start in (10, 20):
             e = standard_normal(clean.shape, seed=600 + i, draw_index=t_start)
             noisy = forward_jump(clean, t_start, s, eps=e)
-            rec = denoise_from(noisy, t_start, lambda im, t: e, s,
-                               STANDARD_POSTERIOR)
+            rec = denoise_from(noisy, t_start, lambda im, t: e, s)
             assert (psnr(clean.data, rec.data, 2.0)
                     > psnr(clean.data, noisy.data, 2.0))
             improved += 1
@@ -194,7 +192,7 @@ def test_criterion_08_metric_oracles():
     m2 = np.zeros((200, 100), dtype=bool)
     m1.reshape(-1)[:n] = True
     m2.reshape(-1)[n:2 * n] = True
-    overlap = gcnr(img, RegionMask(m1), RegionMask(m2, "outside"), bins=64)
+    overlap = gcnr(img, RegionMask(m1), RegionMask(m2), bins=64)
     assert abs(overlap - 0.5) <= 0.05
     _report(8, f"MSE == brute force; PSNR fixture {fix:.4f} dB; "
                f"uniform-overlap GCNR {overlap:.3f}")

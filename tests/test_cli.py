@@ -86,6 +86,9 @@ def test_usage_error_exits_2():
     assert run_cli("frobnicate") == 2                 # unknown command
     assert run_cli("baseline", "--method", "wiener",  # bad choice
                    "--in", "x.pgm", "--sigma", "0.1") == 2
+    assert run_cli("denoise", "--in", "x.pgm",        # removed option
+                   "--ckpt", "m.ckpt", "--t-start", "3",
+                   "--variant", "paper-literal") == 2
 
 
 def test_baseline_roundtrip(tmp_path, phantom_dir):
@@ -248,13 +251,31 @@ def test_bench_absent_overrides_keep_the_config(tmp_path):
     {"num_images": True}, {"seed": 1.5}, {"image_dir": 3},
     {"out_dir": None}, {"out_dir": 7}, {"checkpoint": 1},
     {"schedule_beta": "0.01"}, {"phantom_angles_deg": 0.0},
+    {"methods": ["noisy"], "bm3d_stages": "three"},
+    {"methods": ["noisy"], "bm3d_block_size": 5},
+    {"methods": ["noisy"], "nlm_h_factor": -1.0},
+    {"methods": ["noisy"], "gcnr_bins": 8},
+    {"methods": ["noisy"], "variant": "paper-literal"},
+    {"methods": ["noisy"], "psnr_formula": "paper-literal"},
 ])
-def test_bench_config_of_the_wrong_json_type_exits_2(tmp_path, capsys, config):
-    # a TypeError from BenchConfig(**raw) escaped main() as exit 1
+def test_bench_config_of_the_wrong_json_type_exits_2(tmp_path, monkeypatch,
+                                                     capsys, config):
+    # a TypeError from BenchConfig(**raw) escaped main() as exit 1; bad
+    # baseline keys were written to report.json unchecked, and a bad
+    # gcnr_bins was caught only after the phantoms were synthesized
+    import usdenoise.bench as bench
+
+    def no_phantoms(cfg):
+        raise AssertionError("built the test set from an invalid config")
+
+    monkeypatch.setattr(bench, "make_phantom_set", no_phantoms)
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(config))
     assert run_cli("bench", "--config", path, "--out", tmp_path) == 2
-    assert "invalid input" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid input" in err
+    if isinstance(config, dict) and {"variant", "psnr_formula"} & set(config):
+        assert "unknown config keys" in err   # keys of a removed option
 
 
 @pytest.mark.parametrize("argv", [
@@ -301,6 +322,18 @@ def test_phantom_bad_angles_exit_2_before_synthesis(tmp_path, monkeypatch,
                        "--out", tmp_path) == 2
         assert "steering angles" in capsys.readouterr().err
     assert not (tmp_path / "bmode.pgm").exists()
+
+
+def test_train_divergence_exits_4_without_a_checkpoint(tmp_path, capsys):
+    # a diverging run printed train_mse nan, wrote a NaN checkpoint and
+    # loss log, and exited 0
+    with pytest.warns(RuntimeWarning):
+        code = run_cli("train", "--data", "speckle:40", "--epochs", 2,
+                       "--lr", "1e30", "--out", tmp_path)
+    assert code == 4
+    assert "training diverged" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
+    assert not (tmp_path / "loss_log.csv").exists()
 
 
 def test_train_non_finite_arguments_exit_2(tmp_path, capsys):

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from usdenoise.diffusion import (
-    PAPER_LITERAL,
-    STANDARD_POSTERIOR,
     NoiseSchedule,
     denoise_from,
     forward_jump,
@@ -178,10 +176,10 @@ def test_forward_determinism_bit_identical():
 
 # ------------------------------------------------------------ reverse_step
 
-def test_reverse_step_zero_prediction_paper_literal():
+def test_reverse_step_zero_prediction():
     s = make_schedule(300)
     x = img(standard_normal((8, 8), seed=6))
-    out = reverse_step(x, 12, np.zeros((8, 8)), s, PAPER_LITERAL)
+    out = reverse_step(x, 12, np.zeros((8, 8)), s)
     assert np.allclose(out.data, x.data / math.sqrt(s.alpha(12)), rtol=1e-6)
 
 
@@ -190,17 +188,17 @@ def test_reverse_step_posterior_inverts_t1():
     x0 = img(standard_normal((8, 8), seed=7))
     e = standard_normal((8, 8), seed=8)
     x1 = forward_jump(x0, 1, s, eps=e)
-    rec = reverse_step(x1, 1, e, s, STANDARD_POSTERIOR, inject=None)
+    rec = reverse_step(x1, 1, e, s, inject=None)
     assert np.max(np.abs(rec.data - x0.data)) < 1e-6
 
 
-def test_reverse_step_constant_paper_literal_t20_oracle():
+def test_reverse_step_constant_t20_oracle():
     s = make_schedule(300)
-    out = reverse_step(const_img(1.0), 20, np.ones((8, 8)), s, PAPER_LITERAL)
-    # scalar oracle: 1/sqrt(a) + (1-a)/sqrt(1-a^20), a = 299/300
+    out = reverse_step(const_img(1.0), 20, np.ones((8, 8)), s)
+    # scalar oracle: (1 - (1-a)/sqrt(1-a^20))/sqrt(a), a = 299/300
     a = 299.0 / 300.0
-    expect = 1 / math.sqrt(a) + (1 - a) / math.sqrt(1 - a ** 20)
-    assert expect == pytest.approx(1.01478595519, abs=1e-9)
+    expect = (1 - (1 - a) / math.sqrt(1 - a ** 20)) / math.sqrt(a)
+    assert expect == pytest.approx(0.98853382138, abs=1e-9)
     assert np.allclose(out.data, expect, atol=1e-5)
 
 
@@ -211,8 +209,6 @@ def test_reverse_step_validation():
         reverse_step(x, 11, None, s)
     with pytest.raises(ValueError):
         reverse_step(x, 1, np.zeros((3, 3)), s)
-    with pytest.raises(ValueError):
-        reverse_step(x, 1, None, s, variant="ddim")
 
 
 # ------------------------------------------------------------ denoise_from
@@ -220,7 +216,7 @@ def test_reverse_step_validation():
 def test_denoise_single_step_zero_predictor():
     s = make_schedule(300)
     x = img(standard_normal((8, 8), seed=9))
-    out = denoise_from(x, 1, lambda im, t: np.zeros(im.shape), s, PAPER_LITERAL)
+    out = denoise_from(x, 1, lambda im, t: np.zeros(im.shape), s)
     assert np.allclose(out.data, x.data / math.sqrt(s.alpha(1)), rtol=1e-6)
 
 
@@ -242,7 +238,7 @@ def test_denoise_oracle_predictor_reduces_error():
     for t_start in (10, 20):
         e = standard_normal((16, 16), seed=20 + t_start)
         noisy = forward_jump(x0, t_start, s, eps=e)
-        rec = denoise_from(noisy, t_start, lambda im, t: e, s, STANDARD_POSTERIOR)
+        rec = denoise_from(noisy, t_start, lambda im, t: e, s)
         mse_noisy = np.mean((noisy.data - x0.data) ** 2)
         mse_rec = np.mean((rec.data - x0.data) ** 2)
         assert mse_rec < mse_noisy  # PSNR strictly improves
@@ -253,11 +249,11 @@ def test_denoise_deterministic_with_injection():
     x = img(standard_normal((8, 8), seed=11))
     noisy = forward_jump(x, 15, s, eps=standard_normal((8, 8), 12))
     a = denoise_from(noisy, 15, lambda im, t: np.zeros(im.shape), s,
-                     STANDARD_POSTERIOR, inject_seed=99)
+                     inject_seed=99)
     b = denoise_from(noisy, 15, lambda im, t: np.zeros(im.shape), s,
-                     STANDARD_POSTERIOR, inject_seed=99)
+                     inject_seed=99)
     c = denoise_from(noisy, 15, lambda im, t: np.zeros(im.shape), s,
-                     STANDARD_POSTERIOR, inject_seed=100)
+                     inject_seed=100)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
 

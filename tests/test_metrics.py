@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from usdenoise.image import RANGE_EIGHT_BIT, Image2D
-from usdenoise.metrics import (
-    PSNR_LITERAL,
-    PSNR_STANDARD,
-    MetricsReport,
-    RegionMask,
-    gcnr,
-    mse,
-    psnr,
-)
+from usdenoise.metrics import MetricsReport, RegionMask, gcnr, mse, psnr
 
 
 # ------------------------------------------------------------------- MSE
@@ -59,16 +51,9 @@ def test_psnr_standard_fixture():
     assert psnr(i, k, 255.0) == pytest.approx(24.0484, abs=0.001)
 
 
-def test_psnr_paper_literal_fixture():
-    i = np.zeros((8, 8))
-    k = np.full((8, 8), 16.0)
-    # scalar oracle 10*log10(255/256); shows why standard is the default
-    assert psnr(i, k, 255.0, PSNR_LITERAL) == pytest.approx(-0.017, abs=0.001)
-
-
 def test_psnr_strictly_decreasing_in_mse():
     i = np.zeros((8, 8))
-    values = [psnr(i, np.full((8, 8), d), 255.0, PSNR_STANDARD)
+    values = [psnr(i, np.full((8, 8), d), 255.0)
               for d in (1.0, 2.0, 4.0, 8.0, 32.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -76,8 +61,6 @@ def test_psnr_strictly_decreasing_in_mse():
 def test_psnr_validation():
     with pytest.raises(ValueError):
         psnr(np.zeros((2, 2)), np.zeros((2, 2)), max_val=0.0)
-    with pytest.raises(ValueError):
-        psnr(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, formula="rmse")
 
 
 def test_psnr_accepts_image2d():
@@ -95,7 +78,7 @@ def _disjoint_masks(shape, n_each):
     flat2 = np.arange(n_each, 2 * n_each)
     m1.reshape(-1)[flat1] = True
     m2.reshape(-1)[flat2] = True
-    return RegionMask(m1, "inside"), RegionMask(m2, "outside")
+    return RegionMask(m1), RegionMask(m2)
 
 
 def test_gcnr_same_population_near_zero():
@@ -109,7 +92,7 @@ def test_gcnr_disjoint_ranges_is_one():
     img = np.zeros((64, 64))
     img[:32] = 5.0
     inside = RegionMask(np.vstack([np.ones((32, 64)), np.zeros((32, 64))]).astype(bool))
-    outside = RegionMask(~inside.mask, "outside")
+    outside = RegionMask(~inside.mask)
     assert gcnr(img, inside, outside) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -131,9 +114,9 @@ def test_gcnr_symmetric():
     img = rng.normal(size=(100, 100))
     img[:50] += 1.5
     inside = RegionMask(np.vstack([np.ones((50, 100)), np.zeros((50, 100))]).astype(bool))
-    outside = RegionMask(~inside.mask, "outside")
+    outside = RegionMask(~inside.mask)
     a = gcnr(img, inside, outside)
-    b = gcnr(img, RegionMask(outside.mask), RegionMask(inside.mask, "outside"))
+    b = gcnr(img, RegionMask(outside.mask), RegionMask(inside.mask))
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -142,7 +125,7 @@ def test_gcnr_invariant_under_affine_rescale():
     img = rng.normal(size=(100, 100))
     img[:50] += 1.0
     inside = RegionMask(np.vstack([np.ones((50, 100)), np.zeros((50, 100))]).astype(bool))
-    outside = RegionMask(~inside.mask, "outside")
+    outside = RegionMask(~inside.mask)
     base = gcnr(img, inside, outside)
     for a, b in ((2.0, 0.0), (0.5, 3.0), (10.0, -7.0)):
         assert gcnr(a * img + b, inside, outside) == pytest.approx(base, abs=1e-12)
@@ -154,10 +137,10 @@ def test_gcnr_validation():
     tiny = np.zeros((32, 32), dtype=bool)
     tiny[0, :8] = True
     with pytest.raises(ValueError):
-        gcnr(img, RegionMask(tiny), RegionMask(~tiny, "outside"))
+        gcnr(img, RegionMask(tiny), RegionMask(~tiny))
     with pytest.raises(ValueError):
-        gcnr(img, small, RegionMask(small.mask, "outside"))  # overlap
-    ok_out = RegionMask(~np.eye(32, dtype=bool), "outside")
+        gcnr(img, small, RegionMask(small.mask))  # overlap
+    ok_out = RegionMask(~np.eye(32, dtype=bool))
     with pytest.raises(ValueError):
         gcnr(img, small, ok_out, bins=8)
 
@@ -165,7 +148,7 @@ def test_gcnr_validation():
 def test_gcnr_constant_image_is_zero():
     img = np.ones((64, 64))
     inside = RegionMask(np.vstack([np.ones((32, 64)), np.zeros((32, 64))]).astype(bool))
-    outside = RegionMask(~inside.mask, "outside")
+    outside = RegionMask(~inside.mask)
     assert gcnr(img, inside, outside) == 0.0
 
 

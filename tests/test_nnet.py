@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from usdenoise.diffusion import make_schedule
+from usdenoise.image import NumericError
 from usdenoise.nnet import (
     TrainConfig,
     UNetConfig,
@@ -315,13 +316,12 @@ def test_train_and_heldout_run_the_network_in_float32(monkeypatch):
 
 def test_ddpm_denoiser_runs_the_network_in_float32(monkeypatch, tmp_path):
     import usdenoise.bench as bench
-    from usdenoise.diffusion import STANDARD_POSTERIOR
     from usdenoise.image import RANGE_SIGNED, Image2D
 
     seen = _record_forward_dtypes(monkeypatch, bench)
     ckpt = tmp_path / "tiny.ckpt"
     save_model(ckpt, init_params(TINY, seed=0), TINY)
-    denoiser = bench.DdpmDenoiser(ckpt, STANDARD_POSTERIOR)
+    denoiser = bench.DdpmDenoiser(ckpt)
     noisy = np.random.default_rng(8).uniform(-1, 1, (8, 8))
     out = denoiser(Image2D(noisy, RANGE_SIGNED), 3, make_schedule(300))
     assert out.shape == (8, 8)
@@ -561,6 +561,31 @@ def test_train_loss_decreases_and_is_deterministic():
     _, h2 = train(data, sched, cfg, SMALL)
     assert [r["train_mse"] for r in h1] == [r["train_mse"] for r in h2]
     assert h1[-1]["train_mse"] < h1[0]["train_mse"]
+
+
+def test_train_divergence_raises_before_writing(tmp_path):
+    # a diverging run returned NaN losses and wrote a NaN checkpoint and log
+    data = _toy_data(8, 16, seed=4)
+    cfg = TrainConfig(epochs=2, batch_size=4, lr=1e30, seed=6)
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(NumericError, match="batch 1 of epoch 0"):
+        train(data, make_schedule(300), cfg, SMALL, heldout_set=data[:4],
+              checkpoint_path=tmp_path / "model.ckpt",
+              log_path=tmp_path / "loss_log.csv")
+    assert not (tmp_path / "model.ckpt").exists()
+    assert not (tmp_path / "loss_log.csv").exists()
+
+
+def test_train_non_finite_heldout_l1_raises_before_writing(tmp_path,
+                                                          monkeypatch):
+    train_mod = importlib.import_module("usdenoise.nnet.train")
+    monkeypatch.setattr(train_mod, "heldout_l1", lambda *a, **k: math.nan)
+    data = _toy_data(8, 16, seed=4)
+    with pytest.raises(NumericError, match="held-out L1 of epoch 0"):
+        train(data, make_schedule(300), TrainConfig(epochs=1, batch_size=4),
+              SMALL, heldout_set=data[:4],
+              checkpoint_path=tmp_path / "model.ckpt")
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

@@ -396,17 +396,19 @@ def test_speckle_patches_shape_range_determinism():
 @pytest.mark.parametrize("seed", [3, 100])
 def test_speckle_patches_chunks_equal_one_shot(seed):
     # the looks are blurred and averaged a chunk of patches at a time; all
-    # at once must give the same bits
-    count, size, looks = 2 * phantom._PATCH_CHUNK + 5, 32, 10
-    out = speckle_patches(count, size=size, seed=seed, looks=looks,
-                          cyst_fraction=0.0)
+    # at once must give the same bits.  The cyst-free patches (those after
+    # the first half) still span two chunks.
+    count, size, looks = 2 * phantom._PATCH_CHUNK + 5, 32, phantom.PATCH_LOOKS
+    n_cysts = int(round(count * phantom.PATCH_CYST_FRACTION))
+    out = speckle_patches(count, size=size, seed=seed)
     taps = np.exp(-np.arange(-2.0, 3.0) ** 2 / 2.0)
     taps /= taps.sum()
     re = standard_normal((count, looks, size, size), seed, 0)
     im = standard_normal((count, looks, size, size), seed, 1)
     env = np.hypot(phantom._sep_blur(re.astype(np.float64), taps),
                    phantom._sep_blur(im.astype(np.float64), taps)).mean(axis=1)
-    for got, e in zip(out, env):
+    assert n_cysts < 2 * phantom._PATCH_CHUNK
+    for got, e in zip(out[n_cysts:], env[n_cysts:]):
         assert np.array_equal(got, log_compress(e, 50.0).data)
 
 
