@@ -5,10 +5,10 @@ Library layout:
 - ``diffusion``   -- noise schedule, forward corruption, reverse sampler
 - ``nnet``        -- small U-Net noise predictor with manual backprop + Adam
 - ``baselines``   -- NLM and BM3D reference denoisers
-- ``metrics``     -- MSE / PSNR / GCNR and benchmark reports
+- ``metrics``     -- MSE / PSNR / GCNR
 - ``ultrasound``  -- FFT, envelope detection, DAS beamforming, phantoms
 - ``formats``     -- bit-exact file formats (PGM, tensors, checkpoints, RF)
-- ``bench``       -- benchmark harness behind the ``usdenoise bench`` command
+- ``bench``       -- benchmark harness and report files of ``usdenoise bench``
 - ``_kernels``    -- NumPy hot loops (NLM, block matching, pulse synthesis, DAS)
 """
 

@@ -244,8 +244,8 @@ def cmd_bench(args) -> int:
     }
     cfg = dataclasses.replace(
         cfg, **{k: v for k, v in overrides.items() if v is not None})
-    report, _ = run_bench(cfg)
-    print(report.to_csv(), end="")
+    run_bench(cfg)
+    print((Path(cfg.out_dir) / "report.csv").read_text(), end="")
     print(f"reports written to {cfg.out_dir}")
     return 0
 

@@ -1,10 +1,9 @@
-"""Image quality metrics (MSE, PSNR, GCNR) and benchmark report tables."""
+"""Image quality metrics (MSE, PSNR, GCNR); ``bench`` writes the reports."""
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,56 +79,3 @@ def gcnr(img, inside: RegionMask, outside: RegionMask, bins: int = 64) -> float:
     p_in = h_in / vin.size
     p_out = h_out / vout.size
     return float(1.0 - np.minimum(p_in, p_out).sum())
-
-
-@dataclass
-class MetricsReport:
-    """Per-method, per-noise-level metric rows plus run metadata."""
-
-    rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def add(self, method: str, t_start: int, psnr_db: float, gcnr_percent: float):
-        if not 0.0 <= gcnr_percent <= 100.0:
-            raise ValueError("gcnr_percent must lie in [0, 100]")
-        self.rows.append({
-            "method": method,
-            "t_start": int(t_start),
-            "psnr_db": float(psnr_db),
-            "gcnr_percent": float(gcnr_percent),
-        })
-
-    def sorted_rows(self) -> list:
-        return sorted(self.rows, key=lambda r: (r["method"], r["t_start"]))
-
-    def to_csv(self) -> str:
-        lines = ["method,t_start,psnr_db,gcnr_percent"]
-        for r in self.sorted_rows():
-            lines.append(f"{r['method']},{r['t_start']},"
-                         f"{r['psnr_db']:.4f},{r['gcnr_percent']:.2f}")
-        return "\n".join(lines) + "\n"
-
-    def to_markdown(self) -> str:
-        t_values = sorted({r["t_start"] for r in self.rows})
-        methods = sorted({r["method"] for r in self.rows})
-        cell = {(r["method"], r["t_start"]): r for r in self.rows}
-
-        def table(metric, fmt):
-            head = "| Method | " + " | ".join(f"T={t}" for t in t_values) + " |"
-            sep = "|---" * (len(t_values) + 1) + "|"
-            out = [head, sep]
-            for m in methods:
-                vals = []
-                for t in t_values:
-                    r = cell.get((m, t))
-                    vals.append(fmt.format(r[metric]) if r else "-")
-                out.append(f"| {m} | " + " | ".join(vals) + " |")
-            return "\n".join(out)
-
-        parts = ["## PSNR (dB)", "", table("psnr_db", "{:.2f}"), "",
-                 "## GCNR (%)", "", table("gcnr_percent", "{:.1f}"), ""]
-        if self.metadata:
-            parts += ["## Run metadata", "", "```json",
-                      json.dumps(self.metadata, indent=2, sort_keys=True),
-                      "```", ""]
-        return "\n".join(parts)

@@ -78,10 +78,11 @@ class PhantomSpec:
     dynamic_range_db: float = 60.0
 
     def __post_init__(self):
-        for name in ("width_m", "depth_m", "z0_m", "scatterer_density",
-                     "dynamic_range_db"):
+        for name in ("width_m", "depth_m", "z0_m", "scatterer_density"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not 0 < self.dynamic_range_db < math.inf:   # False for nan too
+            raise ValueError("dynamic range must be positive and finite")
         if self.scatterer_density <= 0:
             raise ValueError("scatterer density must be positive")
         if self.nx < 1 or self.nz < 1 or self.width_m <= 0 or self.depth_m <= 0:

@@ -57,7 +57,7 @@ def trained_model(tmp_path_factory):
 def bench_outputs(trained_model, tmp_path_factory):
     """Full benchmark over the 16-image anechoic-cyst phantom test set.
 
-    Returns (config, phantom image list, aggregate report, per-image rows).
+    Returns (config, phantom image list, summary rows, per-image rows).
     """
     from usdenoise.bench import BenchConfig, make_phantom_set, run_bench
 
@@ -65,5 +65,5 @@ def bench_outputs(trained_model, tmp_path_factory):
     cfg = BenchConfig(checkpoint=str(ckpt), seed=11,
                       out_dir=str(tmp_path_factory.mktemp("bench")))
     images = make_phantom_set(cfg)
-    report, per_image = run_bench(cfg, images=images)
-    return cfg, images, report, per_image
+    summary, per_image = run_bench(cfg, images=images)
+    return cfg, images, summary, per_image

@@ -130,14 +130,14 @@ def test_criterion_05_training_trajectory(trained_model):
 # ---------------------------------------------------------------------- 6
 
 def test_criterion_06_benchmark_direction(bench_outputs):
-    _, images, report, per_image = bench_outputs
+    _, images, summary, per_image = bench_outputs
     for name in {r["image"] for r in per_image}:
         rows = {r["t_start"]: r["psnr_db"] for r in per_image
                 if r["method"] == "noisy" and r["image"] == name}
         assert rows[20] < rows[10]
 
     mean = {(r["method"], r["t_start"]): r["psnr_db"]
-            for r in report.sorted_rows()}
+            for r in summary}
     gains = {}
     for method in ("nlm", "bm3d", "ddpm"):
         gains[method] = mean[(method, 10)] - mean[("noisy", 10)]
@@ -152,7 +152,7 @@ def test_criterion_06_benchmark_direction(bench_outputs):
 # ---------------------------------------------------------------------- 7
 
 def test_criterion_07_gcnr_sanity(bench_outputs):
-    _, _, report, per_image = bench_outputs
+    _, _, summary, per_image = bench_outputs
     for r in per_image:
         assert 0.0 <= r["gcnr_percent"] <= 100.0
     noisy20 = {r["image"]: r["gcnr_percent"] for r in per_image
@@ -162,7 +162,7 @@ def test_criterion_07_gcnr_sanity(bench_outputs):
             if r["method"] == method and r["t_start"] == 20:
                 assert r["gcnr_percent"] >= noisy20[r["image"]]
     mean = {(r["method"], r["t_start"]): r["gcnr_percent"]
-            for r in report.sorted_rows()}
+            for r in summary}
     _report(7, f"GCNR at t=20: noisy {mean[('noisy', 20)]:.1f}%, "
                f"nlm {mean[('nlm', 20)]:.1f}%, bm3d {mean[('bm3d', 20)]:.1f}%, "
                f"ddpm {mean[('ddpm', 20)]:.1f}%; all in [0, 100]")

@@ -1,6 +1,6 @@
+import csv
 import json
 
-import numpy as np
 import pytest
 
 from usdenoise.bench import (
@@ -59,8 +59,8 @@ def test_config_validation():
 def test_noisy_rows_decrease_with_t(tmp_path):
     cfg = BenchConfig(methods=("noisy",), t_starts=(10, 20), seed=3,
                       out_dir=str(tmp_path / "out"))
-    report, per_image = run_bench(cfg, images=_test_images())
-    rows = {r["t_start"]: r for r in report.sorted_rows()}
+    summary, per_image = run_bench(cfg, images=_test_images())
+    rows = {r["t_start"]: r for r in summary}
     assert rows[20]["psnr_db"] < rows[10]["psnr_db"]
     # per image as well: more steps always hurt
     for name in {r["image"] for r in per_image}:
@@ -78,7 +78,7 @@ def test_noisy_rows_decrease_with_t(tmp_path):
 def test_gcnr_column_in_range(tmp_path):
     cfg = BenchConfig(methods=("noisy",), t_starts=(10,), seed=4,
                       out_dir=str(tmp_path / "out"))
-    report, per_image = run_bench(cfg, images=_test_images())
+    _, per_image = run_bench(cfg, images=_test_images())
     for r in per_image:
         assert 0.0 <= r["gcnr_percent"] <= 100.0
 
@@ -114,7 +114,83 @@ def test_empty_test_set_rejected(tmp_path):
 def test_report_metadata_records_protocol(tmp_path):
     cfg = BenchConfig(methods=("noisy",), t_starts=(10,), seed=6,
                       out_dir=str(tmp_path / "out"))
-    report, _ = run_bench(cfg, images=_test_images())
-    md = report.metadata
+    run_bench(cfg, images=_test_images())
+    md = json.loads((tmp_path / "out" / "report.json").read_text())["metadata"]
     assert md["seed"] == 6
     assert md["gcnr_bins"] == 64
+
+
+def _two_method_run(out_dir):
+    cfg = BenchConfig(methods=("noisy", "nlm"), t_starts=(20, 10), seed=7,
+                      out_dir=str(out_dir))
+    return run_bench(cfg, images=_test_images(n=2))
+
+
+def test_report_csv_layout(tmp_path):
+    summary, _ = _two_method_run(tmp_path)
+    cells = [("nlm", 10), ("nlm", 20), ("noisy", 10), ("noisy", 20)]
+    assert [(r["method"], r["t_start"]) for r in summary] == cells
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert lines[0] == "method,t_start,psnr_db,gcnr_percent"
+    assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
+        (m, str(t)) for m, t in cells]
+    per_image = (tmp_path / "per_image.csv").read_text().splitlines()
+    assert per_image[0] == "method,t_start,image,psnr_db,gcnr_percent"
+    assert per_image[1].startswith("noisy,20,img0,")
+
+
+def test_report_markdown_layout(tmp_path):
+    _two_method_run(tmp_path)
+    md = (tmp_path / "report.md").read_text()
+    assert md.startswith("## PSNR (dB)\n\n| Method | T=10 | T=20 |\n"
+                         "|---|---|---|\n| nlm | ")
+    assert "\n## GCNR (%)\n\n| Method | T=10 | T=20 |\n" in md
+    assert "\n## Run metadata\n" in md
+    assert '"seed": 7' in md
+
+
+def _markdown_tables(md):
+    """{heading: {(method, t_start): value}} from report.md's tables."""
+    tables = {}
+    for line in md.splitlines():
+        if line.startswith("## "):
+            cells = tables.setdefault(line[3:], {})
+        elif line.startswith("| Method |"):
+            t_values = [int(c.strip()[2:]) for c in line.split("|")[2:-1]]
+        elif line.startswith("| "):
+            method, *values = [c.strip() for c in line.split("|")[1:-1]]
+            for t, v in zip(t_values, values):
+                cells[(method, t)] = float(v)
+    return tables
+
+
+def test_report_files_agree_with_per_image_means(tmp_path):
+    _two_method_run(tmp_path)
+    with open(tmp_path / "per_image.csv", newline="") as f:
+        per_image = list(csv.DictReader(f))
+    with open(tmp_path / "report.csv", newline="") as f:
+        report_csv = {(r["method"], int(r["t_start"])): r
+                      for r in csv.DictReader(f)}
+    report_json = {(r["method"], r["t_start"]): r for r in json.loads(
+        (tmp_path / "report.json").read_text())["rows"]}
+    md = _markdown_tables((tmp_path / "report.md").read_text())
+    # metric key, per_image.csv and report.csv decimals, report.md table
+    # and decimals
+    metrics = [("psnr_db", 4, "PSNR (dB)", 2),
+               ("gcnr_percent", 2, "GCNR (%)", 1)]
+    cells = {(r["method"], int(r["t_start"])) for r in per_image}
+    assert set(report_csv) == set(report_json) == cells
+    for key, csv_places, heading, md_places in metrics:
+        assert set(md[heading]) == cells
+        # per_image.csv rounds every value, so its mean is off by at most
+        # half a unit of its last place; each report adds its own rounding
+        slack = 0.5 * 10.0 ** -csv_places + 1e-9
+        for cell in cells:
+            values = [float(r[key]) for r in per_image
+                      if (r["method"], int(r["t_start"])) == cell]
+            mean = sum(values) / len(values)
+            assert float(report_csv[cell][key]) == pytest.approx(
+                mean, abs=slack + 0.5 * 10.0 ** -csv_places)
+            assert report_json[cell][key] == pytest.approx(mean, abs=slack)
+            assert md[heading][cell] == pytest.approx(
+                mean, abs=slack + 0.5 * 10.0 ** -md_places)

@@ -257,6 +257,7 @@ def test_bench_absent_overrides_keep_the_config(tmp_path):
     {"methods": ["noisy"], "gcnr_bins": 8},
     {"methods": ["noisy"], "variant": "paper-literal"},
     {"methods": ["noisy"], "psnr_formula": "paper-literal"},
+    {"methods": ["noisy"], "mask_erode_px": -3},
 ])
 def test_bench_config_of_the_wrong_json_type_exits_2(tmp_path, monkeypatch,
                                                      capsys, config):
@@ -276,6 +277,8 @@ def test_bench_config_of_the_wrong_json_type_exits_2(tmp_path, monkeypatch,
     assert "invalid input" in err
     if isinstance(config, dict) and {"variant", "psnr_formula"} & set(config):
         assert "unknown config keys" in err   # keys of a removed option
+    if isinstance(config, dict) and "mask_erode_px" in config:
+        assert "mask_erode_px" in err   # was "inside and outside masks overlap"
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,6 +324,20 @@ def test_phantom_bad_angles_exit_2_before_synthesis(tmp_path, monkeypatch,
         assert run_cli("phantom", f"--angles={angles}",
                        "--out", tmp_path) == 2
         assert "steering angles" in capsys.readouterr().err
+    assert not (tmp_path / "bmode.pgm").exists()
+
+
+def test_phantom_non_positive_dynamic_range_exits_2_before_synthesis(
+        tmp_path, monkeypatch, capsys):
+    # log_compress rejected it only after every frame was synthesized
+    def no_synthesis(*args, **kwargs):
+        pytest.fail("synth_rf called with a non-positive dynamic range")
+
+    monkeypatch.setattr(phantom, "synth_rf", no_synthesis)
+    for dynamic_range in ("0", "-20"):
+        assert run_cli("phantom", f"--dynamic-range={dynamic_range}",
+                       "--out", tmp_path) == 2
+        assert "dynamic range must be positive" in capsys.readouterr().err
     assert not (tmp_path / "bmode.pgm").exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from usdenoise.image import RANGE_EIGHT_BIT, Image2D
-from usdenoise.metrics import MetricsReport, RegionMask, gcnr, mse, psnr
+from usdenoise.metrics import RegionMask, gcnr, mse, psnr
 
 
 # ------------------------------------------------------------------- MSE
@@ -151,34 +151,3 @@ def test_gcnr_constant_image_is_zero():
     outside = RegionMask(~inside.mask)
     assert gcnr(img, inside, outside) == 0.0
 
-
-# ---------------------------------------------------------------- report
-
-def test_report_csv_layout():
-    rep = MetricsReport(metadata={"seed": 7})
-    rep.add("noisy", 20, 17.8123, 55.0)
-    rep.add("noisy", 10, 22.5456, 60.0)
-    rep.add("bm3d", 10, 22.3, 70.0)
-    csv = rep.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines[0] == "method,t_start,psnr_db,gcnr_percent"
-    assert lines[1].startswith("bm3d,10,")
-    assert lines[2].startswith("noisy,10,22.5456")
-    assert lines[3].startswith("noisy,20,17.8123")
-
-
-def test_report_markdown_mirrors_table_layout():
-    rep = MetricsReport(metadata={"seed": 7})
-    for method in ("noisy", "nlm", "bm3d", "ddpm"):
-        for t in (10, 20):
-            rep.add(method, t, 20.0, 50.0)
-    md = rep.to_markdown()
-    assert "| Method | T=10 | T=20 |" in md
-    assert "## GCNR (%)" in md
-    assert '"seed": 7' in md
-
-
-def test_report_rejects_out_of_range_gcnr():
-    rep = MetricsReport()
-    with pytest.raises(ValueError):
-        rep.add("nlm", 10, 20.0, 101.0)

@@ -5,7 +5,6 @@ import pytest
 
 from tests.conftest import TEST_GEOMETRY
 from usdenoise import _kernels
-from usdenoise.image import Image2D
 from usdenoise.rng import standard_normal
 from usdenoise.ultrasound import (
     Cyst,

@@ -1,4 +1,5 @@
-"""No module under ``src/usdenoise`` imports a name it never uses.
+"""No module under ``src/usdenoise`` or ``tests`` imports a name it never
+uses.
 
 No linter ships with the project, so this parses each module with ``ast``.
 An imported name counts as used when the module refers to it anywhere
@@ -14,7 +15,10 @@ import pytest
 import usdenoise
 
 PACKAGE = Path(usdenoise.__file__).resolve().parent
-MODULES = sorted(PACKAGE.rglob("*.py"))
+TESTS = Path(__file__).resolve().parent
+MODULES = sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
+MODULE_IDS = [str(p.relative_to(PACKAGE)) if PACKAGE in p.parents
+              else f"tests/{p.name}" for p in MODULES]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,6 +46,7 @@ def unused_imports(source: str) -> list[str]:
 def test_scan_finds_the_package_modules():
     assert PACKAGE / "bench.py" in MODULES
     assert PACKAGE / "nnet" / "unet.py" in MODULES
+    assert TESTS / "test_bench.py" in MODULES
 
 
 def test_scan_flags_an_unused_name_and_spares_used_ones():
@@ -59,7 +64,6 @@ def test_scan_flags_an_unused_name_and_spares_used_ones():
     assert unused_imports(source) == ["line 3: field"]
 
 
-@pytest.mark.parametrize("path", MODULES,
-                         ids=[str(p.relative_to(PACKAGE)) for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
