@@ -23,6 +23,18 @@ def tx_delay(x, z, angle: float, geometry: TransducerGeometry):
             + ref) / geometry.sound_speed
 
 
+def receive_window(geometry: TransducerGeometry) -> np.ndarray:
+    """Hann receive apodization over the elements.
+
+    ``np.hanning(2)`` is ``[0, 0]``: a 2-element array would beamform an
+    all-zero image, so it is rejected here, before any work is done.
+    """
+    if geometry.element_count == 2:
+        raise ValueError("a 2-element array has an all-zero Hann receive "
+                         "window; use 1 or at least 3 elements")
+    return np.hanning(geometry.element_count)
+
+
 def das_beamform(rf: RFFrame, grid: ImagingGrid) -> Image2D:
     """Delay-and-sum image reconstruction (pre-envelope RF image).
 
@@ -34,7 +46,7 @@ def das_beamform(rf: RFFrame, grid: ImagingGrid) -> Image2D:
     floor inside anechoic targets.
     """
     g = rf.geometry
-    weights = np.hanning(g.element_count)
+    weights = receive_window(g)
     xs = grid.x
     zs = grid.z
     X, Z = np.meshgrid(xs, zs)            # (nz, nx)

@@ -22,8 +22,8 @@ def fifteen_angle_envelopes():
     angles = tuple(np.deg2rad(np.linspace(-14.0, 14.0, 15)))
     spec = PhantomSpec(nx=64, nz=64, geometry=TEST_GEOMETRY,
                        scatterer_density=8.0, seed=3, angles=angles)
-    envs = [envelope_image(das_beamform(synth_rf(spec, a), spec.grid()).data)
-            for a in spec.angles]
+    envs = [envelope_image(das_beamform(f, spec.grid()).data)
+            for f in synth_rf(spec)]
     return spec, envs
 
 

@@ -327,6 +327,19 @@ def test_phantom_bad_angles_exit_2_before_synthesis(tmp_path, monkeypatch,
     assert not (tmp_path / "bmode.pgm").exists()
 
 
+def test_phantom_two_elements_exit_2_before_synthesis(tmp_path, monkeypatch,
+                                                     capsys):
+    # np.hanning(2) is [0, 0]: every frame was synthesized, then the run
+    # exited 2 with "all-zero envelope cannot be log-compressed"
+    def no_synthesis(*args, **kwargs):
+        pytest.fail("synth_rf called for a 2-element array")
+
+    monkeypatch.setattr(phantom, "synth_rf", no_synthesis)
+    assert run_cli("phantom", "--elements", "2", "--out", tmp_path) == 2
+    assert "receive window" in capsys.readouterr().err
+    assert not (tmp_path / "bmode.pgm").exists()
+
+
 def test_phantom_non_positive_dynamic_range_exits_2_before_synthesis(
         tmp_path, monkeypatch, capsys):
     # log_compress rejected it only after every frame was synthesized

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -170,6 +171,12 @@ def _deposit_cases():
     }
 
 
+def _reference_amplitude(tau, amp, phase, f0):
+    """Complex amplitude at t = 0 of ``amp * cos(2 pi f0 (t - tau) + phase)``."""
+    a = amp * np.exp(1j * (phase - 2.0 * np.pi * f0 * tau))
+    return a.real, a.imag
+
+
 @pytest.mark.parametrize("case", sorted(_deposit_cases()))
 @pytest.mark.parametrize("sigma_t", [62.5e-9, 1e-9])
 def test_deposit_pulses_matches_per_sample_loop(case, sigma_t):
@@ -179,11 +186,33 @@ def test_deposit_pulses_matches_per_sample_loop(case, sigma_t):
     rng = np.random.default_rng(12)
     amp = rng.normal(size=tau.size)
     phase = rng.uniform(-np.pi, np.pi, tau.size)
-    args = (tau, amp, phase, 50e6, 8e6, sigma_t, 96, 13)
-    got = _kernels.deposit_pulses(*args)
-    want = _deposit_per_sample(*args)
+    args = (50e6, 8e6, sigma_t, 96, 13)
+    got = _kernels.deposit_pulses(tau, *_reference_amplitude(tau, amp, phase,
+                                                             8e6), *args)
+    want = _deposit_per_sample(tau, amp, phase, *args)
     assert got.shape == (96,) and got.dtype == np.float64
     assert np.abs(got - want).max(initial=0.0) < 1e-12
+
+
+def test_deposit_pulses_at_phantom_scale_delays():
+    # tau*fs near 1000 samples, as in the phantoms: 2 pi f0 tau is about
+    # 1000 rad there, where one float64 ulp is 2^-43 rad (1.1e-13).  The
+    # kernel and the reference each round phases of that size a few times
+    # (tau*fs, f0*tau, the sample time k/fs), so an echo's phase is off by
+    # at most 8 ulps and its samples by |amp| * 8 * 2^-43 each; the bound
+    # adds that over every echo to the 1e-12 of the short-delay cases.
+    fs, f0, n, hw = 50e6, 8e6, 1100, 13
+    rng = np.random.default_rng(13)
+    tau = rng.uniform(985.0, 1015.0, 40) / fs
+    amp = rng.normal(size=tau.size)
+    phase = rng.uniform(-np.pi, np.pi, tau.size)
+    assert 2.0 * np.pi * f0 * tau.max() < 1024.0     # ulp 2^-43 below 1024
+    args = (fs, f0, 62.5e-9, n, hw)
+    got = _kernels.deposit_pulses(tau, *_reference_amplitude(tau, amp, phase,
+                                                             f0), *args)
+    want = _deposit_per_sample(tau, amp, phase, *args)
+    bound = 1e-12 + np.abs(amp).sum() * 8 * 2.0 ** -43
+    assert np.abs(got - want).max() < bound
 
 
 # ---------------------------------------------------------------- DAS
@@ -192,17 +221,18 @@ def _single_scatterer_frame(spec, x, z, angle):
     g = spec.geometry
     sigma_t = 0.5 / g.center_frequency
     hw = int(math.ceil(4 * sigma_t * g.sampling_rate))
-    tx = tx_delay(np.array([x]), np.array([z]), angle, g)
+    tx = tx_delay(x, z, angle, g)
     zmax = spec.z0_m + spec.depth_m
     rx_max = math.hypot(spec.width_m / 2 + g.aperture / 2, zmax)
     tau_max = (zmax + 0.5 * g.aperture * abs(math.sin(angle)) + rx_max) / g.sound_speed
     n = int(math.ceil(tau_max * g.sampling_rate)) + hw + 4
     traces = np.empty((g.element_count, n))
     for e in range(g.element_count):
-        rx = math.hypot(x - g.element_x()[e], z) / g.sound_speed
+        tau = np.array([tx + math.hypot(x - g.element_x()[e], z)
+                        / g.sound_speed])
+        re, im = _reference_amplitude(tau, 1.0, 0.0, g.center_frequency)
         traces[e] = _kernels.deposit_pulses(
-            tx + rx, np.array([1.0]), np.array([0.0]),
-            g.sampling_rate, g.center_frequency, sigma_t, n, hw)
+            tau, re, im, g.sampling_rate, g.center_frequency, sigma_t, n, hw)
     return RFFrame(traces.astype(np.float32), angle, g)
 
 
@@ -212,6 +242,16 @@ def test_das_zero_rf_gives_zero_image():
     spec = PhantomSpec(geometry=g)
     img = das_beamform(frame, spec.grid())
     assert np.array_equal(img.data, np.zeros((64, 64), dtype=np.float32))
+
+
+def test_das_rejects_a_two_element_receive_window():
+    # np.hanning(2) is [0, 0], so a 2-element RF file beamformed to zeros
+    g = TransducerGeometry(element_count=2)
+    frame = RFFrame(np.ones((2, 512), dtype=np.float32), 0.0, g)
+    with pytest.raises(ValueError, match="receive window"):
+        das_beamform(frame, PhantomSpec(geometry=TEST_GEOMETRY).grid())
+    with pytest.raises(ValueError, match="receive window"):
+        PhantomSpec(geometry=g)
 
 
 @pytest.mark.parametrize("angle_deg,tol_px", [(0.0, 1), (10.0, 2), (-10.0, 2)])
@@ -315,29 +355,84 @@ def test_synth_rf_skips_zero_amplitude_scatterers_exactly(monkeypatch):
     cyst = Cyst(cx=0.0, cz=10.0e-3, radius=1.5e-3, echogenicity=0.0)
     spec = PhantomSpec(geometry=TEST_GEOMETRY, scatterer_density=2.0,
                        seed=5, cysts=(cyst,), angles=(0.1,))
-    xs, zs, amp, phase = phantom._scatterers(spec)
+    xs, zs, re, im = phantom._scatterers(spec)
+    amp = np.hypot(re, im)
     assert (amp == 0).sum() > 0.02 * amp.size
     deposited = []
     real = _kernels.deposit_pulses
 
-    def spy(tau, a, *args):
-        deposited.append((tau.size, real(tau, a, *args)))
+    def spy(tau, a_re, a_im, *args):
+        deposited.append((tau.size, real(tau, a_re, a_im, *args)))
         return deposited[-1][1]
 
     monkeypatch.setattr(_kernels, "deposit_pulses", spy)
-    synth_rf(spec, 0.1)
+    synth_rf(spec)
     monkeypatch.undo()
     g = spec.geometry
+    f0 = g.center_frequency
     tx = tx_delay(xs, zs, 0.1, g)
-    sigma_t = phantom.PULSE_SIGMA_PERIODS / g.center_frequency
+    sigma_t = phantom.PULSE_SIGMA_PERIODS / f0
     half_width = math.ceil(4.0 * sigma_t * g.sampling_rate)
     assert len(deposited) == g.element_count
     for x_e, (n, trace) in zip(g.element_x(), deposited):
         assert n == (amp != 0).sum()
-        full = real(tx + np.hypot(xs - x_e, zs) / g.sound_speed, amp, phase,
-                    g.sampling_rate, g.center_frequency, sigma_t, trace.size,
-                    half_width)
+        rx = np.hypot(xs - x_e, zs) / g.sound_speed
+        # the echo amplitudes as synth_rf composes them, zeros included
+        a = ((re + 1j * im) * _kernels.cycle_phasor(-f0 * tx)
+             * _kernels.cycle_phasor(-f0 * rx))
+        full = real(tx + rx, a.real, a.imag, g.sampling_rate, f0, sigma_t,
+                    trace.size, half_width)
         assert np.array_equal(trace, full)
+
+
+def test_synth_rf_one_pass_equals_one_angle_at_a_time():
+    spec = PhantomSpec(nx=32, nz=32, geometry=TEST_GEOMETRY,
+                       scatterer_density=2.0, seed=9,
+                       angles=(-0.0873, 0.0, 0.2443))
+    frames = synth_rf(spec)
+    assert [f.steer_angle for f in frames] == list(spec.angles)
+    for frame, angle in zip(frames, spec.angles):
+        alone, = synth_rf(dataclasses.replace(spec, angles=(angle,)))
+        assert frame.samples.dtype == np.float32
+        assert np.array_equal(frame.samples, alone.samples)
+
+
+def test_synth_phantom_draws_the_scatterers_once(monkeypatch):
+    calls = []
+    real = phantom._scatterers
+
+    def spy(spec):
+        calls.append(spec.seed)
+        return real(spec)
+
+    monkeypatch.setattr(phantom, "_scatterers", spy)
+    spec = PhantomSpec(nx=16, nz=16, geometry=TransducerGeometry(8),
+                       scatterer_density=1.0, seed=4,
+                       angles=(-0.1, 0.0, 0.1))
+    _, frames, _ = synth_phantom(spec)
+    assert len(frames) == 3 and calls == [4]
+
+
+@pytest.mark.parametrize("angle_deg", [-14.0, -5.0, 5.0, 14.0, 30.0])
+def test_synth_rf_traces_hold_the_latest_pulse_whole(angle_deg):
+    # the trace length bounded tx by zmax + A/2 |sin a| and missed the
+    # x sin a term: at 5 and 14 degrees the last taps of a pulse from the
+    # far grid corner fell past the end of the trace
+    angle = math.radians(angle_deg)
+    spec = PhantomSpec(geometry=TEST_GEOMETRY, scatterer_density=0.01,
+                       angles=(angle,))
+    g = spec.geometry
+    frame, = synth_rf(spec)
+    hw = math.ceil(4.0 * phantom.PULSE_SIGMA_PERIODS / g.center_frequency
+                   * g.sampling_rate)
+    zmax = spec.z0_m + spec.depth_m
+    last = 0
+    for x in (-spec.width_m / 2, spec.width_m / 2):
+        for z in (spec.z0_m, zmax):
+            tau = (tx_delay(x, z, angle, g)
+                   + np.hypot(x - g.element_x(), z) / g.sound_speed)
+            last = max(last, math.floor(tau.max() * g.sampling_rate) + hw)
+    assert last < frame.samples.shape[1]
 
 
 def test_phantom_deterministic():
