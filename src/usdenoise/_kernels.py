@@ -3,7 +3,7 @@
 - ``nlm_filter``      patchwise non-local means on a padded image
 - ``match_blocks``    top-K similar-block search for collaborative filtering
 - ``deposit_pulses``  scatterer echo synthesis onto an RF trace
-- ``das_sum``         delay-and-sum accumulation with linear interpolation
+- ``das_sum``         delay-and-sum accumulation, interpolated by ``np.interp``
 """
 
 from __future__ import annotations
@@ -190,9 +190,10 @@ def deposit_pulses(tau: np.ndarray, re: np.ndarray, im: np.ndarray,
     ``exp(-b x^2 - 2 b x j)``, which steps by ``exp(-2 b x)`` from tap to
     tap.  That recurrence stays inside float64 range while
     ``b*(2*half_width+1) < 700``, i.e. for pulses wider than about a
-    twentieth of a sample; narrower ones take the exponential at every tap.
-    Each tap is one ``bincount`` over the centre samples, read at offset
-    ``j``.
+    twentieth of a sample; a narrower pulse raises ``ValueError``.  A
+    phantom's pulse is wider than a sample, because ``PhantomSpec`` keeps
+    ``f0`` below ``fs/2``.  Each tap is one ``bincount`` over the centre
+    samples, read at offset ``j``.
     """
     tau = np.asarray(tau, dtype=np.float64)
     re = np.asarray(re, dtype=np.float64)
@@ -201,6 +202,10 @@ def deposit_pulses(tau: np.ndarray, re: np.ndarray, im: np.ndarray,
     trace = np.zeros(n, dtype=np.float64)
     if tau.size == 0:
         return trace
+    b = 0.5 / (sigma_t * fs) ** 2
+    if not b * (2 * hw + 1) < 700.0:
+        raise ValueError(f"pulse std {sigma_t} s is too narrow for "
+                         f"{2 * hw + 1} taps at {fs} Hz")
     pos = tau * fs
     centers = np.floor(pos)
     hit = (centers >= -hw) & (centers < n + hw)
@@ -215,29 +220,21 @@ def deposit_pulses(tau: np.ndarray, re: np.ndarray, im: np.ndarray,
     carrier = _carrier_table(f0 / fs, hw, n_bins)[idx]
     cr, ci = carrier.real, carrier.imag
     re, im = re * cr - im * ci, re * ci + im * cr
-    b = 0.5 / (sigma_t * fs) ** 2
-    q = None
-    if b * (2 * hw + 1) < 700.0:
-        g = np.exp(-b * x * (x - 2.0 * hw))
-        re *= g
-        im *= g
-        q = np.exp(-2.0 * b * x)
+    g = np.exp(-b * x * (x - 2.0 * hw))
+    re *= g
+    im *= g
+    q = np.exp(-2.0 * b * x)
     w = np.empty_like(x)
     t = np.empty_like(x)
     for j in range(-hw, hw + 1):
-        if q is None:
-            g = np.exp(-b * (x + j) ** 2)
-            cr, ci, s = re * g, im * g, 1.0
-        else:
-            cr, ci, s = re, im, math.exp(-b * j * j)
-        np.multiply(cr, s * math.cos(theta * j), out=w)
-        np.multiply(ci, s * math.sin(theta * j), out=t)
+        s = math.exp(-b * j * j)
+        np.multiply(re, s * math.cos(theta * j), out=w)
+        np.multiply(im, s * math.sin(theta * j), out=t)
         w -= t
         trace += np.bincount(idx, weights=w,
                              minlength=n_bins)[hw - j:hw - j + n]
-        if q is not None:
-            re *= q
-            im *= q
+        re *= q
+        im *= q
     return trace
 
 
@@ -246,17 +243,15 @@ def das_sum(rf: np.ndarray, sample_idx: np.ndarray) -> np.ndarray:
 
     ``rf`` is (elements, samples); ``sample_idx`` is (elements, pixels) of
     fractional sample positions.  Positions without both neighbors inside
-    the recorded window contribute zero.
+    the recorded window, NaN and +-inf among them, contribute zero.
     """
     rf = np.asarray(rf, dtype=np.float64)
     idx = np.asarray(sample_idx, dtype=np.float64)
     n_el, n_s = rf.shape
+    xp = np.arange(n_s, dtype=np.float64)
     out = np.zeros(idx.shape[1], dtype=np.float64)
     for e in range(n_el):
-        i0 = np.floor(idx[e]).astype(np.int64)
-        frac = idx[e] - i0
-        ok = (i0 >= 0) & (i0 + 1 < n_s)
-        i0c = np.where(ok, i0, 0)
-        contrib = rf[e, i0c] * (1.0 - frac) + rf[e, i0c + 1] * frac
-        out += np.where(ok, contrib, 0.0)
+        # from the last sample on np.interp has one neighbor: move to +inf
+        pos = np.where(idx[e] < n_s - 1, idx[e], np.inf)
+        out += np.interp(pos, xp, rf[e], left=0.0, right=0.0)
     return out

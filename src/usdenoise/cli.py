@@ -384,7 +384,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError, MemoryError) as exc:
+        # so are arguments too large to compute with or to allocate for
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
 

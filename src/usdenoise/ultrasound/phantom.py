@@ -79,7 +79,8 @@ class PhantomSpec:
 
     ``scatterer_density`` counts scatterers per wavelength-squared cell.
     ``angles`` are the plane-wave steering angles synthesized and later
-    compounded into the B-mode.
+    compounded into the B-mode.  The geometry's center frequency must lie
+    below the Nyquist frequency, half the sampling rate.
     """
 
     nx: int = 64
@@ -116,7 +117,11 @@ class PhantomSpec:
                     or c.cz + c.radius > self.z0_m + self.depth_m):
                 raise ValueError(f"cyst at ({c.cx}, {c.cz}) r={c.radius} "
                                  "extends outside the grid")
-        receive_window(self.geometry)   # rejects a geometry DAS cannot weight
+        g = self.geometry
+        if g.center_frequency >= g.sampling_rate / 2:
+            raise ValueError(f"center frequency {g.center_frequency} Hz is "
+                             f"not below Nyquist ({g.sampling_rate / 2} Hz)")
+        receive_window(g)   # rejects a geometry DAS cannot weight
 
     def grid(self) -> ImagingGrid:
         return ImagingGrid.centered(self.nx, self.nz, self.width_m,

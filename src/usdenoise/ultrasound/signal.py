@@ -7,10 +7,9 @@ import numpy as np
 from usdenoise.image import RANGE_UNIT, Image2D
 
 
-def _check_pow2(n: int) -> int:
+def _check_pow2(n: int) -> None:
     if n < 1 or n & (n - 1):
         raise ValueError(f"length {n} is not a power of two")
-    return n
 
 
 def fft(x: np.ndarray) -> np.ndarray:
@@ -24,20 +23,10 @@ def fft(x: np.ndarray) -> np.ndarray:
 
 
 def ifft(x: np.ndarray) -> np.ndarray:
+    """Inverse of ``fft``, along the last axis (a power-of-two length)."""
     x = np.asarray(x, dtype=np.complex128)
-    n = _check_pow2(x.shape[-1])
-    return np.conj(fft(np.conj(x))) / n
-
-
-def _analytic(x: np.ndarray) -> np.ndarray:
-    """Analytic signal via the frequency-domain Hilbert filter."""
-    n = x.shape[-1]
-    spec = fft(x)
-    h = np.zeros(n)
-    h[0] = 1.0
-    h[n // 2] = 1.0
-    h[1:n // 2] = 2.0
-    return ifft(spec * h)
+    _check_pow2(x.shape[-1])
+    return np.fft.ifft(x, axis=-1)
 
 
 def envelope(line: np.ndarray) -> np.ndarray:
@@ -57,9 +46,11 @@ def envelope_image(rf_img: np.ndarray) -> np.ndarray:
     rf_img = np.asarray(rf_img, dtype=np.float64)
     n = rf_img.shape[0]
     m = 1 << max(0, (n - 1).bit_length())
-    padded = np.zeros((m, rf_img.shape[1]))
-    padded[:n] = rf_img
-    return np.abs(_analytic(padded.T)).T[:n]
+    hilbert = np.zeros((m, 1))
+    hilbert[0] = hilbert[m // 2] = 1.0
+    hilbert[1:m // 2] = 2.0
+    spec = np.fft.fft(rf_img, n=m, axis=0)
+    return np.abs(np.fft.ifft(spec * hilbert, axis=0))[:n]
 
 
 def log_compress(env, dynamic_range_db: float = 60.0) -> Image2D:

@@ -15,6 +15,7 @@ from usdenoise.baselines import (
     nlm_denoise,
 )
 from usdenoise.baselines import bm3d
+from usdenoise.baselines.transforms import dct_matrix, haar_matrix
 from usdenoise.image import RANGE_UNIT, Image2D
 from usdenoise.metrics import psnr
 from usdenoise.ultrasound import speckle_patches
@@ -77,6 +78,53 @@ def test_haar_rejects_non_power_of_two():
         haar1(np.zeros(6))
     with pytest.raises(ValueError):
         ihaar1(np.zeros(12))
+    with pytest.raises(ValueError):
+        haar_matrix(6)
+
+
+def _haar_levels(stack, inverse=False):
+    """Level-by-level Haar reference: pairwise (a + b)/sqrt(2) sums over
+    (a - b)/sqrt(2) differences, the sums transformed again."""
+    out = np.array(stack, dtype=np.float64)
+    n = out.shape[0]
+    root2 = np.sqrt(2.0)
+    sizes = [n >> k for k in range(n.bit_length() - 1)]
+    for m in (sizes[::-1] if inverse else sizes):
+        half = m // 2
+        if inverse:
+            a, d = out[:half].copy(), out[half:m].copy()
+            out[0:m:2], out[1:m:2] = (a + d) / root2, (a - d) / root2
+        else:
+            a, b = out[0:m:2].copy(), out[1:m:2].copy()
+            out[:half], out[half:m] = (a + b) / root2, (a - b) / root2
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_haar_matches_level_by_level_reference(n):
+    # the matrix product sums in another order than the level loop, so the
+    # two agree to rounding: within 1e-15 of each column's L2 norm, which
+    # an orthonormal transform preserves
+    stack = np.random.default_rng(n).normal(size=(n, 3, 8, 8))
+    bound = 1e-15 * np.sqrt((stack ** 2).sum(axis=0))
+    assert np.all(np.abs(haar1(stack) - _haar_levels(stack)) <= bound)
+    assert np.all(np.abs(ihaar1(stack) - _haar_levels(stack, inverse=True))
+                  <= bound)
+
+
+def test_haar_matrix_is_the_orthonormal_basis():
+    r = np.sqrt(0.5)
+    want = np.array([[0.5, 0.5, 0.5, 0.5],
+                     [0.5, 0.5, -0.5, -0.5],
+                     [r, -r, 0.0, 0.0],
+                     [0.0, 0.0, r, -r]])
+    assert np.array_equal(haar_matrix(4), want)
+
+
+def test_cached_bases_are_read_only():
+    # every caller shares the cached array: a write would change them all
+    assert not dct_matrix(8).flags.writeable
+    assert not haar_matrix(8).flags.writeable
 
 
 def test_dct_rejects_non_square():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from usdenoise import __version__
+from usdenoise import __version__, cli
 from usdenoise.cli import main
 from usdenoise.formats import read_pgm, write_pgm
 from usdenoise.image import Image2D
@@ -310,6 +310,26 @@ def test_phantom_non_finite_size_exits_2(tmp_path, capsys):
     assert run_cli("phantom", "--width-mm", "inf", "--out", tmp_path) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not (tmp_path / "bmode.pgm").exists()
+
+
+def test_phantom_overflowing_sizes_exit_2(tmp_path, capsys):
+    # the scatterer count rounded an infinite product and the
+    # OverflowError escaped main (exit 1)
+    for argv in (["--density", "1e308"], ["--width-mm", "1e306"]):
+        assert run_cli("phantom", *argv, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "invalid input" in err and "Traceback" not in err
+    assert not (tmp_path / "bmode.pgm").exists()
+
+
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # an allocation too large for the machine escaped main (exit 1)
+    def too_large(spec):
+        raise MemoryError("Unable to allocate 67.1 TiB")
+
+    monkeypatch.setattr(cli, "synth_phantom", too_large)
+    assert run_cli("phantom", "--out", tmp_path) == 2
+    assert "invalid input: Unable to allocate" in capsys.readouterr().err
 
 
 def test_phantom_bad_angles_exit_2_before_synthesis(tmp_path, monkeypatch,

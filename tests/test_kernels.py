@@ -4,6 +4,7 @@
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,3 +142,17 @@ def test_das_sum_matches_per_element_loop_with_out_of_window():
     got = _kernels.das_sum(rf, idx)
     assert np.abs(got - want).max() < 1e-12
     assert np.all(want[[0, 5]] == 0.0) and np.all(want[1:5] != 0.0)
+
+
+def test_das_sum_non_finite_positions_contribute_zero_without_warning():
+    # floor(nan) and floor(+-inf) cast to int64 warned "invalid value
+    # encountered in cast" before the window mask dropped them
+    rf = np.random.default_rng(5).normal(size=(3, 16))
+    idx = np.tile([np.nan, np.inf, -np.inf, 2.25], (3, 1))
+    idx[1, 3] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.das_sum(rf, idx)
+    want = (0.75 * rf[[0, 2], 2] + 0.25 * rf[[0, 2], 3]).sum()
+    assert np.array_equal(got[:3], np.zeros(3))
+    assert abs(got[3] - want) < 1e-12

@@ -177,11 +177,13 @@ def _reference_amplitude(tau, amp, phase, f0):
     return a.real, a.imag
 
 
-@pytest.mark.parametrize("case", sorted(_deposit_cases()))
-@pytest.mark.parametrize("sigma_t", [62.5e-9, 1e-9])
-def test_deposit_pulses_matches_per_sample_loop(case, sigma_t):
+@pytest.mark.parametrize(
+    "sigma_t, case",
+    [(62.5e-9, case) for case in sorted(_deposit_cases())] + [(1e-9, "empty")])
+def test_deposit_pulses_matches_per_sample_loop(sigma_t, case):
     # 62.5 ns is the simulator's pulse (half_width 13 at 50 MHz); 1 ns is a
-    # twentieth of a sample, too narrow for the Gaussian recurrence
+    # twentieth of a sample, too narrow for the Gaussian recurrence, so only
+    # a trace with no echoes, which never runs it, takes that pulse
     tau = _deposit_cases()[case]
     rng = np.random.default_rng(12)
     amp = rng.normal(size=tau.size)
@@ -192,6 +194,25 @@ def test_deposit_pulses_matches_per_sample_loop(case, sigma_t):
     want = _deposit_per_sample(tau, amp, phase, *args)
     assert got.shape == (96,) and got.dtype == np.float64
     assert np.abs(got - want).max(initial=0.0) < 1e-12
+
+
+def test_deposit_pulses_rejects_a_pulse_too_narrow_for_the_recurrence():
+    tau = _deposit_cases()["random"]
+    with pytest.raises(ValueError, match="too narrow"):
+        _kernels.deposit_pulses(tau, np.ones(tau.size), np.zeros(tau.size),
+                                50e6, 8e6, 1e-9, 96, 13)
+
+
+def test_phantom_rejects_a_carrier_at_or_above_nyquist(monkeypatch):
+    # a 30 MHz carrier at 50 MHz sampling was synthesized and aliased
+    def no_synthesis(*args, **kwargs):
+        pytest.fail("synth_rf called with a carrier above Nyquist")
+
+    monkeypatch.setattr(phantom, "synth_rf", no_synthesis)
+    for f0 in (30e6, 25e6):
+        with pytest.raises(ValueError, match="Nyquist"):
+            phantom.synth_phantom(PhantomSpec(geometry=TransducerGeometry(
+                element_count=8, center_frequency=f0)))
 
 
 def test_deposit_pulses_at_phantom_scale_delays():
