@@ -1,6 +1,6 @@
 """Hot-loop kernels, in NumPy:
 
-- ``nlm_filter``      patchwise non-local means on a padded image
+- ``nlm_filter``      patchwise non-local means, symmetric padding at borders
 - ``match_blocks``    top-K similar-block search for collaborative filtering
 - ``deposit_pulses``  scatterer echo synthesis onto an RF trace
 - ``das_sum``         delay-and-sum accumulation, interpolated by ``np.interp``
@@ -23,21 +23,20 @@ def _box_sum(img: np.ndarray, k: int) -> np.ndarray:
     return ii[k:, k:] - ii[:-k, k:] - ii[k:, :-k] + ii[:-k, :-k]
 
 
-def nlm_filter(padded: np.ndarray, height: int, width: int, patch_radius: int,
-               search_radius: int, h: float, sigma: float) -> np.ndarray:
-    """Non-local means over a symmetrically padded image.
+def nlm_filter(img: np.ndarray, patch_radius: int, search_radius: int,
+               h: float, sigma: float) -> np.ndarray:
+    """Non-local means of a 2-D image, as float64 of the same shape.
 
-    ``padded`` carries a margin of ``patch_radius + search_radius`` pixels on
-    every side.  Pixel weights are
+    The image is padded symmetrically by ``patch_radius + search_radius``
+    pixels on every side.  Pixel weights are
     ``exp(-max(d2 - 2 sigma^2, 0) / h^2)`` with ``d2`` the mean squared
     distance between the two centered patches; each output pixel is the
     weight-normalized average of the search-window center pixels.
     """
-    q = np.asarray(padded, dtype=np.float64)
     pr, sr = int(patch_radius), int(search_radius)
     m = pr + sr
-    if q.shape != (height + 2 * m, width + 2 * m):
-        raise ValueError("padded image does not match declared margins")
+    height, width = np.shape(img)
+    q = np.pad(np.asarray(img, dtype=np.float64), m, mode="symmetric")
     k = 2 * pr + 1
     # scaling by 1/h twice keeps the h -> 0 limit, weight 1 at zero excess
     # and 0 elsewhere: below h ~ 1e-154, 1/h^2 is inf and 0 * inf is NaN

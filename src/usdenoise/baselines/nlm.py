@@ -43,8 +43,6 @@ def nlm_denoise(img: Image2D, cfg: NlmConfig) -> Image2D:
         raise ValueError(f"image must exceed {need} pixels per side for "
                          f"patch_radius={cfg.patch_radius}, "
                          f"search_radius={cfg.search_radius}")
-    padded = np.pad(img.data.astype(np.float64), margin, mode="symmetric")
-    out = _kernels.nlm_filter(padded, img.height, img.width,
-                              cfg.patch_radius, cfg.search_radius,
+    out = _kernels.nlm_filter(img.data, cfg.patch_radius, cfg.search_radius,
                               cfg.h, cfg.sigma)
     return img.like(out.astype(np.float32))

@@ -31,7 +31,7 @@ from usdenoise.diffusion import (
 )
 from usdenoise.formats import read_pgm
 from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
-from usdenoise.metrics import MIN_GCNR_BINS, RegionMask, gcnr, psnr
+from usdenoise.metrics import MIN_GCNR_BINS, gcnr, psnr
 from usdenoise.nnet import load_model, unet_forward
 from usdenoise.rng import standard_normal, uniforms
 from usdenoise.ultrasound import Cyst, PhantomSpec, TransducerGeometry, synth_phantom
@@ -152,11 +152,11 @@ def _json_type_ok(value, default) -> bool:
 class BenchImage:
     name: str
     clean: Image2D                    # unit-interval
-    inside: RegionMask
-    outside: RegionMask
+    inside: np.ndarray                # boolean
+    outside: np.ndarray               # boolean
 
 
-def _default_masks(shape) -> tuple[RegionMask, RegionMask]:
+def _default_masks(shape) -> tuple[np.ndarray, np.ndarray]:
     """Disc of radius r = min(h, w)/6 and concentric annulus over radii
     (r+2, sqrt(2)*(r+2)]: 1.40x the disc's pixels at 64x64, 1.84x at 32x32."""
     h, w = shape
@@ -166,7 +166,7 @@ def _default_masks(shape) -> tuple[RegionMask, RegionMask]:
     inside = d2 <= r * r
     outer = math.sqrt(2.0) * (r + 2)
     outside = (d2 > (r + 2) ** 2) & (d2 <= outer * outer)
-    return RegionMask(inside), RegionMask(outside)
+    return inside, outside
 
 
 def make_phantom_set(cfg: BenchConfig) -> list[BenchImage]:

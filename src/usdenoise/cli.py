@@ -35,7 +35,6 @@ from usdenoise.formats import (
     write_rf,
 )
 from usdenoise.image import (
-    RANGE_EIGHT_BIT,
     RANGE_SIGNED,
     RANGE_UNIT,
     Image2D,
@@ -83,8 +82,7 @@ def cmd_phantom(args) -> int:
     for i, frame in enumerate(frames):
         write_rf(out / f"rf_{i:03d}.rf", frame)
     for i, mask in enumerate(masks):
-        write_pgm(out / f"mask_{i:02d}.pgm",
-                  Image2D(mask.mask * 255.0, RANGE_EIGHT_BIT))
+        write_pgm(out / f"mask_{i:02d}.pgm", Image2D(mask, RANGE_UNIT))
     (out / "meta.json").write_text(json.dumps({
         "seed": spec.seed, "nx": spec.nx, "nz": spec.nz,
         "width_m": spec.width_m, "depth_m": spec.depth_m, "z0_m": spec.z0_m,
@@ -219,13 +217,11 @@ def cmd_beamform(args) -> int:
         write_pgm(args.out, bmode)
         print(f"compounded {len(frames)} angle(s) -> {args.out}")
     else:
-        from usdenoise.ultrasound import das_beamform, envelope_image, log_compress
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for i, f in enumerate(frames):
-            env = envelope_image(das_beamform(f, grid).data)
             write_pgm(out / f"bmode_{i:03d}.pgm",
-                      log_compress(env, args.dynamic_range))
+                      bmode_from_frames([f], grid, args.dynamic_range))
         print(f"wrote {len(frames)} single-angle image(s) to {out}")
     return 0
 

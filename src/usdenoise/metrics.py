@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,37 +35,27 @@ def psnr(i, k, max_val: float) -> float:
     return 10.0 * math.log10(max_val * max_val / err)
 
 
-@dataclass(frozen=True)
-class RegionMask:
-    """Boolean pixel mask."""
-
-    mask: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mask", np.asarray(self.mask, dtype=bool))
-
-    @property
-    def count(self) -> int:
-        return int(self.mask.sum())
-
-
-def gcnr(img, inside: RegionMask, outside: RegionMask, bins: int = 64) -> float:
+def gcnr(img, inside, outside, bins: int = 64) -> float:
     """Generalized contrast-to-noise ratio between two pixel populations.
 
-    Builds histograms of both regions on a shared support and returns
-    ``1 - sum_b min(p_in, p_out)``, i.e. one minus the overlap of the two
-    intensity densities.  0 means indistinguishable regions, 1 means fully
-    separated.  Tables report it as a percentage.
+    ``inside`` and ``outside`` are boolean pixel masks of the image's shape
+    (read with ``np.asarray(..., dtype=bool)``); they must not overlap and
+    each must hold at least 32 pixels.  Builds histograms of both regions
+    on a shared support and returns ``1 - sum_b min(p_in, p_out)``, i.e.
+    one minus the overlap of the two intensity densities.  0 means
+    indistinguishable regions, 1 means fully separated.  Tables report it
+    as a percentage.
     """
     if bins < MIN_GCNR_BINS:
         raise ValueError(f"need at least {MIN_GCNR_BINS} histogram bins")
     data = _data(img)
-    m_in, m_out = inside.mask, outside.mask
+    m_in = np.asarray(inside, dtype=bool)
+    m_out = np.asarray(outside, dtype=bool)
     if m_in.shape != data.shape or m_out.shape != data.shape:
         raise ValueError("mask dims do not match image")
     if np.any(m_in & m_out):
         raise ValueError("inside and outside masks overlap")
-    if inside.count < 32 or outside.count < 32:
+    if m_in.sum() < 32 or m_out.sum() < 32:
         raise ValueError("each region needs at least 32 pixels")
     vin = data[m_in].astype(np.float64)
     vout = data[m_out].astype(np.float64)

@@ -1,5 +1,10 @@
 """Plane-wave ultrasound pipeline: FFT/envelope/log-compression, DAS
-beamforming with angle compounding, and synthetic speckle phantoms."""
+beamforming with angle compounding, and synthetic speckle phantoms.
+
+The B-mode stages pass plain NumPy arrays: ``das_beamform`` returns the
+float64 RF sum, ``envelope_image`` and ``compound`` float64 envelopes, and
+``cyst_mask``/``annulus_mask`` boolean masks.  ``log_compress`` returns the
+``Image2D`` B-mode."""
 
 from usdenoise.ultrasound.beamform import (
     bmode_from_frames,
@@ -17,10 +22,8 @@ from usdenoise.ultrasound.phantom import (
     synth_rf,
 )
 from usdenoise.ultrasound.signal import (
-    envelope,
     envelope_image,
     fft,
-    ifft,
     log_compress,
 )
 from usdenoise.ultrasound.types import ImagingGrid, RFFrame, TransducerGeometry
@@ -36,10 +39,8 @@ __all__ = [
     "compound",
     "cyst_mask",
     "das_beamform",
-    "envelope",
     "envelope_image",
     "fft",
-    "ifft",
     "log_compress",
     "speckle_patches",
     "synth_phantom",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from usdenoise import _kernels
-from usdenoise.image import RANGE_UNIT, Image2D
+from usdenoise.image import Image2D, NumericError
 from usdenoise.ultrasound.signal import envelope_image, log_compress
 from usdenoise.ultrasound.types import ImagingGrid, RFFrame, TransducerGeometry
 
@@ -35,15 +35,17 @@ def receive_window(geometry: TransducerGeometry) -> np.ndarray:
     return np.hanning(geometry.element_count)
 
 
-def das_beamform(rf: RFFrame, grid: ImagingGrid) -> Image2D:
-    """Delay-and-sum image reconstruction (pre-envelope RF image).
+def das_beamform(rf: RFFrame, grid: ImagingGrid) -> np.ndarray:
+    """Delay-and-sum image reconstruction: the float64 ``(nz, nx)`` RF sum
+    before envelope detection.
 
     For every pixel the per-element delay is the plane-wave transmit time
     plus the return path to the element; element traces are sampled with
     linear interpolation and summed.  Delays outside the recorded window
     contribute zero.  A Hann receive window over the elements tames
     aperture sidelobes; low f-numbers otherwise put a noticeable clutter
-    floor inside anechoic targets.
+    floor inside anechoic targets.  A non-finite RF sample that reaches
+    the image raises ``NumericError`` here, before the envelope FFT.
     """
     g = rf.geometry
     weights = receive_window(g)
@@ -58,23 +60,19 @@ def das_beamform(rf: RFFrame, grid: ImagingGrid) -> Image2D:
     idx = (tx[None, :] + rx) * g.sampling_rate
     summed = _kernels.das_sum(rf.samples.astype(np.float64) * weights[:, None],
                               idx)
-    return Image2D(summed.reshape(grid.nz, grid.nx), RANGE_UNIT)
+    if not np.isfinite(summed).all():
+        raise NumericError("beamformed image contains non-finite samples")
+    return summed.reshape(grid.nz, grid.nx)
 
 
-def compound(images: list) -> Image2D:
-    """Pixel-wise mean of per-angle envelope arrays (incoherent)."""
-    if len(images) == 0:
-        raise ValueError("need at least one image to compound")
-    arrays = [np.asarray(im) for im in images]
-    shape = arrays[0].shape
-    for a in arrays[1:]:
-        if a.shape != shape:
-            raise ValueError(f"image dims differ: {a.shape} vs {shape}")
-    return Image2D(np.mean(np.stack(arrays), axis=0), RANGE_UNIT)
+def compound(images: list) -> np.ndarray:
+    """Pixel-wise mean of per-angle envelope arrays (incoherent); ``np.stack``
+    rejects an empty list and arrays of different shapes."""
+    return np.mean(np.stack(images), axis=0)
 
 
 def bmode_from_frames(frames: list[RFFrame], grid: ImagingGrid,
                       dynamic_range_db: float = 60.0) -> Image2D:
     """Beamform each steered frame, compound envelopes, log-compress."""
-    envelopes = [envelope_image(das_beamform(f, grid).data) for f in frames]
-    return log_compress(compound(envelopes).data, dynamic_range_db)
+    envelopes = [envelope_image(das_beamform(f, grid)) for f in frames]
+    return log_compress(compound(envelopes), dynamic_range_db)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from usdenoise import _kernels
-from usdenoise.metrics import RegionMask
 from usdenoise.rng import standard_normal, uniforms
 from usdenoise.ultrasound.beamform import (
     bmode_from_frames,
@@ -122,18 +121,54 @@ class PhantomSpec:
             raise ValueError(f"center frequency {g.center_frequency} Hz is "
                              f"not below Nyquist ({g.sampling_rate / 2} Hz)")
         receive_window(g)   # rejects a geometry DAS cannot weight
+        # sizes whose products overflow an array length, before any work
+        limit = np.iinfo(np.intp).max
+        with np.errstate(over="ignore"):
+            count = _scatterer_count(self)
+            samples = max((_trace_length(self, a) for a in self.angles),
+                          default=0.0)
+        if not count <= limit:   # False for inf too
+            raise ValueError(f"{count:.3g} scatterers from scatterer_density"
+                             " * width_m * depth_m are too many")
+        if not samples <= limit:
+            raise ValueError(f"RF traces of {samples:.3g} samples from "
+                             "width_m, depth_m and z0_m are too long")
 
     def grid(self) -> ImagingGrid:
         return ImagingGrid.centered(self.nx, self.nz, self.width_m,
                                     self.depth_m, self.z0_m)
 
 
+def _scatterer_count(spec: PhantomSpec) -> float:
+    """Expected scatterers over the grid (inf when the product overflows)."""
+    lam = spec.geometry.wavelength
+    return spec.scatterer_density * spec.width_m * spec.depth_m / (lam * lam)
+
+
+def _pulse_half_width(g: TransducerGeometry) -> int:
+    """Samples from a pulse's center to its truncation at 4 sigma."""
+    sigma_t = PULSE_SIGMA_PERIODS / g.center_frequency
+    return int(math.ceil(4.0 * sigma_t * g.sampling_rate))
+
+
+def _trace_length(spec: PhantomSpec, angle: float) -> float:
+    """Samples per RF trace of the frame steered at ``angle`` (inf when the
+    sizes overflow): enough to hold the whole pulse of a scatterer at any
+    grid corner on any element.  The worst-case arrival bounds it;
+    ``tx_delay`` peaks at the deepest grid corner on the steered side."""
+    g = spec.geometry
+    zmax = spec.z0_m + spec.depth_m
+    rx_max = math.hypot(spec.width_m / 2 + g.aperture / 2, zmax)
+    tx_max = float(tx_delay(math.copysign(spec.width_m / 2, angle), zmax,
+                            angle, g))
+    arrival = (tx_max + rx_max / g.sound_speed) * g.sampling_rate
+    return float(np.ceil(arrival)) + _pulse_half_width(g) + 4
+
+
 def _scatterers(spec: PhantomSpec):
     """Deterministic scatterer cloud: positions and the real and imaginary
     parts of each complex echo amplitude."""
-    lam = spec.geometry.wavelength
-    n = max(1, round(spec.scatterer_density * spec.width_m * spec.depth_m
-                     / (lam * lam)))
+    n = max(1, round(_scatterer_count(spec)))
     xs = (uniforms(n, spec.seed, draw_index=0) - 0.5) * spec.width_m
     zs = spec.z0_m + uniforms(n, spec.seed, draw_index=1) * spec.depth_m
     re = standard_normal((n,), spec.seed, draw_index=2).astype(np.float64)
@@ -150,8 +185,8 @@ def synth_rf(spec: PhantomSpec) -> list[RFFrame]:
 
     The scatterers are drawn once; ``exp(-i 2 pi f0 tau)`` is split into the
     transmit phasor of each angle and the receive phasor of each element,
-    each computed once (see the module docstring).  Each trace is long
-    enough to hold the whole pulse of a scatterer at any grid corner.
+    each computed once (see the module docstring).  Each trace is
+    ``_trace_length`` samples long.
     """
     g = spec.geometry
     f0, fs = g.center_frequency, g.sampling_rate
@@ -160,20 +195,13 @@ def synth_rf(spec: PhantomSpec) -> list[RFFrame]:
     echo = (re != 0.0) | (im != 0.0)
     xs, zs, amp = xs[echo], zs[echo], re[echo] + 1j * im[echo]
     sigma_t = PULSE_SIGMA_PERIODS / f0
-    half_width = int(math.ceil(4.0 * sigma_t * fs))
-    # worst-case arrival over the grid and the elements bounds each trace;
-    # tx_delay peaks at the deepest grid corner on the steered side
-    zmax = spec.z0_m + spec.depth_m
-    rx_max = math.hypot(spec.width_m / 2 + g.aperture / 2, zmax)
+    half_width = _pulse_half_width(g)
     tx, tx_amp, traces = [], [], []
     for angle in spec.angles:
         tx.append(tx_delay(xs, zs, angle, g))
         tx_amp.append(amp * _kernels.cycle_phasor(-f0 * tx[-1]))
-        tx_max = float(tx_delay(math.copysign(spec.width_m / 2, angle), zmax,
-                                angle, g))
-        n_samples = (int(math.ceil((tx_max + rx_max / g.sound_speed) * fs))
-                     + half_width + 4)
-        traces.append(np.empty((g.element_count, n_samples), np.float32))
+        traces.append(np.empty((g.element_count,
+                                int(_trace_length(spec, angle))), np.float32))
     for e, x_e in enumerate(g.element_x()):
         rx = np.hypot(xs - x_e, zs) / g.sound_speed
         rx_phasor = _kernels.cycle_phasor(-f0 * rx)
@@ -186,25 +214,26 @@ def synth_rf(spec: PhantomSpec) -> list[RFFrame]:
             for angle, out in zip(spec.angles, traces)]
 
 
-def cyst_mask(spec: PhantomSpec, cyst: Cyst, erode: int = 0) -> RegionMask:
-    """Ground-truth pixel mask of a cyst disc, optionally eroded (pixels)."""
+def cyst_mask(spec: PhantomSpec, cyst: Cyst, erode: int = 0) -> np.ndarray:
+    """Ground-truth boolean pixel mask of a cyst disc, optionally eroded
+    (pixels)."""
     grid = spec.grid()
     X, Z = np.meshgrid(grid.x, grid.z)
     shrink = erode * max(grid.dx, grid.dz)
     r = max(cyst.radius - shrink, 0.0)
-    return RegionMask((X - cyst.cx) ** 2 + (Z - cyst.cz) ** 2 <= r * r)
+    return (X - cyst.cx) ** 2 + (Z - cyst.cz) ** 2 <= r * r
 
 
-def annulus_mask(spec: PhantomSpec, cyst: Cyst, gap: int = 2) -> RegionMask:
-    """Equal-area concentric annulus around a cyst, kept ``gap`` pixels
-    clear of the cyst boundary."""
+def annulus_mask(spec: PhantomSpec, cyst: Cyst, gap: int = 2) -> np.ndarray:
+    """Boolean mask of the equal-area concentric annulus around a cyst, kept
+    ``gap`` pixels clear of the cyst boundary."""
     grid = spec.grid()
     X, Z = np.meshgrid(grid.x, grid.z)
     pad = gap * max(grid.dx, grid.dz)
     r_in = cyst.radius + pad
     r_out = math.sqrt(r_in ** 2 + cyst.radius ** 2)  # same area as the disc
     d2 = (X - cyst.cx) ** 2 + (Z - cyst.cz) ** 2
-    return RegionMask((d2 > r_in ** 2) & (d2 <= r_out ** 2))
+    return (d2 > r_in ** 2) & (d2 <= r_out ** 2)
 
 
 def synth_phantom(spec: PhantomSpec):
@@ -212,7 +241,7 @@ def synth_phantom(spec: PhantomSpec):
 
     Returns ``(bmode, rf_frames, cyst_masks)``: the compounded log-domain
     B-mode image, one RF frame per steering angle, and the ground-truth
-    cyst masks.  Fully deterministic given ``spec.seed``.
+    boolean cyst masks.  Fully deterministic given ``spec.seed``.
     """
     frames = synth_rf(spec)
     bmode = bmode_from_frames(frames, spec.grid(), spec.dynamic_range_db)

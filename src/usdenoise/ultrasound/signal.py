@@ -7,42 +7,26 @@ import numpy as np
 from usdenoise.image import RANGE_UNIT, Image2D
 
 
-def _check_pow2(n: int) -> None:
-    if n < 1 or n & (n - 1):
-        raise ValueError(f"length {n} is not a power of two")
-
-
 def fft(x: np.ndarray) -> np.ndarray:
     """DFT along the last axis, whose length must be a power of two.
 
     Works on batched inputs: any leading axes are carried through.
     """
     x = np.asarray(x)
-    _check_pow2(x.shape[-1])
+    n = x.shape[-1]
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"length {n} is not a power of two")
     return np.fft.fft(x.astype(np.complex128), axis=-1)
 
 
-def ifft(x: np.ndarray) -> np.ndarray:
-    """Inverse of ``fft``, along the last axis (a power-of-two length)."""
-    x = np.asarray(x, dtype=np.complex128)
-    _check_pow2(x.shape[-1])
-    return np.fft.ifft(x, axis=-1)
-
-
-def envelope(line: np.ndarray) -> np.ndarray:
-    """Magnitude of the analytic signal of a real vector.
-
-    Non-power-of-two inputs are zero-padded to the next power of two and the
-    result is truncated back, so edge samples carry mild windowing error.
-    """
-    line = np.asarray(line, dtype=np.float64)
-    if line.ndim != 1:
-        raise ValueError("envelope expects a 1-D vector")
-    return envelope_image(line[:, None])[:, 0]
-
-
 def envelope_image(rf_img: np.ndarray) -> np.ndarray:
-    """Column-wise envelope of a beamformed RF image (depth along rows)."""
+    """Column-wise envelope of a beamformed RF image (depth along rows): the
+    magnitude of each column's analytic signal, as float64.
+
+    Columns whose length is not a power of two are zero-padded to the next
+    power of two and the result is truncated back, so edge samples carry
+    mild windowing error.
+    """
     rf_img = np.asarray(rf_img, dtype=np.float64)
     n = rf_img.shape[0]
     m = 1 << max(0, (n - 1).bit_length())

@@ -22,7 +22,7 @@ def fifteen_angle_envelopes():
     angles = tuple(np.deg2rad(np.linspace(-14.0, 14.0, 15)))
     spec = PhantomSpec(nx=64, nz=64, geometry=TEST_GEOMETRY,
                        scatterer_density=8.0, seed=3, angles=angles)
-    envs = [envelope_image(das_beamform(f, spec.grid()).data)
+    envs = [envelope_image(das_beamform(f, spec.grid()))
             for f in synth_rf(spec)]
     return spec, envs
 

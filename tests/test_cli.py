@@ -1,11 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from usdenoise import __version__, cli
 from usdenoise.cli import main
-from usdenoise.formats import read_pgm, write_pgm
+from usdenoise.formats import read_pgm, read_rf, write_pgm, write_rf
 from usdenoise.image import Image2D
 from usdenoise.metrics import psnr
 from usdenoise.nnet import UNetConfig, init_params, save_model
@@ -118,6 +119,27 @@ def test_beamform_angle_filter(tmp_path, phantom_dir):
                    "--no-compound", "--out", out) == 0
     assert (out / "bmode_000.pgm").exists()
     assert not (out / "bmode_001.pgm").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_beamform_non_finite_rf_exits_4_without_warnings(tmp_path, capsys,
+                                                         bad):
+    # DAS checks its sum for finiteness: past it, the envelope FFT warns
+    # "invalid value" on stderr before the B-mode's own check gives exit 4
+    rf_dir = tmp_path / "rf"
+    assert run_cli("phantom", "--out", rf_dir, "--elements", 16,
+                   "--angles", "0") == 0
+    frame = read_rf(rf_dir / "rf_000.rf")
+    frame.samples[3, 600] = bad     # inside the imaged window
+    write_rf(rf_dir / "rf_000.rf", frame)
+    capsys.readouterr()
+    for mode in ("--compound", "--no-compound"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("beamform", "--rf", rf_dir, mode,
+                           "--out", tmp_path / "bf") == 4
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "RuntimeWarning" not in err
 
 
 def test_train_and_denoise_cycle(tmp_path, phantom_dir):
@@ -312,13 +334,23 @@ def test_phantom_non_finite_size_exits_2(tmp_path, capsys):
     assert not (tmp_path / "bmode.pgm").exists()
 
 
-def test_phantom_overflowing_sizes_exit_2(tmp_path, capsys):
+def test_phantom_overflowing_sizes_exit_2(tmp_path, monkeypatch, capsys):
     # the scatterer count rounded an infinite product and the
-    # OverflowError escaped main (exit 1)
-    for argv in (["--density", "1e308"], ["--width-mm", "1e306"]):
+    # OverflowError escaped main (exit 1); later these exited 2 with a
+    # message that named no argument, after drawing the scatterers
+    def no_synthesis(*args, **kwargs):
+        pytest.fail("synth_rf called with an overflowing size")
+
+    monkeypatch.setattr(phantom, "synth_rf", no_synthesis)
+    for argv, named in ((["--density", "1e308"], "scatterer_density"),
+                        (["--density", "1e300"], "scatterer_density"),
+                        (["--width-mm", "1e306"], "width_m"),
+                        (["--depth-mm", "1e308"], "depth_m"),
+                        (["--z0-mm", "1e308"], "z0_m")):
         assert run_cli("phantom", *argv, "--out", tmp_path) == 2
         err = capsys.readouterr().err
         assert "invalid input" in err and "Traceback" not in err
+        assert named in err
     assert not (tmp_path / "bmode.pgm").exists()
 
 

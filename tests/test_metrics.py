@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from usdenoise.image import RANGE_EIGHT_BIT, Image2D
-from usdenoise.metrics import RegionMask, gcnr, mse, psnr
+from usdenoise.metrics import gcnr, mse, psnr
 
 
 # ------------------------------------------------------------------- MSE
@@ -78,7 +78,7 @@ def _disjoint_masks(shape, n_each):
     flat2 = np.arange(n_each, 2 * n_each)
     m1.reshape(-1)[flat1] = True
     m2.reshape(-1)[flat2] = True
-    return RegionMask(m1), RegionMask(m2)
+    return m1, m2
 
 
 def test_gcnr_same_population_near_zero():
@@ -91,8 +91,8 @@ def test_gcnr_same_population_near_zero():
 def test_gcnr_disjoint_ranges_is_one():
     img = np.zeros((64, 64))
     img[:32] = 5.0
-    inside = RegionMask(np.vstack([np.ones((32, 64)), np.zeros((32, 64))]).astype(bool))
-    outside = RegionMask(~inside.mask)
+    inside = np.vstack([np.ones((32, 64)), np.zeros((32, 64))]).astype(bool)
+    outside = ~inside
     assert gcnr(img, inside, outside) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -113,10 +113,10 @@ def test_gcnr_symmetric():
     rng = np.random.default_rng(4)
     img = rng.normal(size=(100, 100))
     img[:50] += 1.5
-    inside = RegionMask(np.vstack([np.ones((50, 100)), np.zeros((50, 100))]).astype(bool))
-    outside = RegionMask(~inside.mask)
+    inside = np.vstack([np.ones((50, 100)), np.zeros((50, 100))]).astype(bool)
+    outside = ~inside
     a = gcnr(img, inside, outside)
-    b = gcnr(img, RegionMask(outside.mask), RegionMask(inside.mask))
+    b = gcnr(img, outside, inside)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -124,8 +124,8 @@ def test_gcnr_invariant_under_affine_rescale():
     rng = np.random.default_rng(5)
     img = rng.normal(size=(100, 100))
     img[:50] += 1.0
-    inside = RegionMask(np.vstack([np.ones((50, 100)), np.zeros((50, 100))]).astype(bool))
-    outside = RegionMask(~inside.mask)
+    inside = np.vstack([np.ones((50, 100)), np.zeros((50, 100))]).astype(bool)
+    outside = ~inside
     base = gcnr(img, inside, outside)
     for a, b in ((2.0, 0.0), (0.5, 3.0), (10.0, -7.0)):
         assert gcnr(a * img + b, inside, outside) == pytest.approx(base, abs=1e-12)
@@ -133,21 +133,21 @@ def test_gcnr_invariant_under_affine_rescale():
 
 def test_gcnr_validation():
     img = np.zeros((32, 32))
-    small = RegionMask(np.eye(32, dtype=bool))  # 32 pixels -> ok
+    small = np.eye(32, dtype=bool)  # 32 pixels -> ok
     tiny = np.zeros((32, 32), dtype=bool)
     tiny[0, :8] = True
     with pytest.raises(ValueError):
-        gcnr(img, RegionMask(tiny), RegionMask(~tiny))
+        gcnr(img, tiny, ~tiny)
     with pytest.raises(ValueError):
-        gcnr(img, small, RegionMask(small.mask))  # overlap
-    ok_out = RegionMask(~np.eye(32, dtype=bool))
+        gcnr(img, small, small)  # overlap
+    ok_out = ~np.eye(32, dtype=bool)
     with pytest.raises(ValueError):
         gcnr(img, small, ok_out, bins=8)
 
 
 def test_gcnr_constant_image_is_zero():
     img = np.ones((64, 64))
-    inside = RegionMask(np.vstack([np.ones((32, 64)), np.zeros((32, 64))]).astype(bool))
-    outside = RegionMask(~inside.mask)
+    inside = np.vstack([np.ones((32, 64)), np.zeros((32, 64))]).astype(bool)
+    outside = ~inside
     assert gcnr(img, inside, outside) == 0.0
 

@@ -1,5 +1,5 @@
 """No module under ``src/usdenoise`` or ``tests`` imports a name it never
-uses.
+uses, and every name a package lists in ``__all__`` exists on it.
 
 No linter ships with the project, so this parses each module with ``ast``.
 An imported name counts as used when the module refers to it anywhere
@@ -8,6 +8,7 @@ An imported name counts as used when the module refers to it anywhere
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,9 @@ TESTS = Path(__file__).resolve().parent
 MODULES = sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
 MODULE_IDS = [str(p.relative_to(PACKAGE)) if PACKAGE in p.parents
               else f"tests/{p.name}" for p in MODULES]
+# counting ``__all__`` entries as uses lets a stale export pass the scan
+PACKAGES = [".".join(("usdenoise",) + p.parent.relative_to(PACKAGE).parts)
+            for p in sorted(PACKAGE.rglob("__init__.py"))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -67,3 +71,14 @@ def test_scan_flags_an_unused_name_and_spares_used_ones():
 @pytest.mark.parametrize("path", MODULES, ids=MODULE_IDS)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_the_subpackages():
+    assert {"usdenoise", "usdenoise.nnet", "usdenoise.baselines",
+            "usdenoise.ultrasound"} <= set(PACKAGES)
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_package_exports_resolve(name):
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
