@@ -12,7 +12,7 @@ Library layout:
 - ``_kernels``    -- NumPy hot loops (NLM, block matching, pulse synthesis, DAS)
 """
 
-from usdenoise.image import Image2D, RANGE_EIGHT_BIT, RANGE_SIGNED, RANGE_UNIT
+from usdenoise.image import Image2D, RANGE_SIGNED, RANGE_UNIT
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,5 @@ __all__ = [
     "Image2D",
     "RANGE_UNIT",
     "RANGE_SIGNED",
-    "RANGE_EIGHT_BIT",
     "__version__",
 ]

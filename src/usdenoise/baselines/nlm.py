@@ -16,11 +16,13 @@ class NlmConfig:
 
     ``sigma`` is the assumed noise standard deviation used for the
     noise-compensated patch distance max(d2 - 2 sigma^2, 0); leave it 0 for
-    the plain exponential weighting.  A common choice is h = 0.55 * sigma.
+    the plain exponential weighting.  ``baseline`` and ``bench`` use
+    h = ``H_FACTOR`` * sigma.
     """
 
     patch_radius: int = 2
     search_radius: int = 7
+    H_FACTOR = 0.55   # not a field
     h: float = 0.1
     sigma: float = 0.0
 

@@ -31,7 +31,7 @@ from usdenoise.diffusion import (
 )
 from usdenoise.formats import read_pgm
 from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
-from usdenoise.metrics import MIN_GCNR_BINS, gcnr, psnr
+from usdenoise.metrics import DEFAULT_GCNR_BINS, MIN_GCNR_BINS, gcnr, psnr
 from usdenoise.nnet import load_model, unet_forward
 from usdenoise.rng import standard_normal, uniforms
 from usdenoise.ultrasound import Cyst, PhantomSpec, TransducerGeometry, synth_phantom
@@ -59,25 +59,25 @@ class BenchConfig:
     checkpoint: str | None = None
     schedule_T: int = DEFAULT_T
     schedule_beta: float = DEFAULT_BETA
-    gcnr_bins: int = 64
+    gcnr_bins: int = DEFAULT_GCNR_BINS
     mask_erode_px: int = 2
-    # phantom generation
-    phantom_nx: int = 64
-    phantom_nz: int = 64
-    phantom_density: float = 8.0
+    # phantom generation: PhantomSpec's, but with a 64-element array
+    phantom_nx: int = PhantomSpec.nx
+    phantom_nz: int = PhantomSpec.nz
+    phantom_density: float = PhantomSpec.scatterer_density
     phantom_elements: int = 64
-    phantom_angles_deg: tuple = (-5.0, 0.0, 5.0)
+    phantom_angles_deg: tuple = PhantomSpec.DEFAULT_ANGLES_DEG
     cyst_radius_mm: float = 1.5
-    cyst_echogenicity: float = 0.0
+    cyst_echogenicity: float = Cyst.echogenicity
     # baseline parameters
-    nlm_patch_radius: int = 2
-    nlm_search_radius: int = 7
-    nlm_h_factor: float = 0.55
-    bm3d_block_size: int = 8
-    bm3d_max_matches: int = 16
-    bm3d_search_radius: int = 19
-    bm3d_hard_threshold: float = 2.7
-    bm3d_stages: str = "two"
+    nlm_patch_radius: int = NlmConfig.patch_radius
+    nlm_search_radius: int = NlmConfig.search_radius
+    nlm_h_factor: float = NlmConfig.H_FACTOR
+    bm3d_block_size: int = Bm3dConfig.block_size
+    bm3d_max_matches: int = Bm3dConfig.max_matches
+    bm3d_search_radius: int = Bm3dConfig.search_radius
+    bm3d_hard_threshold: float = Bm3dConfig.hard_threshold
+    bm3d_stages: str = Bm3dConfig.stages
 
     def __post_init__(self):
         if not self.methods:
@@ -196,7 +196,7 @@ def load_image_set(cfg: BenchConfig) -> list[BenchImage]:
         raise ValueError(f"no PGM images found in {cfg.image_dir}")
     images = []
     for p in paths:
-        img = read_pgm(p).to_range(RANGE_UNIT)
+        img = read_pgm(p)
         inside, outside = _default_masks(img.shape)
         images.append(BenchImage(p.stem, img, inside, outside))
     return images

@@ -34,12 +34,7 @@ from usdenoise.formats import (
     write_pgm,
     write_rf,
 )
-from usdenoise.image import (
-    RANGE_SIGNED,
-    RANGE_UNIT,
-    Image2D,
-    NumericError,
-)
+from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D, NumericError
 from usdenoise.nnet import TrainConfig, UNetConfig, load_model, train
 from usdenoise.rng import standard_normal
 from usdenoise.ultrasound import (
@@ -53,7 +48,7 @@ from usdenoise.ultrasound import (
 )
 
 
-def _parse_angles(text: str) -> tuple:
+def degree_list(text: str) -> tuple:
     return tuple(math.radians(float(a)) for a in text.split(","))
 
 
@@ -72,7 +67,7 @@ def cmd_phantom(args) -> int:
                        z0_m=args.z0_mm * 1e-3,
                        scatterer_density=args.density,
                        cysts=tuple(cysts), seed=args.seed,
-                       angles=_parse_angles(args.angles),
+                       angles=args.angles,
                        geometry=geometry,
                        dynamic_range_db=args.dynamic_range)
     bmode, frames, masks = synth_phantom(spec)
@@ -176,20 +171,18 @@ def cmd_denoise(args) -> int:
 # ---------------------------------------------------------------- baseline
 
 def cmd_baseline(args) -> int:
-    img = read_pgm(args.input).to_range(RANGE_UNIT)
+    img = read_pgm(args.input)
     if args.method == "nlm":
+        h = NlmConfig.H_FACTOR * args.sigma if args.h is None else args.h
         out = nlm_denoise(img, NlmConfig(patch_radius=args.patch_radius,
                                          search_radius=args.search_radius,
-                                         h=(0.55 * args.sigma if args.h is None
-                                            else args.h),
-                                         sigma=args.sigma))
+                                         h=h, sigma=args.sigma))
     else:
         out = bm3d_denoise(img, Bm3dConfig(block_size=args.block_size,
                                            max_matches=args.matches,
                                            search_radius=args.search,
                                            hard_threshold=args.threshold,
-                                           sigma=args.sigma,
-                                           stages=args.stages))
+                                           sigma=args.sigma, stages=args.stages))
     write_pgm(args.out, out)
     print(f"{args.method} denoised {args.input} -> {args.out}")
     return 0
@@ -204,10 +197,9 @@ def cmd_beamform(args) -> int:
         raise ValueError(f"no RF files found at {args.rf}")
     frames = [read_rf(p) for p in paths]
     if args.angles:
-        wanted = _parse_angles(args.angles)
         tol = math.radians(0.25)
         frames = [f for f in frames
-                  if any(abs(f.steer_angle - w) < tol for w in wanted)]
+                  if any(abs(f.steer_angle - w) < tol for w in args.angles)]
         if not frames:
             raise ValueError("no RF frames match the requested angles")
     grid = ImagingGrid.centered(args.nx, args.nz, args.width_mm * 1e-3,
@@ -252,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     def run_args(seed, out) -> argparse.ArgumentParser:
         p = argparse.ArgumentParser(add_help=False)
         p.add_argument("--seed", type=int, default=seed,
-                       help="deterministic run seed (default 0)")
+                       help="deterministic run seed")
         p.add_argument("--out", default=out,
                        help="output file or directory")
         return p
@@ -266,13 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = argparse.ArgumentParser(add_help=False)
     schedule.add_argument("--T", type=int, default=DEFAULT_T)
     schedule.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    spec = PhantomSpec()
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--nx", type=int, default=64)
-    grid.add_argument("--nz", type=int, default=64)
-    grid.add_argument("--width-mm", type=float, default=6.4)
-    grid.add_argument("--depth-mm", type=float, default=6.4)
-    grid.add_argument("--z0-mm", type=float, default=6.8)
-    grid.add_argument("--dynamic-range", type=float, default=60.0)
+    grid.add_argument("--nx", type=int, default=spec.nx)
+    grid.add_argument("--nz", type=int, default=spec.nz)
+    grid.add_argument("--width-mm", type=float, default=spec.width_m * 1e3)
+    grid.add_argument("--depth-mm", type=float, default=spec.depth_m * 1e3)
+    grid.add_argument("--z0-mm", type=float, default=spec.z0_m * 1e3)
+    grid.add_argument("--dynamic-range", type=float,
+                      default=spec.dynamic_range_db)
 
     p = argparse.ArgumentParser(
         prog="usdenoise",
@@ -283,12 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("phantom", parents=[common, grid],
                        help="synthesize a speckle phantom (B-mode + RF + masks)")
-    q.add_argument("--density", type=float, default=8.0,
+    q.add_argument("--density", type=float, default=spec.scatterer_density,
                    help="scatterers per wavelength-squared cell")
     q.add_argument("--cyst", action="append",
                    help="cx_mm,cz_mm,radius_mm,echogenicity (repeatable)")
-    q.add_argument("--angles", default="-5,0,5", help="steering angles in deg")
-    q.add_argument("--elements", type=int, default=128)
+    q.add_argument("--angles", type=degree_list, default=spec.angles,
+                   help="steering angles in deg")
+    q.add_argument("--elements", type=int, default=spec.geometry.element_count)
     q.set_defaults(func=cmd_phantom)
 
     q = sub.add_parser("corrupt", parents=[common, schedule],
@@ -302,18 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="train the noise predictor")
     q.add_argument("--data", required=True,
                    help="PGM directory, CIFAR .bin batch, or speckle:N")
-    q.add_argument("--epochs", type=int, default=30)
-    q.add_argument("--batch-size", type=int, default=16)
-    q.add_argument("--lr", type=float, default=1e-3)
-    q.add_argument("--lr-gamma", type=float, default=0.3)
-    q.add_argument("--lr-step", type=int, default=50)
+    q.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    q.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    q.add_argument("--lr", type=float, default=TrainConfig.lr)
+    q.add_argument("--lr-gamma", type=float, default=TrainConfig.lr_gamma)
+    q.add_argument("--lr-step", type=int, default=TrainConfig.lr_step_epochs)
     q.add_argument("--warm-start", default=None,
                    help="checkpoint to fine-tune from (lr 4e-4 is customary)")
     q.add_argument("--heldout-frac", type=float, default=0.15)
-    q.add_argument("--base-channels", type=int, default=16)
-    q.add_argument("--depth", type=int, default=2)
-    q.add_argument("--time-dim", type=int, default=32)
-    q.add_argument("--image-size", type=int, default=32)
+    q.add_argument("--base-channels", type=int, default=UNetConfig.base_channels)
+    q.add_argument("--depth", type=int, default=UNetConfig.depth)
+    q.add_argument("--time-dim", type=int, default=UNetConfig.time_embed_dim)
+    q.add_argument("--image-size", type=int, default=UNetConfig.image_size)
     q.set_defaults(func=cmd_train)
 
     q = sub.add_parser("denoise", parents=[common, schedule],
@@ -331,20 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--sigma", type=float, required=True)
     q.add_argument("--h", type=float, default=None,
-                   help="NLM filtering strength (default 0.55*sigma)")
-    q.add_argument("--patch-radius", type=int, default=2)
-    q.add_argument("--search-radius", type=int, default=7)
-    q.add_argument("--block-size", type=int, default=8)
-    q.add_argument("--matches", type=int, default=16)
-    q.add_argument("--search", type=int, default=19)
-    q.add_argument("--threshold", type=float, default=2.7)
-    q.add_argument("--stages", default="two", choices=["one", "two"])
+                   help=f"NLM strength h (default {NlmConfig.H_FACTOR}*sigma)")
+    q.add_argument("--patch-radius", type=int, default=NlmConfig.patch_radius)
+    q.add_argument("--search-radius", type=int, default=NlmConfig.search_radius)
+    q.add_argument("--block-size", type=int, default=Bm3dConfig.block_size)
+    q.add_argument("--matches", type=int, default=Bm3dConfig.max_matches)
+    q.add_argument("--search", type=int, default=Bm3dConfig.search_radius)
+    q.add_argument("--threshold", type=float, default=Bm3dConfig.hard_threshold)
+    q.add_argument("--stages", default=Bm3dConfig.stages, choices=["one", "two"])
     q.set_defaults(func=cmd_baseline)
 
     q = sub.add_parser("beamform", parents=[common, grid],
                        help="delay-and-sum reconstruction from RF files")
     q.add_argument("--rf", required=True, help="RF file or directory")
-    q.add_argument("--angles", default=None,
+    q.add_argument("--angles", type=degree_list, default=None,
                    help="keep only these steering angles (deg, comma list)")
     q.add_argument("--compound", action=argparse.BooleanOptionalAction,
                    default=True)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from usdenoise.image import RANGE_EIGHT_BIT, Image2D, range_bounds
+from usdenoise.image import RANGE_UNIT, Image2D, range_bounds
 from usdenoise.ultrasound.types import RFFrame, TransducerGeometry
 
 TENSOR_MAGIC = b"NDF1"
@@ -78,6 +78,7 @@ def _read_pgm_token(buf: io.BufferedReader) -> bytes:
 
 
 def read_pgm(path) -> Image2D:
+    """A binary 8-bit PGM as a unit-interval image: level k reads k/255."""
     with open(path, "rb") as f:
         buf = io.BufferedReader(f)
         if _read_pgm_token(buf) != b"P5":
@@ -101,7 +102,7 @@ def read_pgm(path) -> Image2D:
             raise LengthError(f"PGM payload is {len(payload)} bytes, "
                               f"expected {width * height}")
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return Image2D(data.astype(np.float32), RANGE_EIGHT_BIT)
+    return Image2D(data.astype(np.float32) * (1 / 255), RANGE_UNIT)
 
 
 def _quantize_u8(img: Image2D) -> np.ndarray:

@@ -8,12 +8,10 @@ import numpy as np
 
 RANGE_UNIT = "unit-interval"    # nominal [0, 1]
 RANGE_SIGNED = "signed-unit"    # nominal [-1, 1]
-RANGE_EIGHT_BIT = "eight-bit"   # nominal [0, 255]
 
 _BOUNDS = {
     RANGE_UNIT: (0.0, 1.0),
     RANGE_SIGNED: (-1.0, 1.0),
-    RANGE_EIGHT_BIT: (0.0, 255.0),
 }
 
 

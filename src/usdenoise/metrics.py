@@ -9,6 +9,7 @@ import numpy as np
 from usdenoise.image import Image2D
 
 MIN_GCNR_BINS = 16
+DEFAULT_GCNR_BINS = 64
 
 
 def _data(img) -> np.ndarray:
@@ -35,7 +36,7 @@ def psnr(i, k, max_val: float) -> float:
     return 10.0 * math.log10(max_val * max_val / err)
 
 
-def gcnr(img, inside, outside, bins: int = 64) -> float:
+def gcnr(img, inside, outside, bins: int = DEFAULT_GCNR_BINS) -> float:
     """Generalized contrast-to-noise ratio between two pixel populations.
 
     ``inside`` and ``outside`` are boolean pixel masks of the image's shape

@@ -72,7 +72,7 @@ def compound(images: list) -> np.ndarray:
 
 
 def bmode_from_frames(frames: list[RFFrame], grid: ImagingGrid,
-                      dynamic_range_db: float = 60.0) -> Image2D:
+                      dynamic_range_db: float) -> Image2D:
     """Beamform each steered frame, compound envelopes, log-compress."""
     envelopes = [envelope_image(das_beamform(f, grid)) for f in frames]
     return log_compress(compound(envelopes), dynamic_range_db)

@@ -74,12 +74,13 @@ class Cyst:
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Scatterer phantom over a rectangular grid.
+    """Scatterer phantom over a rectangular grid; the defaults are the
+    phantom of ``usdenoise phantom`` and ``bench``.
 
-    ``scatterer_density`` counts scatterers per wavelength-squared cell.
-    ``angles`` are the plane-wave steering angles synthesized and later
-    compounded into the B-mode.  The geometry's center frequency must lie
-    below the Nyquist frequency, half the sampling rate.
+    ``scatterer_density`` counts scatterers per wavelength-squared cell; 8
+    is the bench's value, which ROADMAP item 3 (fully developed speckle)
+    revisits.  ``angles`` are the plane-wave steering angles compounded into
+    the B-mode.  The center frequency must lie below Nyquist (fs / 2).
     """
 
     nx: int = 64
@@ -87,10 +88,11 @@ class PhantomSpec:
     width_m: float = 6.4e-3
     depth_m: float = 6.4e-3
     z0_m: float = 6.8e-3
-    scatterer_density: float = 6.0
+    scatterer_density: float = 8.0
     cysts: tuple = ()
     seed: int = 0
-    angles: tuple = (-0.0873, 0.0, 0.0873)   # about +-5 degrees
+    DEFAULT_ANGLES_DEG = (-5.0, 0.0, 5.0)   # not a field; ``angles`` in deg
+    angles: tuple = tuple(map(math.radians, DEFAULT_ANGLES_DEG))
     geometry: TransducerGeometry = field(default_factory=TransducerGeometry)
     dynamic_range_db: float = 60.0
 
@@ -224,7 +226,7 @@ def cyst_mask(spec: PhantomSpec, cyst: Cyst, erode: int = 0) -> np.ndarray:
     return (X - cyst.cx) ** 2 + (Z - cyst.cz) ** 2 <= r * r
 
 
-def annulus_mask(spec: PhantomSpec, cyst: Cyst, gap: int = 2) -> np.ndarray:
+def annulus_mask(spec: PhantomSpec, cyst: Cyst, gap: int) -> np.ndarray:
     """Boolean mask of the equal-area concentric annulus around a cyst, kept
     ``gap`` pixels clear of the cyst boundary."""
     grid = spec.grid()

@@ -20,14 +20,16 @@ def fft(x: np.ndarray) -> np.ndarray:
 
 
 def envelope_image(rf_img: np.ndarray) -> np.ndarray:
-    """Column-wise envelope of a beamformed RF image (depth along rows): the
-    magnitude of each column's analytic signal, as float64.
+    """Column-wise envelope of a 2-D beamformed RF image (depth along rows):
+    the magnitude of each column's analytic signal, as float64.
 
     Columns whose length is not a power of two are zero-padded to the next
     power of two and the result is truncated back, so edge samples carry
     mild windowing error.
     """
     rf_img = np.asarray(rf_img, dtype=np.float64)
+    if rf_img.ndim != 2:
+        raise ValueError(f"RF image must be 2-D, got shape {rf_img.shape}")
     n = rf_img.shape[0]
     m = 1 << max(0, (n - 1).bit_length())
     hilbert = np.zeros((m, 1))
@@ -37,7 +39,7 @@ def envelope_image(rf_img: np.ndarray) -> np.ndarray:
     return np.abs(np.fft.ifft(spec * hilbert, axis=0))[:n]
 
 
-def log_compress(env, dynamic_range_db: float = 60.0) -> Image2D:
+def log_compress(env, dynamic_range_db: float) -> Image2D:
     """Map a non-negative envelope to a unit-interval B-mode image.
 
     Computes 20*log10(env / max(env)), clamps to [-dynamic_range_db, 0],

@@ -1,16 +1,20 @@
+import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from usdenoise import __version__, cli
+from usdenoise.baselines import Bm3dConfig, NlmConfig
+from usdenoise.bench import BenchConfig
 from usdenoise.cli import main
 from usdenoise.formats import read_pgm, read_rf, write_pgm, write_rf
 from usdenoise.image import Image2D
 from usdenoise.metrics import psnr
-from usdenoise.nnet import UNetConfig, init_params, save_model
-from usdenoise.ultrasound import phantom
+from usdenoise.nnet import TrainConfig, UNetConfig, init_params, save_model
+from usdenoise.ultrasound import PhantomSpec, TransducerGeometry, phantom
 
 
 def run_cli(*args):
@@ -50,13 +54,13 @@ def test_corrupt_t0_copies_input(tmp_path, phantom_dir):
 
 
 def test_corrupt_more_steps_hurt_more(tmp_path, phantom_dir):
-    clean = read_pgm(phantom_dir / "bmode.pgm").data / 255.0
+    clean = read_pgm(phantom_dir / "bmode.pgm").data
     psnrs = {}
     for t in (10, 20):
         out = tmp_path / f"n{t}.pgm"
         assert run_cli("corrupt", "--in", phantom_dir / "bmode.pgm",
                        "--t", t, "--seed", 3, "--out", out) == 0
-        psnrs[t] = psnr(clean, read_pgm(out).data / 255.0, 1.0)
+        psnrs[t] = psnr(clean, read_pgm(out).data, 1.0)
     assert psnrs[20] < psnrs[10]
 
 
@@ -99,9 +103,9 @@ def test_baseline_roundtrip(tmp_path, phantom_dir):
     out = tmp_path / "nlm.pgm"
     assert run_cli("baseline", "--method", "nlm", "--in", noisy,
                    "--sigma", 0.09, "--out", out) == 0
-    clean = read_pgm(phantom_dir / "bmode.pgm").data / 255.0
-    assert (psnr(clean, read_pgm(out).data / 255.0, 1.0)
-            > psnr(clean, read_pgm(noisy).data / 255.0, 1.0))
+    clean = read_pgm(phantom_dir / "bmode.pgm").data
+    assert (psnr(clean, read_pgm(out).data, 1.0)
+            > psnr(clean, read_pgm(noisy).data, 1.0))
 
 
 def test_beamform_matches_phantom_bmode(tmp_path, phantom_dir):
@@ -540,6 +544,64 @@ def test_denoise_non_finite_state_exits_4(tmp_path, capsys):
                    "--beta=1e-300", "--out", tmp_path / "dn.pgm") == 4
     assert "numeric failure" in capsys.readouterr().err
     assert not (tmp_path / "dn.pgm").exists()
+
+
+SIGMA = 0.09
+NLM = NlmConfig(h=NlmConfig.H_FACTOR * SIGMA, sigma=SIGMA)
+BM3D = Bm3dConfig(sigma=SIGMA)
+
+
+class Called(Exception):
+    """Raised, with its arguments, by a stand-in for a function that works."""
+
+
+def _stand_in(*args, **kwargs):
+    raise Called(*args)
+
+
+@pytest.mark.parametrize("callee, argv, expected", [
+    # phantom's density and angles once differed from PhantomSpec()'s
+    ("synth_phantom", ["phantom"], (PhantomSpec(),)),
+    ("train", ["train", "--data", "speckle:8"], (TrainConfig(), UNetConfig())),
+    ("nlm_denoise", ["baseline", "--method", "nlm", "--sigma", SIGMA,
+                     "--in", "in.pgm"], (NLM,)),
+    ("bm3d_denoise", ["baseline", "--method", "bm3d", "--sigma", SIGMA,
+                      "--in", "in.pgm"], (BM3D,)),
+], ids=["phantom", "train", "baseline-nlm", "baseline-bm3d"])
+def test_flag_defaults_are_the_library_configs(tmp_path, monkeypatch, callee,
+                                               argv, expected):
+    monkeypatch.chdir(tmp_path)
+    write_pgm(tmp_path / "in.pgm", Image2D(np.zeros((24, 24))))
+    monkeypatch.setattr(cli, callee, _stand_in)   # so that no work runs
+    with pytest.raises(Called) as called:
+        run_cli(*argv, "--out", "out")
+    configs = (PhantomSpec, TrainConfig, UNetConfig, NlmConfig, Bm3dConfig)
+    assert tuple(a for a in called.value.args
+                 if isinstance(a, configs)) == expected
+
+
+def test_bench_defaults_are_the_library_configs(monkeypatch):
+    assert BenchConfig().baseline_configs(SIGMA) == (NLM, BM3D)
+    # the bench's phantoms are PhantomSpec() but for the 64-element array,
+    # the seed and the cyst
+    import usdenoise.bench as bench
+    monkeypatch.setattr(bench, "synth_phantom", _stand_in)
+    with pytest.raises(Called) as called:
+        bench.make_phantom_set(BenchConfig())
+    spec, = called.value.args
+    assert spec == dataclasses.replace(
+        PhantomSpec(), geometry=TransducerGeometry(element_count=64),
+        seed=spec.seed, cysts=spec.cysts)
+    assert spec.angles == (math.radians(-5.0), 0.0, math.radians(5.0))
+
+
+@pytest.mark.parametrize("command", ["phantom", "corrupt", "train", "denoise",
+                                     "baseline", "beamform", "bench"])
+def test_help_exits_0(capsys, command):
+    # argparse formats the help text, and so every help string and
+    # default, only when --help is asked for
+    assert main([command, "--help"]) == 0
+    assert f"usage: usdenoise {command}" in capsys.readouterr().out
 
 
 def test_version_flag(capsys):

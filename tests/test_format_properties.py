@@ -40,7 +40,7 @@ from usdenoise.formats import (
     write_rf,
     write_tensor,
 )
-from usdenoise.image import RANGE_EIGHT_BIT, Image2D
+from usdenoise.image import RANGE_UNIT, Image2D
 from usdenoise.ultrasound import RFFrame, TransducerGeometry
 
 READERS = {"pgm": read_pgm, "tensor": read_tensor, "ckpt": read_checkpoint,
@@ -163,7 +163,7 @@ def test_pgm_reader_on_edited_headers(tmp_path, width, height, maxval, sep,
                                 blob + b"\n" + payload)
     if img is not None:
         assert img.shape == (height, width)
-        assert np.array_equal(img.data.reshape(-1),
+        assert np.array_equal(np.rint(img.data.reshape(-1) * 255),
                               np.frombuffer(payload[:width * height],
                                             dtype=np.uint8))
 
@@ -184,8 +184,10 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
                                             max_side=12)))
 def test_pgm_round_trip(tmp_path, pixels):
     p = tmp_path / "r.pgm"
-    write_pgm(p, Image2D(pixels.astype(np.float32), RANGE_EIGHT_BIT))
-    assert np.array_equal(read_pgm(p).data, pixels)
+    img = Image2D(pixels.astype(np.float32) * (1 / 255), RANGE_UNIT)
+    write_pgm(p, img)
+    assert p.read_bytes()[-pixels.size:] == pixels.tobytes()
+    assert _same_bits(read_pgm(p).data, img.data)
 
 
 _FLOAT32_TENSORS = arrays(np.float32, array_shapes(min_dims=1, max_dims=4,

@@ -21,7 +21,7 @@ from usdenoise.formats import (
     write_rf,
     write_tensor,
 )
-from usdenoise.image import RANGE_EIGHT_BIT, RANGE_SIGNED, RANGE_UNIT, Image2D
+from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
 from usdenoise.ultrasound import RFFrame, TransducerGeometry
 
 
@@ -29,19 +29,20 @@ from usdenoise.ultrasound import RFFrame, TransducerGeometry
 
 def test_pgm_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    img = Image2D(rng.integers(0, 256, (17, 23)).astype(np.float32),
-                  RANGE_EIGHT_BIT)
+    levels = rng.integers(0, 256, (17, 23))
+    img = Image2D(levels.astype(np.float32) * (1 / 255), RANGE_UNIT)
     p = tmp_path / "a.pgm"
     write_pgm(p, img)
+    assert p.read_bytes()[-levels.size:] == levels.astype(np.uint8).tobytes()
     back = read_pgm(p)
+    assert back.value_range == RANGE_UNIT
     assert np.array_equal(back.data, img.data)
     write_pgm(tmp_path / "b.pgm", back)
     assert (tmp_path / "a.pgm").read_bytes() == (tmp_path / "b.pgm").read_bytes()
 
 
 def test_pgm_payload_layout(tmp_path):
-    img = Image2D(np.array([[0, 255], [128, 64]], dtype=np.float32),
-                  RANGE_EIGHT_BIT)
+    img = Image2D(np.array([[0, 255], [128, 64]]) / 255.0, RANGE_UNIT)
     p = tmp_path / "t.pgm"
     write_pgm(p, img)
     blob = p.read_bytes()
@@ -55,7 +56,7 @@ def test_pgm_quantizes_unit_range(tmp_path):
     write_pgm(p, img)
     back = read_pgm(p)
     # round half away from zero: 0.5*255 = 127.5 -> 128
-    assert np.array_equal(back.data, [[0, 128], [255, 64]])
+    assert np.array_equal(np.rint(back.data * 255), [[0, 128], [255, 64]])
 
 
 def test_pgm_signed_round_trip_through_unit(tmp_path):
@@ -87,7 +88,7 @@ def test_pgm_accepts_comment_lines(tmp_path):
     p = tmp_path / "c.pgm"
     p.write_bytes(b"P5\n# a comment\n2 2\n255\n" + bytes([1, 2, 3, 4]))
     img = read_pgm(p)
-    assert np.array_equal(img.data, [[1, 2], [3, 4]])
+    assert np.array_equal(np.rint(img.data * 255), [[1, 2], [3, 4]])
 
 
 # ---------------------------------------------------------------- tensors
@@ -317,8 +318,7 @@ def test_rf_invalid_header_values_are_header_errors(tmp_path, edits):
 
 def _valid_pgm(tmp_path):
     p = tmp_path / "v.pgm"
-    write_pgm(p, Image2D(np.arange(12, dtype=np.float32).reshape(3, 4),
-                         RANGE_EIGHT_BIT))
+    write_pgm(p, Image2D(np.arange(12).reshape(3, 4) / 255.0, RANGE_UNIT))
     return p.read_bytes()
 
 

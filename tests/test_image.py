@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from usdenoise.image import (
-    RANGE_EIGHT_BIT,
-    RANGE_SIGNED,
-    RANGE_UNIT,
-    Image2D,
-    NumericError,
-)
+from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D, NumericError
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
@@ -20,9 +14,9 @@ def test_non_finite_samples_raise(bad):
 
 
 def test_like_keeps_the_range_tag():
-    img = Image2D(np.zeros((3, 4)), RANGE_EIGHT_BIT)
+    img = Image2D(np.zeros((3, 4)), RANGE_SIGNED)
     out = img.like(np.full((2, 2), 7.0))
-    assert out.value_range == RANGE_EIGHT_BIT
+    assert out.value_range == RANGE_SIGNED
     assert out.data.dtype == np.float32
     with pytest.raises(NumericError):
         img.like(np.full((2, 2), np.nan))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from usdenoise.image import RANGE_EIGHT_BIT, Image2D
+from usdenoise.image import Image2D
 from usdenoise.metrics import gcnr, mse, psnr
 
 
@@ -64,9 +64,9 @@ def test_psnr_validation():
 
 
 def test_psnr_accepts_image2d():
-    i = Image2D(np.zeros((8, 8)), RANGE_EIGHT_BIT)
-    k = Image2D(np.full((8, 8), 16.0), RANGE_EIGHT_BIT)
-    assert psnr(i, k, 255.0) == pytest.approx(24.0484, abs=0.001)
+    i = Image2D(np.zeros((8, 8)))
+    k = Image2D(np.full((8, 8), 16 / 255))
+    assert psnr(i, k, 1.0) == pytest.approx(24.0484, abs=0.001)
 
 
 # ------------------------------------------------------------------ GCNR

@@ -107,6 +107,16 @@ def test_envelope_pads_odd_lengths():
     assert env.shape == (300, 1)
 
 
+@pytest.mark.parametrize("shape", [(8,), (4, 4, 2)], ids=["1-D", "3-D"])
+def test_envelope_rejects_an_rf_image_that_is_not_2d(shape):
+    # one RF line broadcast against the (m, 1) Hilbert multiplier into an
+    # (8, 8) "envelope", and a 3-D stack passed through unchanged
+    rf = np.cos(np.arange(math.prod(shape), dtype=np.float64)).reshape(shape)
+    with pytest.raises(ValueError, match=r"2-D, got shape \(") as err:
+        envelope_image(rf)
+    assert str(shape) in str(err.value)
+
+
 # ----------------------------------------------------------- log_compress
 
 def test_log_compress_peak_maps_to_one():
