@@ -1,5 +1,7 @@
 """Benchmark harness: corrupt held-out images with the forward process at
-several strengths, denoise with each method, and tabulate PSNR/GCNR.
+several strengths, denoise with each method, and tabulate PSNR, GCNR and
+the speckle ratio (the estimate's std over the background annulus divided
+by the clean image's std there; 1 keeps the speckle, 0 flattens it).
 
 The comparison protocol for the classical baselines: after t forward steps
 the corrupted image is rescaled by 1/sqrt(abar_t) to undo the signal
@@ -23,6 +25,7 @@ import numpy as np
 from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.diffusion import (
     DEFAULT_BETA,
+    DEFAULT_STEPS,
     DEFAULT_T,
     NoiseSchedule,
     denoise_from,
@@ -43,6 +46,7 @@ METHODS = ("noisy", "nlm", "bm3d", "ddpm")
 COLUMNS = (
     ("psnr_db", "{:.4f}", "PSNR (dB)", "{:.2f}"),
     ("gcnr_percent", "{:.2f}", "GCNR (%)", "{:.1f}"),
+    ("speckle_ratio", "{:.4f}", "Speckle ratio", "{:.2f}"),
 )
 
 
@@ -59,6 +63,7 @@ class BenchConfig:
     checkpoint: str | None = None
     schedule_T: int = DEFAULT_T
     schedule_beta: float = DEFAULT_BETA
+    ddpm_steps: int = DEFAULT_STEPS   # network calls per chain, at most t_start
     gcnr_bins: int = DEFAULT_GCNR_BINS
     mask_erode_px: int = 2
     # phantom generation: PhantomSpec's, but with a 64-element array
@@ -96,6 +101,8 @@ class BenchConfig:
         for t in self.t_starts:
             if not 1 <= int(t) <= self.schedule_T:
                 raise ValueError(f"t_start {t} outside 1..{self.schedule_T}")
+        if self.ddpm_steps < 1:
+            raise ValueError("ddpm_steps must be at least 1")
         if self.gcnr_bins < MIN_GCNR_BINS:
             raise ValueError(f"gcnr_bins must be at least {MIN_GCNR_BINS}")
         if self.mask_erode_px < 0:
@@ -210,16 +217,19 @@ def to_unit_clipped(signed: np.ndarray) -> Image2D:
 class DdpmDenoiser:
     """Checkpoint-backed reverse-process denoiser.
 
-    ``inject_seed`` is passed through to ``denoise_from``.  U-Net errors
+    ``inject_seed`` and ``steps`` are passed through to ``denoise_from``,
+    so a chain makes min(steps, t_start) network calls.  U-Net errors
     propagate unchanged: an input the checkpoint cannot run (wrong channel
     count, extent not divisible by 2^depth) raises ``unet_forward``'s
     ``ValueError``.  A non-finite noise prediction reaches ``reverse_step``,
     whose ``Image2D`` raises ``NumericError``.
     """
 
-    def __init__(self, checkpoint_path, inject_seed: int | None = None):
+    def __init__(self, checkpoint_path, inject_seed: int | None = None,
+                 steps: int | None = DEFAULT_STEPS):
         self.params, self.net_cfg = load_model(checkpoint_path)
         self.inject_seed = inject_seed
+        self.steps = steps
 
     def predictor(self, img: Image2D, t: int) -> np.ndarray:
         eps_hat, _ = unet_forward(self.params, self.net_cfg,
@@ -229,7 +239,8 @@ class DdpmDenoiser:
     def __call__(self, noisy_signed: Image2D, t_start: int,
                  sched: NoiseSchedule) -> np.ndarray:
         return denoise_from(noisy_signed, t_start, self.predictor, sched,
-                            inject_seed=self.inject_seed).data
+                            inject_seed=self.inject_seed,
+                            steps=self.steps).data
 
 
 def run_method(method: str, noisy_signed: Image2D, t_start: int,
@@ -250,6 +261,13 @@ def run_method(method: str, noisy_signed: Image2D, t_start: int,
     out = (nlm_denoise(unit, nlm_cfg) if method == "nlm"
            else bm3d_denoise(unit, bm3d_cfg))
     return Image2D(np.clip(out.data, 0.0, 1.0), RANGE_UNIT)
+
+
+def _std_ratio(est: np.ndarray, clean: np.ndarray, mask: np.ndarray) -> float:
+    """std of ``est`` over ``mask`` divided by that of ``clean``; NaN when
+    the clean region is flat and so has no speckle to keep."""
+    ref = float(clean[mask].std(dtype=np.float64))
+    return float(est[mask].std(dtype=np.float64)) / ref if ref > 0 else math.nan
 
 
 def _csv(rows, keys) -> str:
@@ -286,7 +304,7 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
     if "ddpm" in cfg.methods:
         if cfg.checkpoint is None:
             raise ValueError("ddpm method requested without a checkpoint")
-        ddpm = DdpmDenoiser(cfg.checkpoint)
+        ddpm = DdpmDenoiser(cfg.checkpoint, steps=cfg.ddpm_steps)
     if images is None:
         images = load_image_set(cfg) if cfg.image_dir else make_phantom_set(cfg)
     if not images:
@@ -309,6 +327,8 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
                     "psnr_db": psnr(ti.clean, est, 1.0),
                     "gcnr_percent": 100.0 * gcnr(est, ti.inside, ti.outside,
                                                  cfg.gcnr_bins),
+                    "speckle_ratio": _std_ratio(est.data, ti.clean.data,
+                                                ti.outside),
                 })
 
     metric_keys = [key for key, *_ in COLUMNS]

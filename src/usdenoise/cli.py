@@ -22,6 +22,7 @@ from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.bench import BenchConfig, DdpmDenoiser, run_bench, to_unit_clipped
 from usdenoise.diffusion import (
     DEFAULT_BETA,
+    DEFAULT_STEPS,
     DEFAULT_T,
     forward_jump,
     make_schedule,
@@ -161,7 +162,8 @@ def cmd_train(args) -> int:
 
 def cmd_denoise(args) -> int:
     img = read_pgm(args.input).to_range(RANGE_SIGNED)
-    denoiser = DdpmDenoiser(args.ckpt, args.seed if args.inject else None)
+    denoiser = DdpmDenoiser(args.ckpt, args.seed if args.inject else None,
+                            steps=args.steps)
     out = denoiser(img, args.t_start, make_schedule(args.T, args.beta))
     write_pgm(args.out, to_unit_clipped(out))
     print(f"denoised {args.input} from t={args.t_start} -> {args.out}")
@@ -256,17 +258,24 @@ def build_parser() -> argparse.ArgumentParser:
     bench_common.add_argument("--config", default=None,
                               help="JSON BenchConfig file")
     schedule = argparse.ArgumentParser(add_help=False)
-    schedule.add_argument("--T", type=int, default=DEFAULT_T)
-    schedule.add_argument("--beta", type=float, default=DEFAULT_BETA)
+    schedule.add_argument("--T", type=int, default=DEFAULT_T,
+                          help="number of diffusion steps in the schedule")
+    schedule.add_argument("--beta", type=float, default=DEFAULT_BETA,
+                          help="noise variance added per step")
     spec = PhantomSpec()
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--nx", type=int, default=spec.nx)
-    grid.add_argument("--nz", type=int, default=spec.nz)
-    grid.add_argument("--width-mm", type=float, default=spec.width_m * 1e3)
-    grid.add_argument("--depth-mm", type=float, default=spec.depth_m * 1e3)
-    grid.add_argument("--z0-mm", type=float, default=spec.z0_m * 1e3)
+    grid.add_argument("--nx", type=int, default=spec.nx,
+                      help="image columns")
+    grid.add_argument("--nz", type=int, default=spec.nz, help="image rows")
+    grid.add_argument("--width-mm", type=float, default=spec.width_m * 1e3,
+                      help="lateral extent of the image")
+    grid.add_argument("--depth-mm", type=float, default=spec.depth_m * 1e3,
+                      help="axial extent of the image")
+    grid.add_argument("--z0-mm", type=float, default=spec.z0_m * 1e3,
+                      help="depth of the first image row")
     grid.add_argument("--dynamic-range", type=float,
-                      default=spec.dynamic_range_db)
+                      default=spec.dynamic_range_db,
+                      help="B-mode display range in dB")
 
     p = argparse.ArgumentParser(
         prog="usdenoise",
@@ -275,84 +284,120 @@ def build_parser() -> argparse.ArgumentParser:
                    version=f"usdenoise {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("phantom", parents=[common, grid],
-                       help="synthesize a speckle phantom (B-mode + RF + masks)")
+    def command(name, **kwargs) -> argparse.ArgumentParser:
+        # every flag with a help string shows its default in --help
+        return sub.add_parser(
+            name, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+            **kwargs)
+
+    q = command("phantom", parents=[common, grid],
+                help="synthesize a speckle phantom (B-mode + RF + masks)")
     q.add_argument("--density", type=float, default=spec.scatterer_density,
                    help="scatterers per wavelength-squared cell")
     q.add_argument("--cyst", action="append",
                    help="cx_mm,cz_mm,radius_mm,echogenicity (repeatable)")
-    q.add_argument("--angles", type=degree_list, default=spec.angles,
-                   help="steering angles in deg")
-    q.add_argument("--elements", type=int, default=spec.geometry.element_count)
+    # a string default goes through degree_list, so --help shows degrees
+    q.add_argument("--angles", type=degree_list,
+                   default=",".join(map(str, PhantomSpec.DEFAULT_ANGLES_DEG)),
+                   help="steering angles in deg, comma list")
+    q.add_argument("--elements", type=int, default=spec.geometry.element_count,
+                   help="transducer elements")
     q.set_defaults(func=cmd_phantom)
 
-    q = sub.add_parser("corrupt", parents=[common, schedule],
-                       help="apply the forward corruption process to an image")
+    q = command("corrupt", parents=[common, schedule],
+                help="apply the forward corruption process to an image")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--t", type=int, required=True,
                    help="number of forward steps (0 copies the input)")
     q.set_defaults(func=cmd_corrupt)
 
-    q = sub.add_parser("train", parents=[common, schedule],
-                       help="train the noise predictor")
+    q = command("train", parents=[common, schedule],
+                help="train the noise predictor")
     q.add_argument("--data", required=True,
                    help="PGM directory, CIFAR .bin batch, or speckle:N")
-    q.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    q.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    q.add_argument("--lr", type=float, default=TrainConfig.lr)
-    q.add_argument("--lr-gamma", type=float, default=TrainConfig.lr_gamma)
-    q.add_argument("--lr-step", type=int, default=TrainConfig.lr_step_epochs)
+    q.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help="passes over the training set")
+    q.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                   help="images per optimizer step")
+    q.add_argument("--lr", type=float, default=TrainConfig.lr,
+                   help="Adam learning rate")
+    q.add_argument("--lr-gamma", type=float, default=TrainConfig.lr_gamma,
+                   help="learning-rate decay factor")
+    q.add_argument("--lr-step", type=int, default=TrainConfig.lr_step_epochs,
+                   help="epochs between learning-rate decays")
     q.add_argument("--warm-start", default=None,
                    help="checkpoint to fine-tune from (lr 4e-4 is customary)")
-    q.add_argument("--heldout-frac", type=float, default=0.15)
-    q.add_argument("--base-channels", type=int, default=UNetConfig.base_channels)
-    q.add_argument("--depth", type=int, default=UNetConfig.depth)
-    q.add_argument("--time-dim", type=int, default=UNetConfig.time_embed_dim)
-    q.add_argument("--image-size", type=int, default=UNetConfig.image_size)
+    q.add_argument("--heldout-frac", type=float, default=0.15,
+                   help="share of the data held out for validation")
+    q.add_argument("--base-channels", type=int,
+                   default=UNetConfig.base_channels,
+                   help="U-Net channels at full resolution")
+    q.add_argument("--depth", type=int, default=UNetConfig.depth,
+                   help="U-Net down-sampling levels")
+    q.add_argument("--time-dim", type=int, default=UNetConfig.time_embed_dim,
+                   help="width of the step embedding")
+    q.add_argument("--image-size", type=int, default=UNetConfig.image_size,
+                   help="U-Net image size, and side of speckle:N patches")
     q.set_defaults(func=cmd_train)
 
-    q = sub.add_parser("denoise", parents=[common, schedule],
-                       help="reverse-process denoising with a trained model")
+    q = command("denoise", parents=[common, schedule],
+                help="reverse-process denoising with a trained model")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--ckpt", required=True)
     q.add_argument("--t-start", type=int, required=True)
+    q.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                   help="network calls, evenly spaced from t-start to 0 "
+                        "(t-start or more runs every step)")
     q.add_argument("--inject", action="store_true",
                    help="inject fresh noise during posterior sampling")
     q.set_defaults(func=cmd_denoise)
 
-    q = sub.add_parser("baseline", parents=[common],
-                       help="classical NLM or BM3D denoising")
+    q = command("baseline", parents=[common],
+                help="classical NLM or BM3D denoising")
     q.add_argument("--method", required=True, choices=["nlm", "bm3d"])
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--sigma", type=float, required=True)
     q.add_argument("--h", type=float, default=None,
-                   help=f"NLM strength h (default {NlmConfig.H_FACTOR}*sigma)")
-    q.add_argument("--patch-radius", type=int, default=NlmConfig.patch_radius)
-    q.add_argument("--search-radius", type=int, default=NlmConfig.search_radius)
-    q.add_argument("--block-size", type=int, default=Bm3dConfig.block_size)
-    q.add_argument("--matches", type=int, default=Bm3dConfig.max_matches)
-    q.add_argument("--search", type=int, default=Bm3dConfig.search_radius)
-    q.add_argument("--threshold", type=float, default=Bm3dConfig.hard_threshold)
-    q.add_argument("--stages", default=Bm3dConfig.stages, choices=["one", "two"])
+                   help=f"NLM strength h; None means {NlmConfig.H_FACTOR}*sigma")
+    q.add_argument("--patch-radius", type=int, default=NlmConfig.patch_radius,
+                   help="NLM patch radius")
+    q.add_argument("--search-radius", type=int,
+                   default=NlmConfig.search_radius, help="NLM search radius")
+    q.add_argument("--block-size", type=int, default=Bm3dConfig.block_size,
+                   help="BM3D block side")
+    q.add_argument("--matches", type=int, default=Bm3dConfig.max_matches,
+                   help="BM3D blocks per group")
+    q.add_argument("--search", type=int, default=Bm3dConfig.search_radius,
+                   help="BM3D search radius")
+    q.add_argument("--threshold", type=float,
+                   default=Bm3dConfig.hard_threshold,
+                   help="BM3D hard threshold, in multiples of sigma")
+    q.add_argument("--stages", default=Bm3dConfig.stages, choices=["one", "two"],
+                   help="BM3D stages: hard thresholding only, or Wiener too")
     q.set_defaults(func=cmd_baseline)
 
-    q = sub.add_parser("beamform", parents=[common, grid],
-                       help="delay-and-sum reconstruction from RF files")
+    q = command("beamform", parents=[common, grid],
+                help="delay-and-sum reconstruction from RF files")
     q.add_argument("--rf", required=True, help="RF file or directory")
     q.add_argument("--angles", type=degree_list, default=None,
                    help="keep only these steering angles (deg, comma list)")
     q.add_argument("--compound", action=argparse.BooleanOptionalAction,
-                   default=True)
+                   default=True,
+                   help="average all angles into one B-mode")
     q.set_defaults(func=cmd_beamform)
 
-    q = sub.add_parser("bench", parents=[bench_common],
-                       help="full PSNR/GCNR benchmark over a test set")
-    q.add_argument("--ckpt", default=None)
+    q = command("bench", parents=[bench_common],
+                help="full PSNR/GCNR benchmark over a test set",
+                description="Flags left out keep the --config file's values, "
+                            "or BenchConfig's defaults without one.")
+    q.add_argument("--ckpt", default=None, help="model checkpoint for ddpm")
     q.add_argument("--methods", default=None,
                    help="comma list from noisy,nlm,bm3d,ddpm")
     q.add_argument("--t-starts", default=None, help="comma list of step counts")
-    q.add_argument("--images", type=int, default=None)
-    q.add_argument("--image-dir", default=None)
+    q.add_argument("--images", type=int, default=None,
+                   help="number of test images")
+    q.add_argument("--image-dir", default=None,
+                   help="PGM test images; None synthesizes phantoms")
     q.set_defaults(func=cmd_bench)
     return p
 

@@ -3,14 +3,16 @@ Markov processes.
 
 Step indices are 1-based: ``t`` runs over ``1..T`` and ``x_0`` is the clean
 image.  The reverse step is the DDPM posterior step (Ho et al. 2020,
-Algorithm 2):
+Algorithm 2) from step t to any earlier step s:
 
-    x_{t-1} = (x_t - (1-a_t)/sqrt(1-abar_t) * eps_hat)/sqrt(a_t) + sigma_t * z,
-    sigma_t = sqrt(b_t)
+    x_s = (x_t - (1-a')/sqrt(1-abar_t) * eps_hat)/sqrt(a') + sqrt(b') * z,
+    a' = abar_t/abar_s (abar_0 = 1),  b' = 1 - a'
 
-At t=1, fed the exact noise, it algebraically inverts the forward jump.
-The injected noise z is zero at t=1 and whenever no injected noise is
-supplied.
+For s = t-1 this is the one-step chain, and it uses a' = a_t and b' = b_t
+exactly.  A chain that visits an evenly spaced subsequence of the steps is
+the respacing of Nichol & Dhariwal (2021).  At s = 0, fed the exact noise,
+the step algebraically inverts the forward jump.  The injected noise z is
+zero at s = 0 and whenever no injected noise is supplied.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from usdenoise.rng import standard_normal
 
 DEFAULT_T = 300
 DEFAULT_BETA = 1.0 / 300.0
+DEFAULT_STEPS = 5      # network calls per chain, the sampler's default
 
 
 @dataclass(frozen=True)
@@ -102,37 +105,55 @@ def forward_jump(x0: Image2D, t: int, sched: NoiseSchedule, eps=None) -> Image2D
 
 
 def reverse_step(x_t: Image2D, t: int, eps_hat, sched: NoiseSchedule,
-                 inject=None) -> Image2D:
-    """One denoising step from x_t to x_{t-1} given predicted noise."""
+                 inject=None, *, s: int | None = None) -> Image2D:
+    """One denoising step from x_t to x_s (default s = t-1) given predicted
+    noise."""
     t = sched._check_t(t)
-    e = _noise_array(eps_hat, x_t.shape)
-    a = sched.alpha(t)
+    s = t - 1 if s is None else int(s)
+    if not 0 <= s < t:
+        raise ValueError(f"reverse step target s={s} outside 0..{t - 1}")
     ab = sched.alpha_bar(t)
+    if s == t - 1:
+        a, b = sched.alpha(t), sched.beta(t)
+    else:
+        a = ab / (sched.alpha_bar(s) if s else 1.0)
+        b = 1.0 - a
+    e = _noise_array(eps_hat, x_t.shape)
     # a degenerate schedule (1 - abar_t == 0) or a diverging chain gives
     # inf or NaN here; Image2D rejects it with NumericError, so no warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         coef = (1.0 - a) / np.sqrt(1.0 - ab)
         out = (x_t.data - np.float32(coef) * e) / np.float32(np.sqrt(a))
-        if inject is not None and t > 1:
+        if inject is not None and s > 0:
             z = _noise_array(inject, x_t.shape)
-            out = out + np.float32(np.sqrt(sched.beta(t))) * z
+            out = out + np.float32(np.sqrt(b)) * z
     return x_t.like(out)
 
 
 def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule,
-                 inject_seed: int | None = None) -> Image2D:
-    """Iterate reverse_step from t_start down to 1.
+                 inject_seed: int | None = None,
+                 steps: int | None = None) -> Image2D:
+    """Run reverse steps from t_start to 0, one predictor call per step.
 
-    ``predictor(x: Image2D, t: int) -> ndarray`` supplies the
-    per-step noise estimate.  When ``inject_seed`` is given, a fresh
+    The chain visits ``steps`` evenly spaced integer steps from t_start
+    down to 0 (t_start*k//steps for k = steps..1), or every step when
+    ``steps`` is None or at least t_start; a count below 1 raises
+    ``ValueError``.  ``predictor(x: Image2D, t: int) -> ndarray`` supplies
+    the per-step noise estimate.  When ``inject_seed`` is given, a fresh
     reproducible noise field (draw index = t) is injected at every step
-    except t=1.  An exception the predictor raises propagates unchanged.
+    except the last.  An exception the predictor raises propagates
+    unchanged.
     """
     t_start = sched._check_t(t_start)
+    if steps is None or steps >= t_start:
+        steps = t_start
+    elif steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    ts = [t_start * k // steps for k in range(steps, 0, -1)]
     x = x_noisy
-    for t in range(t_start, 0, -1):
+    for t, s in zip(ts, ts[1:] + [0]):
         eps_hat = predictor(x, t)
         inject = (standard_normal(x.shape, inject_seed, draw_index=t)
-                  if inject_seed is not None and t > 1 else None)
-        x = reverse_step(x, t, eps_hat, sched, inject)
+                  if inject_seed is not None and s > 0 else None)
+        x = reverse_step(x, t, eps_hat, sched, inject, s=s)
     return x

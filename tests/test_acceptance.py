@@ -163,9 +163,16 @@ def test_criterion_07_gcnr_sanity(bench_outputs):
                 assert r["gcnr_percent"] >= noisy20[r["image"]]
     mean = {(r["method"], r["t_start"]): r["gcnr_percent"]
             for r in summary}
+    # reported, not gated: the background's std over the clean image's
+    ratio = {(r["method"], r["t_start"]): r["speckle_ratio"]
+             for r in summary}
+    methods = ("noisy", "nlm", "bm3d", "ddpm")
     _report(7, f"GCNR at t=20: noisy {mean[('noisy', 20)]:.1f}%, "
                f"nlm {mean[('nlm', 20)]:.1f}%, bm3d {mean[('bm3d', 20)]:.1f}%, "
-               f"ddpm {mean[('ddpm', 20)]:.1f}%; all in [0, 100]")
+               f"ddpm {mean[('ddpm', 20)]:.1f}%; all in [0, 100]; speckle "
+               "ratio at t=10/20: "
+               + ", ".join(f"{m} {ratio[(m, 10)]:.2f}/{ratio[(m, 20)]:.2f}"
+                           for m in methods))
 
 
 # ---------------------------------------------------------------------- 8

@@ -1,8 +1,12 @@
 import csv
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 
+import usdenoise.bench as bench
 from usdenoise.bench import (
     BenchConfig,
     BenchImage,
@@ -13,6 +17,7 @@ from usdenoise.bench import (
 from usdenoise.diffusion import forward_jump, make_schedule
 from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
 from usdenoise.metrics import psnr
+from usdenoise.nnet import UNetConfig, init_params, save_model
 from usdenoise.rng import standard_normal
 from usdenoise.ultrasound import speckle_patches
 
@@ -54,6 +59,15 @@ def test_config_validation():
         BenchConfig(t_starts=(0,))
     with pytest.raises(ValueError):
         BenchConfig(t_starts=(301,))
+    with pytest.raises(ValueError, match="ddpm_steps"):
+        BenchConfig(ddpm_steps=0)
+
+
+def test_config_rejects_a_fractional_step_count(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"ddpm_steps": 2.5}))
+    with pytest.raises(ValueError, match="ddpm_steps"):
+        BenchConfig.from_json(p)
 
 
 def test_noisy_rows_decrease_with_t(tmp_path):
@@ -118,6 +132,7 @@ def test_report_metadata_records_protocol(tmp_path):
     md = json.loads((tmp_path / "out" / "report.json").read_text())["metadata"]
     assert md["seed"] == 6
     assert md["gcnr_bins"] == 64
+    assert md["ddpm_steps"] == 5
 
 
 def _two_method_run(out_dir):
@@ -131,11 +146,12 @@ def test_report_csv_layout(tmp_path):
     cells = [("nlm", 10), ("nlm", 20), ("noisy", 10), ("noisy", 20)]
     assert [(r["method"], r["t_start"]) for r in summary] == cells
     lines = (tmp_path / "report.csv").read_text().splitlines()
-    assert lines[0] == "method,t_start,psnr_db,gcnr_percent"
+    assert lines[0] == "method,t_start,psnr_db,gcnr_percent,speckle_ratio"
     assert [tuple(line.split(",")[:2]) for line in lines[1:]] == [
         (m, str(t)) for m, t in cells]
     per_image = (tmp_path / "per_image.csv").read_text().splitlines()
-    assert per_image[0] == "method,t_start,image,psnr_db,gcnr_percent"
+    assert per_image[0] == ("method,t_start,image,psnr_db,gcnr_percent,"
+                            "speckle_ratio")
     assert per_image[1].startswith("noisy,20,img0,")
 
 
@@ -145,6 +161,7 @@ def test_report_markdown_layout(tmp_path):
     assert md.startswith("## PSNR (dB)\n\n| Method | T=10 | T=20 |\n"
                          "|---|---|---|\n| nlm | ")
     assert "\n## GCNR (%)\n\n| Method | T=10 | T=20 |\n" in md
+    assert "\n## Speckle ratio\n\n| Method | T=10 | T=20 |\n" in md
     assert "\n## Run metadata\n" in md
     assert '"seed": 7' in md
 
@@ -177,7 +194,8 @@ def test_report_files_agree_with_per_image_means(tmp_path):
     # metric key, per_image.csv and report.csv decimals, report.md table
     # and decimals
     metrics = [("psnr_db", 4, "PSNR (dB)", 2),
-               ("gcnr_percent", 2, "GCNR (%)", 1)]
+               ("gcnr_percent", 2, "GCNR (%)", 1),
+               ("speckle_ratio", 4, "Speckle ratio", 2)]
     cells = {(r["method"], int(r["t_start"])) for r in per_image}
     assert set(report_csv) == set(report_json) == cells
     for key, csv_places, heading, md_places in metrics:
@@ -194,3 +212,56 @@ def test_report_files_agree_with_per_image_means(tmp_path):
             assert report_json[cell][key] == pytest.approx(mean, abs=slack)
             assert md[heading][cell] == pytest.approx(
                 mean, abs=slack + 0.5 * 10.0 ** -md_places)
+
+
+def test_speckle_ratio_is_the_annulus_std_ratio(tmp_path):
+    cfg = BenchConfig(methods=("noisy",), t_starts=(10,), seed=8,
+                      out_dir=str(tmp_path / "out"))
+    images = _test_images(n=2)
+    _, per_image = run_bench(cfg, images=images)
+    sched = make_schedule(300)
+    for i, (ti, row) in enumerate(zip(images, per_image)):
+        eps = standard_normal(ti.clean.shape, 8, draw_index=7000 + i * 100 + 10)
+        noisy = forward_jump(ti.clean.to_range(RANGE_SIGNED), 10, sched, eps)
+        est = run_method("noisy", noisy, 10, sched, cfg, None)
+        expect = (np.std(est.data[ti.outside].astype(np.float64))
+                  / np.std(ti.clean.data[ti.outside].astype(np.float64)))
+        assert row["speckle_ratio"] == pytest.approx(expect, rel=1e-12)
+        assert row["speckle_ratio"] > 1.0   # the noise adds to the speckle
+
+
+def test_flat_clean_annulus_gives_nan_speckle_ratio(tmp_path):
+    flat = _test_images(n=1)[0]
+    flat.clean = Image2D(np.full(flat.clean.shape, 0.5, dtype=np.float32),
+                         RANGE_UNIT)
+    cfg = BenchConfig(methods=("noisy",), t_starts=(10,), seed=9,
+                      out_dir=str(tmp_path / "out"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary, per_image = run_bench(cfg, images=[flat])
+    assert math.isnan(per_image[0]["speckle_ratio"])
+    assert math.isnan(summary[0]["speckle_ratio"])
+    assert (tmp_path / "out" / "report.csv").read_text().splitlines()[1] \
+        .endswith(",nan")
+
+
+def test_ddpm_rows_name_their_step_count(tmp_path, monkeypatch):
+    # report.json records ddpm_steps, and the chain makes that many calls
+    net_cfg = UNetConfig(base_channels=4, depth=1, time_embed_dim=8,
+                         image_size=32)
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, init_params(net_cfg, seed=0), net_cfg)
+    steps_seen = []
+    unet_forward = bench.unet_forward
+
+    def counting_forward(params, cfg, x, t):
+        steps_seen.append(int(t[0]))
+        return unet_forward(params, cfg, x, t)
+
+    monkeypatch.setattr(bench, "unet_forward", counting_forward)
+    cfg = BenchConfig(methods=("ddpm",), t_starts=(10,), ddpm_steps=3,
+                      checkpoint=str(ckpt), out_dir=str(tmp_path / "out"))
+    run_bench(cfg, images=_test_images(n=1))
+    md = json.loads((tmp_path / "out" / "report.json").read_text())["metadata"]
+    assert md["ddpm_steps"] == 3
+    assert steps_seen == [10, 6, 3]

@@ -222,7 +222,7 @@ def test_bench_cli_with_config(tmp_path):
     cfg_path.write_text(json.dumps(cfg))
     assert run_cli("bench", "--config", cfg_path) == 0
     csv = (tmp_path / "bench" / "report.csv").read_text().strip().split("\n")
-    assert csv[0] == "method,t_start,psnr_db,gcnr_percent"
+    assert csv[0] == "method,t_start,psnr_db,gcnr_percent,speckle_ratio"
     assert len(csv) == 3
     p10 = float(csv[1].split(",")[2])
     p20 = float(csv[2].split(",")[2])
@@ -284,6 +284,8 @@ def test_bench_absent_overrides_keep_the_config(tmp_path):
     {"methods": ["noisy"], "variant": "paper-literal"},
     {"methods": ["noisy"], "psnr_formula": "paper-literal"},
     {"methods": ["noisy"], "mask_erode_px": -3},
+    {"methods": ["noisy"], "ddpm_steps": 0},
+    {"methods": ["noisy"], "ddpm_steps": 2.5},
 ])
 def test_bench_config_of_the_wrong_json_type_exits_2(tmp_path, monkeypatch,
                                                      capsys, config):
@@ -305,6 +307,8 @@ def test_bench_config_of_the_wrong_json_type_exits_2(tmp_path, monkeypatch,
         assert "unknown config keys" in err   # keys of a removed option
     if isinstance(config, dict) and "mask_erode_px" in config:
         assert "mask_erode_px" in err   # was "inside and outside masks overlap"
+    if isinstance(config, dict) and "ddpm_steps" in config:
+        assert "ddpm_steps" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -456,6 +460,51 @@ def test_pgm_header_larger_than_file_exits_3(tmp_path, capsys):
     assert not (tmp_path / "o.pgm").exists()
 
 
+def _tiny_denoise_inputs(tmp_path):
+    net_cfg = UNetConfig(base_channels=4, depth=1, time_embed_dim=8,
+                         image_size=8)
+    ckpt = tmp_path / "m.ckpt"
+    save_model(ckpt, init_params(net_cfg, seed=0), net_cfg)
+    src = tmp_path / "in.pgm"
+    write_pgm(src, Image2D(np.full((8, 8), 0.5, dtype=np.float32)))
+    return src, ckpt
+
+
+@pytest.mark.parametrize("t_start, steps, calls", [
+    (20, None, [20, 16, 12, 8, 4]),   # the default, DEFAULT_STEPS = 5
+    (3, None, [3, 2, 1]),             # never more calls than steps to take
+    (20, 2, [20, 10]),
+    (4, 300, [4, 3, 2, 1]),
+])
+def test_denoise_steps_sets_the_network_calls(tmp_path, monkeypatch,
+                                              t_start, steps, calls):
+    import usdenoise.bench as bench
+
+    src, ckpt = _tiny_denoise_inputs(tmp_path)
+    seen = []
+    unet_forward = bench.unet_forward
+
+    def counting_forward(params, cfg, x, t):
+        seen.append(int(t[0]))
+        return unet_forward(params, cfg, x, t)
+
+    monkeypatch.setattr(bench, "unet_forward", counting_forward)
+    argv = ["denoise", "--in", src, "--ckpt", ckpt, "--t-start", t_start,
+            "--out", tmp_path / "dn.pgm"]
+    if steps is not None:
+        argv += ["--steps", steps]
+    assert run_cli(*argv) == 0
+    assert seen == calls
+
+
+def test_denoise_zero_steps_exits_2(tmp_path, capsys):
+    src, ckpt = _tiny_denoise_inputs(tmp_path)
+    assert run_cli("denoise", "--in", src, "--ckpt", ckpt, "--t-start", 3,
+                   "--steps", 0, "--out", tmp_path / "dn.pgm") == 2
+    assert "steps must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "dn.pgm").exists()
+
+
 def test_denoise_nan_checkpoint_exits_4(tmp_path, capsys):
     net_cfg = UNetConfig(base_channels=4, depth=1, time_embed_dim=8,
                          image_size=8)
@@ -602,6 +651,22 @@ def test_help_exits_0(capsys, command):
     # default, only when --help is asked for
     assert main([command, "--help"]) == 0
     assert f"usage: usdenoise {command}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("phantom", ["--density DENSITY scatterers per wavelength-squared cell "
+                 "(default: 8.0)",
+                 "--angles ANGLES steering angles in deg, comma list "
+                 "(default: -5.0,0.0,5.0)"]),
+    ("denoise", ["--steps STEPS network calls, evenly spaced from t-start to "
+                 "0 (t-start or more runs every step) (default: 5)"]),
+])
+def test_help_shows_the_defaults(capsys, monkeypatch, command, shown):
+    monkeypatch.setenv("COLUMNS", "200")   # argparse wraps at this width
+    assert main([command, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for text in shown:
+        assert text in out
 
 
 def test_version_flag(capsys):

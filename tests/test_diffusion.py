@@ -273,3 +273,98 @@ def test_predictor_exception_propagates_unchanged():
     assert type(ei.value) is ValueError
     assert str(ei.value) == "boom at t=7"
     assert called == [12, 11, 10, 9, 8, 7]
+
+
+# ------------------------------------------------ respaced chain (t -> s)
+
+def _loop_of_one_steps(x, t_start, predictor, sched, inject_seed=None):
+    # the one-step chain written out: reverse_step(x, t, ...) for t_start..1
+    for t in range(t_start, 0, -1):
+        inject = (standard_normal(x.shape, inject_seed, draw_index=t)
+                  if inject_seed is not None and t > 1 else None)
+        x = reverse_step(x, t, predictor(x, t), sched, inject)
+    return x
+
+
+@pytest.mark.parametrize("inject_seed", [None, 5])
+def test_every_step_count_is_the_one_step_chain(inject_seed):
+    sched = make_schedule(300)
+    x = img(np.tanh(standard_normal((8, 8), seed=13)))
+
+    def predictor(im, t):
+        return np.sin(im.data * t)
+
+    expected = _loop_of_one_steps(x, 20, predictor, sched, inject_seed)
+    for steps in (20, 21, 300):
+        out = denoise_from(x, 20, predictor, sched, inject_seed=inject_seed,
+                           steps=steps)
+        assert np.array_equal(out.data, expected.data), steps
+
+
+def test_respaced_chain_calls_the_predictor_at_even_steps():
+    sched = make_schedule(300)
+    calls = []
+
+    def predictor(im, t):
+        calls.append(t)
+        return np.zeros(im.shape)
+
+    denoise_from(const_img(0.2), 20, predictor, sched, steps=5)
+    assert calls == [20, 16, 12, 8, 4]
+
+
+@pytest.mark.parametrize("t", [10, 20, 300])
+def test_one_respaced_step_inverts_the_forward_jump(t):
+    # one step t -> 0, fed the exact noise, is x0 = (x_t -
+    # sqrt(1-abar_t) eps)/sqrt(abar_t), as the t=1 step is for t = 1
+    sched = make_schedule(300)
+    x0 = img(np.tanh(standard_normal((16, 16), seed=14)))
+    e = standard_normal((16, 16), seed=15, draw_index=t)
+    xt = forward_jump(x0, t, sched, eps=e)
+    rec = denoise_from(xt, t, lambda im, tt: e, sched, steps=1)
+    assert np.max(np.abs(rec.data - x0.data)) < 1e-6
+    assert np.array_equal(rec.data, reverse_step(xt, t, e, sched, s=0).data)
+
+
+def test_respaced_step_uses_the_cumulative_variances():
+    # a' = abar_t/abar_s, b' = 1 - a' from t=20 to s=12, by hand in float64
+    sched = make_schedule(300)
+    x = img(standard_normal((8, 8), seed=16))
+    e = standard_normal((8, 8), seed=17)
+    z = standard_normal((8, 8), seed=18)
+    out = reverse_step(x, 20, e, sched, inject=z, s=12)
+    a = sched.alpha_bar(20) / sched.alpha_bar(12)
+    expect = ((x.data - (1 - a) / math.sqrt(1 - sched.alpha_bar(20)) * e)
+              / math.sqrt(a) + math.sqrt(1 - a) * z)
+    assert np.allclose(out.data, expect, atol=1e-5)
+
+
+def test_respaced_injection_is_deterministic_per_seed():
+    sched = make_schedule(300)
+    noisy = forward_jump(img(standard_normal((8, 8), seed=19)), 20, sched,
+                         eps=standard_normal((8, 8), 20))
+
+    def run(seed):
+        return denoise_from(noisy, 20, lambda im, t: np.zeros(im.shape),
+                            sched, inject_seed=seed, steps=5).data
+
+    assert np.array_equal(run(99), run(99))
+    assert not np.array_equal(run(99), run(100))
+    no_inject = denoise_from(noisy, 20, lambda im, t: np.zeros(im.shape),
+                             sched, steps=5).data
+    assert not np.array_equal(run(99), no_inject)
+
+
+def test_steps_below_one_raise():
+    sched = make_schedule(300)
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps"):
+            denoise_from(const_img(0.1), 10, lambda im, t: np.zeros(im.shape),
+                         sched, steps=steps)
+
+
+def test_reverse_step_target_must_lie_below_t():
+    sched = make_schedule(300)
+    for target in (-1, 12, 13):
+        with pytest.raises(ValueError, match="outside 0..11"):
+            reverse_step(const_img(0.1), 12, None, sched, s=target)
