@@ -7,9 +7,16 @@ The comparison protocol for the classical baselines: after t forward steps
 the corrupted image is rescaled by 1/sqrt(abar_t) to undo the signal
 attenuation, which leaves additive noise of std sqrt((1-abar_t)/abar_t) in
 the signed-unit domain (half that after mapping to display range); that
-analytic sigma is handed to NLM/BM3D.  All metrics are computed in the
-unit-interval display domain against the clean image, with outputs clipped
-to [0, 1].
+analytic sigma is handed to NLM/BM3D, which otherwise run at the
+``NlmConfig``/``Bm3dConfig`` defaults (NLM's h is ``H_FACTOR * sigma``; the
+``baseline`` command is where to tune them).  All metrics are computed in
+the unit-interval display domain against the clean image, with outputs
+clipped to [0, 1].
+
+Synthetic test images are ``PhantomSpec()`` phantoms but for the grid,
+array and angles that ``BenchConfig`` names, each with one anechoic cyst of
+radius ``CYST_RADIUS_M``; GCNR compares the cyst, shrunk by ``MASK_GAP_PX``,
+with an annulus that gap outside it.
 """
 
 from __future__ import annotations
@@ -34,13 +41,15 @@ from usdenoise.diffusion import (
 )
 from usdenoise.formats import read_pgm
 from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
-from usdenoise.metrics import DEFAULT_GCNR_BINS, MIN_GCNR_BINS, gcnr, psnr
+from usdenoise.metrics import gcnr, psnr
 from usdenoise.nnet import load_model, unet_forward
 from usdenoise.rng import standard_normal, uniforms
 from usdenoise.ultrasound import Cyst, PhantomSpec, TransducerGeometry, synth_phantom
 from usdenoise.ultrasound.phantom import annulus_mask, cyst_mask
 
 METHODS = ("noisy", "nlm", "bm3d", "ddpm")
+CYST_RADIUS_M = 1.5e-3        # the phantoms' one anechoic cyst
+MASK_GAP_PX = 2               # pixels between the cyst's edge and each mask
 
 # Each per-image metric: (row key, CSV format, report.md heading and format)
 COLUMNS = (
@@ -64,25 +73,11 @@ class BenchConfig:
     schedule_T: int = DEFAULT_T
     schedule_beta: float = DEFAULT_BETA
     ddpm_steps: int = DEFAULT_STEPS   # network calls per chain, at most t_start
-    gcnr_bins: int = DEFAULT_GCNR_BINS
-    mask_erode_px: int = 2
-    # phantom generation: PhantomSpec's, but with a 64-element array
+    # phantom size: PhantomSpec's, but with a 64-element array
     phantom_nx: int = PhantomSpec.nx
     phantom_nz: int = PhantomSpec.nz
-    phantom_density: float = PhantomSpec.scatterer_density
     phantom_elements: int = 64
     phantom_angles_deg: tuple = PhantomSpec.DEFAULT_ANGLES_DEG
-    cyst_radius_mm: float = 1.5
-    cyst_echogenicity: float = Cyst.echogenicity
-    # baseline parameters
-    nlm_patch_radius: int = NlmConfig.patch_radius
-    nlm_search_radius: int = NlmConfig.search_radius
-    nlm_h_factor: float = NlmConfig.H_FACTOR
-    bm3d_block_size: int = Bm3dConfig.block_size
-    bm3d_max_matches: int = Bm3dConfig.max_matches
-    bm3d_search_radius: int = Bm3dConfig.search_radius
-    bm3d_hard_threshold: float = Bm3dConfig.hard_threshold
-    bm3d_stages: str = Bm3dConfig.stages
 
     def __post_init__(self):
         if not self.methods:
@@ -103,23 +98,6 @@ class BenchConfig:
                 raise ValueError(f"t_start {t} outside 1..{self.schedule_T}")
         if self.ddpm_steps < 1:
             raise ValueError("ddpm_steps must be at least 1")
-        if self.gcnr_bins < MIN_GCNR_BINS:
-            raise ValueError(f"gcnr_bins must be at least {MIN_GCNR_BINS}")
-        if self.mask_erode_px < 0:
-            raise ValueError("mask_erode_px must be non-negative")
-        # the baseline configs check their own keys; sigma is set per run
-        self.baseline_configs(1.0)
-
-    def baseline_configs(self, sigma: float) -> tuple[NlmConfig, Bm3dConfig]:
-        """The NLM and BM3D settings for noise standard deviation ``sigma``."""
-        return (NlmConfig(patch_radius=self.nlm_patch_radius,
-                          search_radius=self.nlm_search_radius,
-                          h=self.nlm_h_factor * sigma, sigma=sigma),
-                Bm3dConfig(block_size=self.bm3d_block_size,
-                           max_matches=self.bm3d_max_matches,
-                           search_radius=self.bm3d_search_radius,
-                           hard_threshold=self.bm3d_hard_threshold,
-                           sigma=sigma, stages=self.bm3d_stages))
 
     @classmethod
     def from_json(cls, path) -> "BenchConfig":
@@ -184,15 +162,13 @@ def make_phantom_set(cfg: BenchConfig) -> list[BenchImage]:
         jitter = uniforms(2, cfg.seed, draw_index=900 + i) - 0.5
         cyst = Cyst(cx=float(jitter[0]) * 1.2e-3,
                     cz=10.0e-3 + float(jitter[1]) * 1.2e-3,
-                    radius=cfg.cyst_radius_mm * 1e-3,
-                    echogenicity=cfg.cyst_echogenicity)
+                    radius=CYST_RADIUS_M)
         spec = PhantomSpec(nx=cfg.phantom_nx, nz=cfg.phantom_nz,
                            geometry=geometry, angles=angles,
-                           scatterer_density=cfg.phantom_density,
                            seed=cfg.seed * 1009 + i, cysts=(cyst,))
         bmode, _, _ = synth_phantom(spec)
-        inside = cyst_mask(spec, cyst, erode=cfg.mask_erode_px)
-        outside = annulus_mask(spec, cyst, gap=cfg.mask_erode_px)
+        inside = cyst_mask(spec, cyst, erode=MASK_GAP_PX)
+        outside = annulus_mask(spec, cyst, gap=MASK_GAP_PX)
         images.append(BenchImage(f"phantom{i:02d}", bmode, inside, outside))
     return images
 
@@ -205,6 +181,10 @@ def load_image_set(cfg: BenchConfig) -> list[BenchImage]:
     for p in paths:
         img = read_pgm(p)
         inside, outside = _default_masks(img.shape)
+        try:    # so that an image too small for the masks fails before any run
+            gcnr(img, inside, outside)
+        except ValueError as exc:
+            raise ValueError(f"{p}: {exc}") from None
         images.append(BenchImage(p.stem, img, inside, outside))
     return images
 
@@ -244,8 +224,7 @@ class DdpmDenoiser:
 
 
 def run_method(method: str, noisy_signed: Image2D, t_start: int,
-               sched: NoiseSchedule, cfg: BenchConfig,
-               ddpm: DdpmDenoiser | None) -> Image2D:
+               sched: NoiseSchedule, ddpm: DdpmDenoiser | None) -> Image2D:
     ab = sched.alpha_bar(t_start)
     if method == "noisy":
         return to_unit_clipped(noisy_signed.data)
@@ -255,11 +234,11 @@ def run_method(method: str, noisy_signed: Image2D, t_start: int,
         return to_unit_clipped(ddpm(noisy_signed, t_start, sched))
     # classical baselines: undo attenuation, hand over the analytic sigma
     rescaled = noisy_signed.data.astype(np.float64) / math.sqrt(ab)
-    sigma_unit = math.sqrt((1.0 - ab) / ab) / 2.0
+    sigma = math.sqrt((1.0 - ab) / ab) / 2.0
     unit = Image2D((rescaled + 1.0) / 2.0, RANGE_UNIT)
-    nlm_cfg, bm3d_cfg = cfg.baseline_configs(sigma_unit)
-    out = (nlm_denoise(unit, nlm_cfg) if method == "nlm"
-           else bm3d_denoise(unit, bm3d_cfg))
+    out = (nlm_denoise(unit, NlmConfig(h=NlmConfig.H_FACTOR * sigma,
+                                       sigma=sigma))
+           if method == "nlm" else bm3d_denoise(unit, Bm3dConfig(sigma=sigma)))
     return Image2D(np.clip(out.data, 0.0, 1.0), RANGE_UNIT)
 
 
@@ -319,14 +298,13 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
                                   draw_index=7000 + i * 100 + t_start)
             noisy_signed = forward_jump(clean_signed, t_start, sched, eps)
             for method in cfg.methods:
-                est = run_method(method, noisy_signed, t_start, sched, cfg, ddpm)
+                est = run_method(method, noisy_signed, t_start, sched, ddpm)
                 per_image.append({
                     "method": method,
                     "t_start": t_start,
                     "image": ti.name,
                     "psnr_db": psnr(ti.clean, est, 1.0),
-                    "gcnr_percent": 100.0 * gcnr(est, ti.inside, ti.outside,
-                                                 cfg.gcnr_bins),
+                    "gcnr_percent": 100.0 * gcnr(est, ti.inside, ti.outside),
                     "speckle_ratio": _std_ratio(est.data, ti.clean.data,
                                                 ti.outside),
                 })
@@ -345,9 +323,13 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
     (out / "report.csv").write_text(
         _csv(summary, ["method", "t_start", *metric_keys]))
     (out / "report.md").write_text(_markdown(summary, metadata))
+    # strict JSON: a non-finite metric (a flat clean background's speckle
+    # ratio, an exact estimate's PSNR) is written as null
+    rows = [{k: v if not isinstance(v, float) or math.isfinite(v) else None
+             for k, v in r.items()} for r in summary]
     (out / "report.json").write_text(
-        json.dumps({"metadata": metadata, "rows": summary},
-                   indent=2, sort_keys=True))
+        json.dumps({"metadata": metadata, "rows": rows},
+                   indent=2, sort_keys=True, allow_nan=False))
     (out / "per_image.csv").write_text(
         _csv(per_image, ["method", "t_start", "image", *metric_keys]))
     return summary, per_image

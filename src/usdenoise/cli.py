@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: phantom | corrupt | train | denoise | baseline | beamform |
-bench.  Every command accepts --seed and --out; bench also reads a JSON
---config.  Exit codes: 0 success, 2 usage/validation error, 3 IO/format
-error, 4 numeric failure (non-finite samples detected).
+bench.  Every command accepts --out, and those that draw random numbers
+(all but baseline and beamform) --seed; bench also reads a JSON --config.
+Exit codes: 0 success, 2 usage/validation error, 3 IO/format error,
+4 numeric failure (non-finite samples detected).
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ from usdenoise.ultrasound import (
 
 def degree_list(text: str) -> tuple:
     return tuple(math.radians(float(a)) for a in text.split(","))
+
+
+def int_list(text: str) -> tuple:
+    return tuple(int(t) for t in text.split(","))
 
 
 # ----------------------------------------------------------------- phantom
@@ -223,17 +228,13 @@ def cmd_beamform(args) -> int:
 # ------------------------------------------------------------------- bench
 
 def cmd_bench(args) -> int:
-    cfg = BenchConfig.from_json(args.config) if args.config else BenchConfig()
-    overrides = {
-        "out_dir": args.out, "seed": args.seed, "checkpoint": args.ckpt,
-        "num_images": args.images, "image_dir": args.image_dir,
-        "methods": (None if args.methods is None
-                    else tuple(args.methods.split(","))),
-        "t_starts": (None if args.t_starts is None
-                     else tuple(int(t) for t in args.t_starts.split(","))),
-    }
+    # a flag left out is absent from args, so it keeps the config's value
+    given = vars(args)
+    cfg = (BenchConfig.from_json(args.config) if "config" in given
+           else BenchConfig())
+    fields = {f.name for f in dataclasses.fields(BenchConfig)}
     cfg = dataclasses.replace(
-        cfg, **{k: v for k, v in overrides.items() if v is not None})
+        cfg, **{k: v for k, v in given.items() if k in fields})
     run_bench(cfg)
     print((Path(cfg.out_dir) / "report.csv").read_text(), end="")
     print(f"reports written to {cfg.out_dir}")
@@ -243,20 +244,11 @@ def cmd_bench(args) -> int:
 # ------------------------------------------------------------------ parser
 
 def build_parser() -> argparse.ArgumentParser:
-    def run_args(seed, out) -> argparse.ArgumentParser:
-        p = argparse.ArgumentParser(add_help=False)
-        p.add_argument("--seed", type=int, default=seed,
-                       help="deterministic run seed")
-        p.add_argument("--out", default=out,
-                       help="output file or directory")
-        return p
-
-    common = run_args(0, ".")
-    # bench tells a given --seed or --out from an absent one by its None
-    # default; an absent one keeps the config's value
-    bench_common = run_args(None, None)
-    bench_common.add_argument("--config", default=None,
-                              help="JSON BenchConfig file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", help="output file or directory")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="deterministic run seed")
     schedule = argparse.ArgumentParser(add_help=False)
     schedule.add_argument("--T", type=int, default=DEFAULT_T,
                           help="number of diffusion steps in the schedule")
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
             name, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
             **kwargs)
 
-    q = command("phantom", parents=[common, grid],
+    q = command("phantom", parents=[seeded, grid],
                 help="synthesize a speckle phantom (B-mode + RF + masks)")
     q.add_argument("--density", type=float, default=spec.scatterer_density,
                    help="scatterers per wavelength-squared cell")
@@ -304,16 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transducer elements")
     q.set_defaults(func=cmd_phantom)
 
-    q = command("corrupt", parents=[common, schedule],
+    q = command("corrupt", parents=[seeded, schedule],
                 help="apply the forward corruption process to an image")
     q.add_argument("--in", dest="input", required=True)
-    q.add_argument("--t", type=int, required=True,
+    q.add_argument("--t", type=int, required=True, default=argparse.SUPPRESS,
                    help="number of forward steps (0 copies the input)")
     q.set_defaults(func=cmd_corrupt)
 
-    q = command("train", parents=[common, schedule],
+    q = command("train", parents=[seeded, schedule],
                 help="train the noise predictor")
-    q.add_argument("--data", required=True,
+    q.add_argument("--data", required=True, default=argparse.SUPPRESS,
                    help="PGM directory, CIFAR .bin batch, or speckle:N")
     q.add_argument("--epochs", type=int, default=TrainConfig.epochs,
                    help="passes over the training set")
@@ -340,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="U-Net image size, and side of speckle:N patches")
     q.set_defaults(func=cmd_train)
 
-    q = command("denoise", parents=[common, schedule],
+    q = command("denoise", parents=[seeded, schedule],
                 help="reverse-process denoising with a trained model")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--ckpt", required=True)
@@ -352,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inject fresh noise during posterior sampling")
     q.set_defaults(func=cmd_denoise)
 
-    q = command("baseline", parents=[common],
+    q = command("baseline", parents=[out],
                 help="classical NLM or BM3D denoising")
     q.add_argument("--method", required=True, choices=["nlm", "bm3d"])
     q.add_argument("--in", dest="input", required=True)
@@ -376,9 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="BM3D stages: hard thresholding only, or Wiener too")
     q.set_defaults(func=cmd_baseline)
 
-    q = command("beamform", parents=[common, grid],
+    q = command("beamform", parents=[out, grid],
                 help="delay-and-sum reconstruction from RF files")
-    q.add_argument("--rf", required=True, help="RF file or directory")
+    q.add_argument("--rf", required=True, default=argparse.SUPPRESS,
+                   help="RF file or directory")
     q.add_argument("--angles", type=degree_list, default=None,
                    help="keep only these steering angles (deg, comma list)")
     q.add_argument("--compound", action=argparse.BooleanOptionalAction,
@@ -386,18 +379,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="average all angles into one B-mode")
     q.set_defaults(func=cmd_beamform)
 
-    q = command("bench", parents=[bench_common],
+    # each flag's dest is the BenchConfig key it overrides
+    q = command("bench", argument_default=argparse.SUPPRESS,
                 help="full PSNR/GCNR benchmark over a test set",
                 description="Flags left out keep the --config file's values, "
                             "or BenchConfig's defaults without one.")
-    q.add_argument("--ckpt", default=None, help="model checkpoint for ddpm")
-    q.add_argument("--methods", default=None,
+    q.add_argument("--config", help="JSON BenchConfig file")
+    q.add_argument("--seed", type=int, help="deterministic run seed")
+    q.add_argument("--out", dest="out_dir", help="output directory")
+    q.add_argument("--ckpt", dest="checkpoint",
+                   help="model checkpoint for ddpm")
+    q.add_argument("--methods", type=lambda text: tuple(text.split(",")),
                    help="comma list from noisy,nlm,bm3d,ddpm")
-    q.add_argument("--t-starts", default=None, help="comma list of step counts")
-    q.add_argument("--images", type=int, default=None,
+    q.add_argument("--t-starts", type=int_list,
+                   help="comma list of step counts")
+    q.add_argument("--images", dest="num_images", type=int,
                    help="number of test images")
-    q.add_argument("--image-dir", default=None,
-                   help="PGM test images; None synthesizes phantoms")
+    q.add_argument("--image-dir",
+                   help="PGM test images; without it, phantoms are synthesized")
     q.set_defaults(func=cmd_bench)
     return p
 

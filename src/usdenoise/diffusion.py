@@ -140,8 +140,10 @@ def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule
     ``steps`` is None or at least t_start; a count below 1 raises
     ``ValueError``.  ``predictor(x: Image2D, t: int) -> ndarray`` supplies
     the per-step noise estimate.  When ``inject_seed`` is given, a fresh
-    reproducible noise field (draw index = t) is injected at every step
-    except the last.  An exception the predictor raises propagates
+    reproducible noise field is injected at every step except the last.
+    Its draw index is -t: the forward draws (``corrupt``, ``bench``) use
+    non-negative indices, so at the same seed the chain never injects the
+    noise it is removing.  An exception the predictor raises propagates
     unchanged.
     """
     t_start = sched._check_t(t_start)
@@ -153,7 +155,7 @@ def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule
     x = x_noisy
     for t, s in zip(ts, ts[1:] + [0]):
         eps_hat = predictor(x, t)
-        inject = (standard_normal(x.shape, inject_seed, draw_index=t)
+        inject = (standard_normal(x.shape, inject_seed, draw_index=-t)
                   if inject_seed is not None and s > 0 else None)
         x = reverse_step(x, t, eps_hat, sched, inject, s=s)
     return x

@@ -8,8 +8,7 @@ import numpy as np
 
 from usdenoise.image import Image2D
 
-MIN_GCNR_BINS = 16
-DEFAULT_GCNR_BINS = 64
+GCNR_BINS = 64
 
 
 def _data(img) -> np.ndarray:
@@ -36,19 +35,17 @@ def psnr(i, k, max_val: float) -> float:
     return 10.0 * math.log10(max_val * max_val / err)
 
 
-def gcnr(img, inside, outside, bins: int = DEFAULT_GCNR_BINS) -> float:
+def gcnr(img, inside, outside) -> float:
     """Generalized contrast-to-noise ratio between two pixel populations.
 
     ``inside`` and ``outside`` are boolean pixel masks of the image's shape
     (read with ``np.asarray(..., dtype=bool)``); they must not overlap and
-    each must hold at least 32 pixels.  Builds histograms of both regions
-    on a shared support and returns ``1 - sum_b min(p_in, p_out)``, i.e.
-    one minus the overlap of the two intensity densities.  0 means
-    indistinguishable regions, 1 means fully separated.  Tables report it
-    as a percentage.
+    each must hold at least 32 pixels.  Builds ``GCNR_BINS``-bin histograms
+    of both regions on a shared support and returns ``1 - sum_b min(p_in,
+    p_out)``, i.e. one minus the overlap of the two intensity densities.
+    0 means indistinguishable regions, 1 means fully separated.  Tables
+    report it as a percentage.
     """
-    if bins < MIN_GCNR_BINS:
-        raise ValueError(f"need at least {MIN_GCNR_BINS} histogram bins")
     data = _data(img)
     m_in = np.asarray(inside, dtype=bool)
     m_out = np.asarray(outside, dtype=bool)
@@ -64,8 +61,8 @@ def gcnr(img, inside, outside, bins: int = DEFAULT_GCNR_BINS) -> float:
     hi = max(vin.max(), vout.max())
     if hi == lo:  # all pixels equal: identical distributions
         return 0.0
-    h_in, _ = np.histogram(vin, bins=bins, range=(lo, hi))
-    h_out, _ = np.histogram(vout, bins=bins, range=(lo, hi))
+    h_in, _ = np.histogram(vin, bins=GCNR_BINS, range=(lo, hi))
+    h_out, _ = np.histogram(vout, bins=GCNR_BINS, range=(lo, hi))
     p_in = h_in / vin.size
     p_out = h_out / vout.size
     return float(1.0 - np.minimum(p_in, p_out).sum())

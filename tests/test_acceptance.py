@@ -199,7 +199,7 @@ def test_criterion_08_metric_oracles():
     m2 = np.zeros((200, 100), dtype=bool)
     m1.reshape(-1)[:n] = True
     m2.reshape(-1)[n:2 * n] = True
-    overlap = gcnr(img, m1, m2, bins=64)
+    overlap = gcnr(img, m1, m2)
     assert abs(overlap - 0.5) <= 0.05
     _report(8, f"MSE == brute force; PSNR fixture {fix:.4f} dB; "
                f"uniform-overlap GCNR {overlap:.3f}")

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import json
 import math
 import warnings
@@ -6,15 +8,17 @@ import warnings
 import numpy as np
 import pytest
 
-from usdenoise import __version__, cli
+from usdenoise import __version__, cli, diffusion
 from usdenoise.baselines import Bm3dConfig, NlmConfig
 from usdenoise.bench import BenchConfig
 from usdenoise.cli import main
+from usdenoise.diffusion import make_schedule
 from usdenoise.formats import read_pgm, read_rf, write_pgm, write_rf
-from usdenoise.image import Image2D
+from usdenoise.image import RANGE_SIGNED, Image2D
 from usdenoise.metrics import psnr
 from usdenoise.nnet import TrainConfig, UNetConfig, init_params, save_model
-from usdenoise.ultrasound import PhantomSpec, TransducerGeometry, phantom
+from usdenoise.rng import standard_normal
+from usdenoise.ultrasound import Cyst, PhantomSpec, TransducerGeometry, phantom
 
 
 def run_cli(*args):
@@ -203,7 +207,7 @@ def test_bench_ddpm_checkpoint_channel_mismatch_exits_2(tmp_path, capsys):
     images = tmp_path / "imgs"
     images.mkdir()
     write_pgm(images / "a.pgm",
-              Image2D(np.full((16, 16), 0.5, dtype=np.float32)))
+              Image2D(np.full((32, 32), 0.5, dtype=np.float32)))
     out = tmp_path / "bench"
     assert run_cli("bench", "--methods", "ddpm", "--ckpt", ckpt,
                    "--image-dir", images, "--images", 1, "--t-starts", 3,
@@ -271,6 +275,23 @@ def test_bench_absent_overrides_keep_the_config(tmp_path):
     assert meta["num_images"] == 1
 
 
+# keys that BenchConfig once had, each at the value it defaulted to: the
+# baselines, the phantom density and the masks are set by their library
+# types, so a config that sets one is refused, not ignored
+REMOVED_BENCH_KEYS = {
+    "phantom_density": PhantomSpec.scatterer_density, "cyst_radius_mm": 1.5,
+    "cyst_echogenicity": Cyst.echogenicity, "gcnr_bins": 64,
+    "mask_erode_px": 2, "nlm_patch_radius": NlmConfig.patch_radius,
+    "nlm_search_radius": NlmConfig.search_radius,
+    "nlm_h_factor": NlmConfig.H_FACTOR,
+    "bm3d_block_size": Bm3dConfig.block_size,
+    "bm3d_max_matches": Bm3dConfig.max_matches,
+    "bm3d_search_radius": Bm3dConfig.search_radius,
+    "bm3d_hard_threshold": Bm3dConfig.hard_threshold,
+    "bm3d_stages": Bm3dConfig.stages,
+}
+
+
 @pytest.mark.parametrize("config", [
     5, [1, 2], {"t_starts": 10}, {"t_starts": [10.0]}, {"t_starts": ["10"]},
     {"methods": "noisy"}, {"methods": [1]}, {"num_images": "2"},
@@ -286,6 +307,8 @@ def test_bench_absent_overrides_keep_the_config(tmp_path):
     {"methods": ["noisy"], "mask_erode_px": -3},
     {"methods": ["noisy"], "ddpm_steps": 0},
     {"methods": ["noisy"], "ddpm_steps": 2.5},
+    *({"methods": ["noisy"], key: value}
+      for key, value in REMOVED_BENCH_KEYS.items()),
 ])
 def test_bench_config_of_the_wrong_json_type_exits_2(tmp_path, monkeypatch,
                                                      capsys, config):
@@ -303,12 +326,51 @@ def test_bench_config_of_the_wrong_json_type_exits_2(tmp_path, monkeypatch,
     assert run_cli("bench", "--config", path, "--out", tmp_path) == 2
     err = capsys.readouterr().err
     assert "invalid input" in err
-    if isinstance(config, dict) and {"variant", "psnr_formula"} & set(config):
-        assert "unknown config keys" in err   # keys of a removed option
-    if isinstance(config, dict) and "mask_erode_px" in config:
-        assert "mask_erode_px" in err   # was "inside and outside masks overlap"
+    unknown = (sorted(set(config) - {f.name for f in dataclasses.fields(
+        BenchConfig)}) if isinstance(config, dict) else [])
+    if unknown:   # keys of a removed option or setting
+        assert f"unknown config keys: {unknown}" in err
     if isinstance(config, dict) and "ddpm_steps" in config:
         assert "ddpm_steps" in err
+
+
+def test_bench_image_dir_too_small_for_the_masks_exits_2_first(
+        tmp_path, monkeypatch, capsys):
+    # a 16x16 image ran the first method, then failed in gcnr
+    import usdenoise.bench as bench
+
+    def no_runs(*args):
+        raise AssertionError("ran a method on an image the masks do not fit")
+
+    monkeypatch.setattr(bench, "run_method", no_runs)
+    images = tmp_path / "imgs"
+    images.mkdir()
+    write_pgm(images / "small.pgm",
+              Image2D(np.full((16, 16), 0.5, dtype=np.float32)))
+    assert run_cli("bench", "--methods", "noisy,nlm,bm3d",
+                   "--image-dir", images, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "small.pgm" in err
+    assert "each region needs at least 32 pixels" in err
+
+
+def _refuse(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def test_bench_report_json_is_strict_with_a_flat_image(tmp_path):
+    # a flat background's NaN speckle ratio was written as the token NaN
+    images = tmp_path / "imgs"
+    images.mkdir()
+    write_pgm(images / "flat.pgm",
+              Image2D(np.full((64, 64), 0.5, dtype=np.float32)))
+    out = tmp_path / "out"
+    assert run_cli("bench", "--methods", "noisy", "--t-starts", 10,
+                   "--image-dir", images, "--out", out) == 0
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_refuse)
+    assert report["rows"][0]["speckle_ratio"] is None
+    assert (out / "report.csv").read_text().splitlines()[1].endswith(",nan")
 
 
 @pytest.mark.parametrize("argv", [
@@ -630,10 +692,23 @@ def test_flag_defaults_are_the_library_configs(tmp_path, monkeypatch, callee,
 
 
 def test_bench_defaults_are_the_library_configs(monkeypatch):
-    assert BenchConfig().baseline_configs(SIGMA) == (NLM, BM3D)
-    # the bench's phantoms are PhantomSpec() but for the 64-element array,
-    # the seed and the cyst
     import usdenoise.bench as bench
+    # the baselines run at their configs' defaults but for the analytic
+    # sigma of the rescaled input
+    sched = make_schedule()
+    ab = sched.alpha_bar(10)
+    sigma = math.sqrt((1.0 - ab) / ab) / 2.0
+    noisy = Image2D(np.zeros((8, 8), dtype=np.float32), RANGE_SIGNED)
+    for method, callee, expected in (
+            ("nlm", "nlm_denoise",
+             NlmConfig(h=NlmConfig.H_FACTOR * sigma, sigma=sigma)),
+            ("bm3d", "bm3d_denoise", Bm3dConfig(sigma=sigma))):
+        monkeypatch.setattr(bench, callee, _stand_in)
+        with pytest.raises(Called) as called:
+            bench.run_method(method, noisy, 10, sched, None)
+        assert called.value.args[1] == expected
+    # the bench's phantoms are PhantomSpec() but for the 64-element array,
+    # the seed and the cyst, whose echogenicity is Cyst's
     monkeypatch.setattr(bench, "synth_phantom", _stand_in)
     with pytest.raises(Called) as called:
         bench.make_phantom_set(BenchConfig())
@@ -642,6 +717,8 @@ def test_bench_defaults_are_the_library_configs(monkeypatch):
         PhantomSpec(), geometry=TransducerGeometry(element_count=64),
         seed=spec.seed, cysts=spec.cysts)
     assert spec.angles == (math.radians(-5.0), 0.0, math.radians(5.0))
+    cyst, = spec.cysts
+    assert (cyst.radius, cyst.echogenicity) == (1.5e-3, Cyst.echogenicity)
 
 
 @pytest.mark.parametrize("command", ["phantom", "corrupt", "train", "denoise",
@@ -667,6 +744,81 @@ def test_help_shows_the_defaults(capsys, monkeypatch, command, shown):
     out = " ".join(capsys.readouterr().out.split())
     for text in shown:
         assert text in out
+
+
+@pytest.mark.parametrize("command, hidden", [
+    ("bench", "default: None"),      # its override flags showed None
+    ("corrupt", "default: None"),    # and so did each required flag
+    ("train", "speckle:N (default: None)"),
+    ("beamform", "RF file or directory (default: None)"),
+])
+def test_help_shows_no_none_default(capsys, monkeypatch, command, hidden):
+    monkeypatch.setenv("COLUMNS", "200")   # argparse wraps at this width
+    assert main([command, "--help"]) == 0
+    assert hidden not in " ".join(capsys.readouterr().out.split())
+
+
+# each subcommand with only its required flags
+MINIMAL_ARGV = {
+    "phantom": [],
+    "corrupt": ["--in=x.pgm", "--t=5"],
+    "train": ["--data=speckle:8"],
+    "denoise": ["--in=x.pgm", "--ckpt=m.ckpt", "--t-start=3"],
+    "baseline": ["--method=nlm", "--in=x.pgm", "--sigma=0.1"],
+    "beamform": ["--rf=x"],
+    "bench": [],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+def test_every_flag_is_read_by_its_command(command):
+    # baseline and beamform accepted a --seed they never read
+    args = cli.build_parser().parse_args([command, *MINIMAL_ARGV[command]])
+    tree = ast.parse(inspect.getsource(args.func))
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    assert set(vars(args)) - {"func", "command"} - read == set()
+
+
+@pytest.mark.parametrize("command", ["baseline", "beamform"])
+def test_seed_is_refused_where_nothing_reads_it(capsys, command):
+    assert run_cli(command, *MINIMAL_ARGV[command], "--seed", 1) == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_denoise_inject_is_not_the_corruption_noise(tmp_path, monkeypatch):
+    # at the same --seed, the field injected on the step from t was the
+    # noise `corrupt --t t` adds
+    src, ckpt = _tiny_denoise_inputs(tmp_path)
+    injected = {}
+    reverse_step = diffusion.reverse_step
+
+    def spy(x, t, eps_hat, sched, inject=None, **kwargs):
+        injected[t] = inject
+        return reverse_step(x, t, eps_hat, sched, inject, **kwargs)
+
+    monkeypatch.setattr(diffusion, "reverse_step", spy)
+    assert run_cli("denoise", "--in", src, "--ckpt", ckpt, "--t-start", 20,
+                   "--inject", "--out", tmp_path / "dn.pgm") == 0
+    assert sorted(injected) == [4, 8, 12, 16, 20]
+    assert injected[4] is None    # none on the step to 0
+    drawn = []
+
+    def spy_normal(*args, **kwargs):
+        drawn.append(standard_normal(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(cli, "standard_normal", spy_normal)
+    assert run_cli("corrupt", "--in", src, "--t", 20,
+                   "--out", tmp_path / "noisy.pgm") == 0
+    assert not np.array_equal(injected[20], drawn[0])
+    # the draws of `corrupt --seed 0 --t t`, for every t of the schedule
+    corruptions = [standard_normal((8, 8), 0, draw_index=t)
+                   for t in range(1, 301)]
+    for t in (8, 12, 16, 20):
+        assert not any(np.array_equal(injected[t], eps)
+                       for eps in corruptions), t
 
 
 def test_version_flag(capsys):
