@@ -115,9 +115,10 @@ def _collaborate(shape, matches: np.ndarray, px: int, b: int,
     return (acc / wacc).reshape(shape)
 
 
-def _stage1(noisy: np.ndarray, cfg: Bm3dConfig) -> np.ndarray:
+def _stage1(noisy: np.ndarray, spectra: np.ndarray,
+            cfg: Bm3dConfig) -> np.ndarray:
+    """Hard-thresholding estimate; ``spectra`` is ``_block_spectra(noisy)``."""
     b = cfg.block_size
-    spectra = _block_spectra(noisy, b)
     matches, px = _match(spectra, cfg)
     flat = spectra.reshape(-1, b, b)
     thr = cfg.hard_threshold * cfg.sigma
@@ -132,9 +133,12 @@ def _stage1(noisy: np.ndarray, cfg: Bm3dConfig) -> np.ndarray:
     return _collaborate(noisy.shape, matches, px, b, hard_threshold)
 
 
-def _stage2(noisy: np.ndarray, pilot: np.ndarray, cfg: Bm3dConfig) -> np.ndarray:
+def _stage2(noisy: np.ndarray, spectra: np.ndarray, pilot: np.ndarray,
+            cfg: Bm3dConfig) -> np.ndarray:
+    """Wiener estimate grouped on ``pilot``; ``spectra`` is
+    ``_block_spectra(noisy)``."""
     b = cfg.block_size
-    flat_n = _block_spectra(noisy, b).reshape(-1, b, b)
+    flat_n = spectra.reshape(-1, b, b)
     spectra_p = _block_spectra(pilot, b)
     matches, px = _match(spectra_p, cfg)          # group on the pilot
     flat_p = spectra_p.reshape(-1, b, b)
@@ -160,8 +164,10 @@ def bm3d_denoise(img: Image2D, cfg: Bm3dConfig) -> Image2D:
     if img.height < b + 1 or img.width < b + 1:
         raise ValueError(f"image smaller than one {b}x{b} block neighborhood")
     noisy = img.data.astype(np.float64)
-    basic = _stage1(noisy, cfg)
-    out = _stage2(noisy, basic, cfg) if cfg.stages == "two" else basic
+    spectra = _block_spectra(noisy, b)
+    basic = _stage1(noisy, spectra, cfg)
+    out = (_stage2(noisy, spectra, basic, cfg) if cfg.stages == "two"
+           else basic)
     lo, hi = img.bounds()
     out = np.clip(out, lo, hi)
     return img.like(out.astype(np.float32))

@@ -62,7 +62,7 @@ def int_list(text: str) -> tuple:
 
 def cmd_phantom(args) -> int:
     cysts = []
-    for spec in args.cyst or []:
+    for spec in args.cyst:
         cx, cz, r, echo = (float(v) for v in spec.split(","))
         cysts.append(Cyst(cx=cx * 1e-3, cz=cz * 1e-3, radius=r * 1e-3,
                           echogenicity=echo))
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="synthesize a speckle phantom (B-mode + RF + masks)")
     q.add_argument("--density", type=float, default=spec.scatterer_density,
                    help="scatterers per wavelength-squared cell")
-    q.add_argument("--cyst", action="append",
+    q.add_argument("--cyst", action="append", default=[],
                    help="cx_mm,cz_mm,radius_mm,echogenicity (repeatable)")
     # a string default goes through degree_list, so --help shows degrees
     q.add_argument("--angles", type=degree_list,
@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lr-step", type=int, default=TrainConfig.lr_step_epochs,
                    help="epochs between learning-rate decays")
     q.add_argument("--warm-start", default=None,
-                   help="checkpoint to fine-tune from (lr 4e-4 is customary)")
+                   help="checkpoint to fine-tune from (lr 4e-4 is customary); "
+                        "%(default)s trains from scratch")
     q.add_argument("--heldout-frac", type=float, default=0.15,
                    help="share of the data held out for validation")
     q.add_argument("--base-channels", type=int,
@@ -350,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--sigma", type=float, required=True)
     q.add_argument("--h", type=float, default=None,
-                   help=f"NLM strength h; None means {NlmConfig.H_FACTOR}*sigma")
+                   help=f"NLM strength h; %(default)s means "
+                        f"{NlmConfig.H_FACTOR}*sigma")
     q.add_argument("--patch-radius", type=int, default=NlmConfig.patch_radius,
                    help="NLM patch radius")
     q.add_argument("--search-radius", type=int,
@@ -373,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rf", required=True, default=argparse.SUPPRESS,
                    help="RF file or directory")
     q.add_argument("--angles", type=degree_list, default=None,
-                   help="keep only these steering angles (deg, comma list)")
+                   help="keep only these steering angles (deg, comma list); "
+                        "%(default)s keeps every angle")
     q.add_argument("--compound", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="average all angles into one B-mode")

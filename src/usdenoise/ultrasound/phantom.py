@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from usdenoise import _kernels
-from usdenoise.rng import standard_normal, uniforms
+from usdenoise.rng import _normals, standard_normal, uniforms
 from usdenoise.ultrasound.beamform import (
     bmode_from_frames,
     receive_window,
@@ -39,8 +39,9 @@ from usdenoise.ultrasound.types import ImagingGrid, RFFrame, TransducerGeometry
 
 # Gaussian pulse std in seconds, as a fraction of the carrier period
 PULSE_SIGMA_PERIODS = 0.5
-# speckle_patches blurs and averages this many patches per pass
-_PATCH_CHUNK = 16
+# speckle_patches draws, blurs and averages this many patches per pass; at
+# 32x32 their looks and float64 blur buffers (under 2 MiB) fit a core's L2
+_PATCH_CHUNK = 4
 # speckle_patches: looks averaged per patch, Gaussian blur std (pixels),
 # and the share of patches that get a cyst
 PATCH_LOOKS = 10
@@ -252,19 +253,36 @@ def synth_phantom(spec: PhantomSpec):
 
 
 def _sep_blur(field: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Separable symmetric filtering along the last two axes."""
+    """Separable symmetric filtering along the last two axes, with
+    wrap-around edges (of at most the axis length), in float64.
+
+    Each axis copies the field once into a buffer padded along that axis,
+    where the element k taps further on is a fixed flat distance away; the
+    taps then sum in order over whole contiguous runs of that buffer, and
+    the pad positions' sums are never read.
+    """
     r = taps.size // 2
-    out = np.zeros_like(field)
-    padded = np.pad(field, [(0, 0)] * (field.ndim - 2) + [(r, r), (0, 0)],
-                    mode="wrap")
-    for k in range(taps.size):
-        out += taps[k] * padded[..., k:k + field.shape[-2], :]
-    field = out
-    out = np.zeros_like(field)
-    padded = np.pad(field, [(0, 0)] * (field.ndim - 2) + [(0, 0), (r, r)],
-                    mode="wrap")
-    for k in range(taps.size):
-        out += taps[k] * padded[..., :, k:k + field.shape[-1]]
+    out = field
+    for axis in (-2, -1):
+        n = field.shape[axis]
+        shape = list(field.shape)
+        shape[axis] += 2 * r
+        padded = np.empty(shape)
+        body = np.moveaxis(padded, axis, 0)
+        body[r:r + n] = np.moveaxis(out, axis, 0)
+        body[:r] = body[n:n + r]
+        body[r + n:] = body[r:2 * r]
+        step = padded.strides[axis] // padded.itemsize
+        src = padded.reshape(-1)
+        m = src.size - 2 * r * step
+        acc = np.empty_like(padded)
+        run = acc.reshape(-1)[r * step:r * step + m]
+        term = np.empty(m)
+        np.multiply(src[:m], taps[0], out=run)
+        for k in range(1, taps.size):
+            np.multiply(src[k * step:k * step + m], taps[k], out=term)
+            run += term
+        out = np.moveaxis(np.moveaxis(acc, axis, 0)[r:r + n], 0, axis)
     return out
 
 
@@ -275,7 +293,9 @@ def speckle_patches(count: int, size: int = 32, seed: int = 0) -> np.ndarray:
     speckle envelopes, log-compressed to the unit interval; a random disc
     with reduced echogenicity is stamped into ``PATCH_CYST_FRACTION`` of them.
     Used for training data where full RF synthesis would be overkill.
-    Returns float32 of shape (count, size, size) in [0, 1].
+    Returns float32 of shape (count, size, size) in [0, 1].  Beyond the
+    output and its float64 envelopes, working memory is bounded by one
+    chunk of ``_PATCH_CHUNK`` patches' looks.
     """
     if count < 1 or size < 4:
         raise ValueError("need count >= 1 and size >= 4")
@@ -284,15 +304,20 @@ def speckle_patches(count: int, size: int = 32, seed: int = 0) -> np.ndarray:
     taps = np.exp(-x * x / (2 * PATCH_BLUR_PX * PATCH_BLUR_PX))
     taps /= taps.sum()
 
-    re = standard_normal((count, PATCH_LOOKS, size, size), seed, 0)
-    im = standard_normal((count, PATCH_LOOKS, size, size), seed, 1)
-    # a few patches at a time, so the float64 looks stay small
+    # the looks of a chunk of patches at a time, drawn from each field's
+    # stream by flat offset, so no field is ever held for every patch
+    pixels = PATCH_LOOKS * size * size
+    looks = np.empty((2, min(count, _PATCH_CHUNK) * pixels), dtype=np.float32)
     env = np.empty((count, size, size), dtype=np.float64)
     for i in range(0, count, _PATCH_CHUNK):
         j = min(i + _PATCH_CHUNK, count)
-        env[i:j] = np.hypot(_sep_blur(re[i:j].astype(np.float64), taps),
-                            _sep_blur(im[i:j].astype(np.float64), taps)
-                            ).mean(axis=1)
+        chunk = looks[:, :(j - i) * pixels]
+        for draw_index, part in enumerate(chunk):
+            _normals(part, seed, draw_index, i * pixels)
+        shape = (j - i, PATCH_LOOKS, size, size)
+        re, im = (_sep_blur(part.reshape(shape), taps) for part in chunk)
+        np.hypot(re, im, out=re)
+        np.mean(re, axis=1, out=env[i:j])
 
     n_cysts = int(round(count * PATCH_CYST_FRACTION))
     if n_cysts:

@@ -338,9 +338,10 @@ def test_bm3d_stages_match_per_group_reference(noisy, cfg):
         bm3d._ref_positions(noisy.shape[1], cfg.block_size))
     if noisy.shape == (64, 64):          # more than one chunk, the last short
         assert groups > bm3d.GROUP_CHUNK and groups % bm3d.GROUP_CHUNK
-    basic = bm3d._stage1(noisy, cfg)
+    spectra = bm3d._block_spectra(noisy, cfg.block_size)
+    basic = bm3d._stage1(noisy, spectra, cfg)
     assert np.abs(basic - _stage1_per_group(noisy, cfg)).max() <= 1e-12
-    final = bm3d._stage2(noisy, basic, cfg)
+    final = bm3d._stage2(noisy, spectra, basic, cfg)
     assert np.abs(final - _stage2_per_group(noisy, basic, cfg)).max() <= 1e-12
 
 

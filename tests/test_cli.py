@@ -751,6 +751,9 @@ def test_help_shows_the_defaults(capsys, monkeypatch, command, shown):
     ("corrupt", "default: None"),    # and so did each required flag
     ("train", "speckle:N (default: None)"),
     ("beamform", "RF file or directory (default: None)"),
+    # and so did the optional flags whose None means "not given"
+    *[(command, "(default: None)") for command in
+      ("phantom", "train", "denoise", "baseline", "beamform")],
 ])
 def test_help_shows_no_none_default(capsys, monkeypatch, command, hidden):
     monkeypatch.setenv("COLUMNS", "200")   # argparse wraps at this width

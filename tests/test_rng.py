@@ -1,4 +1,8 @@
+import tracemalloc
+import warnings
+
 import numpy as np
+import pytest
 
 from usdenoise import rng
 from usdenoise.rng import raw_words, standard_normal, uniforms
@@ -33,6 +37,52 @@ def test_chunked_fill_equals_one_shot_box_muller():
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     got = standard_normal((n,), seed=5, draw_index=2)
     assert np.array_equal(got, z.astype(np.float32))
+
+
+_M64 = 2 ** 64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _word(seed, draw_index, n):
+    # the two formulas of the module docstring, in Python ints
+    key = _mix64((seed + _GAMMA * (draw_index + 1)) & _M64)
+    return _mix64((key + _GAMMA * (n + 1)) & _M64)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -12345])
+@pytest.mark.parametrize("draw_index", [0, -20])    # denoise --inject: -t
+def test_words_match_an_independent_splitmix64(seed, draw_index):
+    block = 2 * rng._NORMAL_CHUNK                     # words per fill block
+    n = 2 * block + 9                                 # three fill blocks
+    # every block's first and last words, and the call's ends
+    picks = [*range(3), *range(block - 3, block + 3), *range(2 * block - 3, n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        uni = uniforms(n, seed, draw_index)
+        for offset in (0, block - 5, 2 ** 40):
+            words = raw_words(n, seed, draw_index, offset)
+            for i in picks:
+                assert int(words[i]) == _word(seed, draw_index, offset + i)
+    for i in picks:
+        assert uni[i] == (_word(seed, draw_index, i) >> 11) * 2.0 ** -53
+
+
+def test_normal_fill_memory_does_not_grow_with_the_field():
+    # the words and doubles are made a block at a time over reused buffers;
+    # whole-field temporaries took 20 MiB beyond a 2^20-sample output
+    tracemalloc.start()
+    try:
+        out = standard_normal((1 << 20,), seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 2 * 2 ** 20
 
 
 def test_moments_are_standard_normal():

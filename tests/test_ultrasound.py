@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -540,6 +541,23 @@ def test_speckle_patches_chunks_equal_one_shot(seed):
     assert n_cysts < 2 * phantom._PATCH_CHUNK
     for got, e in zip(out[n_cysts:], env[n_cysts:]):
         assert np.array_equal(got, log_compress(e, 50.0).data)
+
+
+def test_speckle_patches_memory_grows_only_with_the_output():
+    # the ten looks of each field are drawn and blurred a chunk at a time;
+    # holding both (count, 10, size, size) fields grew the peak by about
+    # 80 bytes per output pixel, the float32 output and float64 envelope
+    # alone need 12
+    def peak(count):
+        tracemalloc.start()
+        try:
+            speckle_patches(count, size=32, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grown = peak(1000) - peak(232)
+    assert grown < 16 * (1000 - 232) * 32 * 32
 
 
 def test_speckle_patches_log_compression_bit_identical(monkeypatch):
