@@ -14,13 +14,8 @@ import math
 import numpy as np
 
 MATCH_CHUNK = 16  # references per block-matching GEMM
-
-
-def _box_sum(img: np.ndarray, k: int) -> np.ndarray:
-    """Sliding k x k window sums; output is (H-k+1, W-k+1)."""
-    ii = np.zeros((img.shape[0] + 1, img.shape[1] + 1), dtype=np.float64)
-    np.cumsum(np.cumsum(img, axis=0), axis=1, out=ii[1:, 1:])
-    return ii[k:, k:] - ii[:-k, k:] - ii[k:, :-k] + ii[:-k, :-k]
+SAFETY = 2.0      # margin of the block-matching prefilter over its error bound
+F32_SAFE = float(np.finfo(np.float32).max) / 8  # no float32 distance overflows
 
 
 def nlm_filter(img: np.ndarray, patch_radius: int, search_radius: int,
@@ -32,33 +27,84 @@ def nlm_filter(img: np.ndarray, patch_radius: int, search_radius: int,
     ``exp(-max(d2 - 2 sigma^2, 0) / h^2)`` with ``d2`` the mean squared
     distance between the two centered patches; each output pixel is the
     weight-normalized average of the search-window center pixels.
+
+    The weight of a pair of pixels does not depend on which of the two is
+    the output, so each pair is scored once (Condat, "A simple trick to
+    speed up and improve the non-local means", 2010).  The loop visits the
+    offsets ``delta = (dy, dx)`` with ``dy > 0``, or ``dy = 0`` and
+    ``dx > 0``: half the window.  For each it computes the weight at every
+    anchor ``a`` in the outputs and in the outputs minus ``delta``, and adds
+    it twice: to ``a`` with the pixel ``a + delta``, and to ``a + delta``
+    with the pixel ``a``.  ``delta = 0`` is weight 1 and the pixel itself.
+
+    Every array is a contiguous run of the padded image in raster order,
+    so that a shift by ``(dy, dx)`` is a shift by ``dy * row + dx``
+    elements.  The outputs are the run from output pixel ``(0, 0)`` to
+    ``(height - 1, width - 1)``; it holds the padding columns between the
+    rows too, whose sums are discarded.  The patch sums are separable: the
+    squared differences summed over the patch rows, then over its columns,
+    each as ``2 patch_radius`` adds of shifted runs.  No patch around an
+    anchor that an output reads crosses a row end.
     """
     pr, sr = int(patch_radius), int(search_radius)
     m = pr + sr
     height, width = np.shape(img)
     q = np.pad(np.asarray(img, dtype=np.float64), m, mode="symmetric")
+    row = q.shape[1]
+    qf = q.ravel()
     k = 2 * pr + 1
     # scaling by 1/h twice keeps the h -> 0 limit, weight 1 at zero excess
     # and 0 elsewhere: below h ~ 1e-154, 1/h^2 is inf and 0 * inf is NaN
     inv_h = 1.0 / h
     two_sigma2 = 2.0 * sigma * sigma
 
-    base = q[m - pr:m + height + pr, m - pr:m + width + pr]
-    acc = np.zeros((height, width), dtype=np.float64)
-    wsum = np.zeros((height, width), dtype=np.float64)
+    n_out = (height - 1) * row + width
+    first = m * row + m                 # flat index of output pixel (0, 0)
+    acc = qf[first:first + height * row].copy()      # delta = 0
+    wsum = np.ones(height * row)
+    acc_run, wsum_run = acc[:n_out], wsum[:n_out]
+    most = sr * row + sr                # the largest shift
+    sq_buf = np.empty(n_out + most + 2 * pr * (row + 1))
+    rows_buf = np.empty(n_out + most + 2 * pr)
+    w_buf = np.empty(n_out + most)
+    term = np.empty(n_out)
     with np.errstate(over="ignore"):
-        for dy in range(-sr, sr + 1):
-            for dx in range(-sr, sr + 1):
-                shifted = q[m - pr + dy:m + height + pr + dy,
-                            m - pr + dx:m + width + pr + dx]
-                d2 = _box_sum((base - shifted) ** 2, k) / (k * k)
-                w = np.maximum(d2 - two_sigma2, 0.0)
+        for dy in range(sr + 1):
+            for dx in range(-sr if dy else 1, sr + 1):
+                s = dy * row + dx
+                # anchors run from output (0, 0) minus delta to the last
+                # output; sq_buf[0] is the top-left pixel of the first
+                # anchor's patch
+                n_w = n_out + s
+                n_rows = n_w + 2 * pr
+                n_sq = n_rows + 2 * pr * row
+                u0 = first - s - pr * row - pr
+                sq, rows, w = sq_buf[:n_sq], rows_buf[:n_rows], w_buf[:n_w]
+                np.subtract(qf[u0:u0 + n_sq], qf[u0 + s:u0 + s + n_sq],
+                            out=sq)
+                np.square(sq, out=sq)
+                np.add(sq[:n_rows], sq[row:row + n_rows], out=rows)
+                for i in range(2, k):
+                    rows += sq[i * row:i * row + n_rows]
+                np.add(rows[:n_w], rows[1:1 + n_w], out=w)
+                for j in range(2, k):
+                    w += rows[j:j + n_w]
+                w /= k * k
+                w -= two_sigma2
+                np.maximum(w, 0.0, out=w)
                 w *= -inv_h
                 w *= inv_h
                 np.exp(w, out=w)
-                acc += w * q[m + dy:m + dy + height, m + dx:m + dx + width]
-                wsum += w
-    return acc / wsum
+                # output t takes anchor t with the pixel t + delta ...
+                np.multiply(w[s:], qf[first + s:first + s + n_out], out=term)
+                acc_run += term
+                wsum_run += w[s:]
+                # ... and anchor t - delta with the pixel t - delta
+                np.multiply(w[:n_out], qf[first - s:first - s + n_out],
+                            out=term)
+                acc_run += term
+                wsum_run += w[:n_out]
+    return (acc / wsum).reshape(height, row)[:, :width]
 
 
 def match_blocks(blocks: np.ndarray, ref_rows: np.ndarray, ref_cols: np.ndarray,
@@ -75,18 +121,45 @@ def match_blocks(blocks: np.ndarray, ref_rows: np.ndarray, ref_cols: np.ndarray,
     (R, k) linear indices into the (Py, Px) position grid, best first.
 
     References go ``MATCH_CHUNK`` at a time, in raster order, against the
-    candidates in the bounding box of their windows.  One GEMM gives the
-    approximate distances ``|r|^2 + |c|^2 - 2 r.c`` (``+inf`` outside a
-    reference's window), and ``np.partition`` their k-th smallest value.
-    Every candidate within ``2 tol`` of it, ``tol = 1e-12 (|r|^2 + |c|^2)``,
-    is scored again as ``((c - r)**2).sum()`` over the same contiguous vector
-    as a per-reference loop, so with the same bits; one ``lexsort`` then
-    ranks them.  The GEMM's rounding error is below ``(n + 2) 2^-53`` times
-    ``|r|^2 + |c|^2`` (n the vector length, 256 at most), far inside ``tol``,
-    so every exact top-k member is within ``2 tol`` of the approximate k-th
-    value and is scored exactly: the groups are the same as a loop of exact
-    distances gives.  Where an approximation overflows, every candidate in
-    the chunk's windows is scored exactly.
+    candidates in the bounding box of their windows.  A float32 copy of the
+    blocks ranks them.  The copy has the mean block subtracted: distances
+    do not change, and a common offset, such as the DC of a bright image,
+    costs no precision.  One GEMM gives the approximate distances
+    ``a = |r|^2 + |c|^2 - 2 r.c`` (``+inf`` outside a reference's window),
+    and ``np.partition`` their k-th smallest value ``a_k``.  Every candidate
+    with ``a <= a_k + 2 tol`` is scored again as ``((c - r)**2).sum()`` over
+    the same contiguous float64 vector as a per-reference loop, so with the
+    same bits; one ``lexsort`` then ranks them.
+
+    ``tol`` bounds ``|a - d|``, ``d`` the exact distance.  With
+    ``u = 2^-24``, ``S = |r|^2 + |c|^2`` of the centred blocks and
+    ``gamma_n = n u / (1 - n u)`` for dot products of length ``n``:
+
+    - the dot product is off by ``gamma_n S / 2``, so ``2 r.c`` by
+      ``gamma_n S``;
+    - the two norms are off by ``gamma_n S`` together;
+    - the two additions by ``3 u S``;
+    - rounding the centred blocks to float32 moves ``c - r`` by some ``e``
+      with ``|e| <= u (|c| + |r|)``, and ``d`` by at most
+      ``2 sqrt(d) |e| + |e|^2``, so by ``5 u S`` at most;
+    - each product that underflows loses at most ``2^-126``, the smallest
+      normal float32 (so also where subnormals are flushed to zero): ``2n``
+      of them contribute ``2n 2^-126`` in all.
+
+    ``tol`` is ``SAFETY`` = 2 times the sum, ``(2n + 8) u S + 2n 2^-126``, so
+    that the second-order terms, the rounding of the float64 centring and
+    scores, and that of ``tol`` and ``a_k + 2 tol`` themselves fit in the
+    margin.  ``S`` is taken at its largest in the chunk's box, which holds
+    every pair's blocks.  Then at least ``k`` candidates have
+    ``d <= a_k + tol``, so each of the exact top ``k`` has
+    ``a <= d + tol <= a_k + 2 tol``: every one is scored exactly, and the
+    groups are the same as a loop of exact distances gives, to the bit.
+    Blocks so small that their squares underflow have ``S`` near 0 and
+    every ``a`` within ``tol``, so their whole window is scored exactly.  A
+    chunk whose box holds a float32 norm above an eighth of the float32
+    range, or one that is not finite (the cast or the float64 centring
+    overflowed), skips the GEMM and scores its windows exactly.  Below that
+    bound no float32 term overflows, as ``|a| <= 4 max(|r|^2, |c|^2)``.
     """
     py, px, n = blocks.shape
     # a wider window selects the same candidates; clipping keeps the window
@@ -100,41 +173,50 @@ def match_blocks(blocks: np.ndarray, ref_rows: np.ndarray, ref_cols: np.ndarray,
     if (win < k).any():
         raise ValueError(f"only {win[np.argmax(win < k)]} candidate blocks, "
                          f"need {k}")
-    with np.errstate(over="ignore"):
-        norms = (blocks * blocks).sum(axis=-1)
+    flat = blocks.reshape(-1, n)
+    # the prefilter's copy: centred, so a common offset costs no precision,
+    # and cast without a warning where it overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat32 = (flat - flat.mean(axis=0)).astype(np.float32)
+        norms = (flat32 * flat32).sum(axis=-1)
+    blocks32 = flat32.reshape(py, px, n)
+    norms = norms.reshape(py, px)
+    rel = np.float32(SAFETY * (2 * n + 8) * 2.0 ** -24)
+    tiny = np.float32(SAFETY * 2 * n * 2.0 ** -126)
     out = np.empty((ref_rows.size, k), dtype=np.int64)
     raster = np.lexsort((ref_cols, ref_rows))
     for c0 in range(0, raster.size, MATCH_CHUNK):
         chunk = raster[c0:c0 + MATCH_CHUNK]
         ry, rx = ref_rows[chunk], ref_cols[chunk]
+        self_lin = ry * px + rx
         y0, y1 = max(0, ry.min() - sr), min(py, ry.max() + sr + 1)
         x0, x1 = max(0, rx.min() - sr), min(px, rx.max() + sr + 1)
-        cand = blocks[y0:y1, x0:x1].reshape(-1, n)
-        ref = blocks[ry, rx]
         far_y = np.abs(np.arange(y0, y1) - ry[:, None]) > sr
         far_x = np.abs(np.arange(x0, x1) - rx[:, None]) > sr
         outside = (far_y[:, :, None] | far_x[:, None, :]).reshape(chunk.size,
                                                                   -1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = norms[ry, rx][:, None] + norms[y0:y1, x0:x1].reshape(1, -1)
-            approx = ref @ cand.T
+        cand_norms = norms[y0:y1, x0:x1].reshape(-1)
+        widest = cand_norms.max()       # the references are in the box too
+        if widest < F32_SAFE:
+            ref_norms = norms[ry, rx]
+            approx = flat32[self_lin] @ blocks32[y0:y1, x0:x1].reshape(-1, n).T
             approx *= -2.0
-            approx += scale
-            if np.isfinite(approx).all():
-                np.copyto(approx, np.inf, where=outside)
-                kth = np.partition(approx, k - 1, axis=1)[:, k - 1:k]
-                again = approx <= kth + 2e-12 * scale
-            else:               # overflow: score the whole window exactly
-                again = ~outside
+            approx += cand_norms
+            approx += ref_norms[:, None]
+            np.copyto(approx, np.inf, where=outside)
+            kth = np.partition(approx, k - 1, axis=1)[:, k - 1]
+            tol = rel * (ref_norms + widest) + tiny
+            again = approx <= (kth + 2.0 * tol)[:, None]
+        else:       # inf, NaN or near overflow: score the window exactly
+            again = ~outside
         ri, ci = np.divmod(np.flatnonzero(again), again.shape[1])
-        with np.errstate(over="ignore"):
-            d = ((cand[ci] - ref[ri]) ** 2).sum(axis=-1)
         cy, cx = np.divmod(ci, x1 - x0)
         lin = (y0 + cy) * px + x0 + cx
+        with np.errstate(over="ignore"):
+            d = ((flat[lin] - flat[self_lin][ri]) ** 2).sum(axis=-1)
         order = np.lexsort((lin, d, ri))
         starts = np.searchsorted(ri, np.arange(chunk.size))
         group = lin[order[starts[:, None] + np.arange(k)]]
-        self_lin = ry * px + rx
         lost = ~(group == self_lin[:, None]).any(axis=1)
         group[lost, -1] = self_lin[lost]
         out[chunk] = group

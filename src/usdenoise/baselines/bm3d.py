@@ -57,6 +57,11 @@ class Bm3dConfig:
             raise ValueError("max_matches must be a power of two")
         if self.search_radius < 1:
             raise ValueError("search radius must be >= 1")
+        window = (2 * self.search_radius + 1) ** 2
+        if window < k:
+            raise ValueError(f"search_radius={self.search_radius} gives "
+                             f"{window} candidate blocks; they must hold a "
+                             f"group of max_matches={k}")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if not self.hard_threshold > 0:
@@ -149,7 +154,10 @@ def _stage2(noisy: np.ndarray, spectra: np.ndarray, pilot: np.ndarray,
 
     def wiener(lin):
         p = haar1(flat_p[lin])
-        shrink = p * p / (p * p + s2)
+        if s2 > 0:
+            shrink = p * p / (p * p + s2)
+        else:       # sigma^2 underflowed to 0: the limit is 1, or 0 at p = 0
+            shrink = (p != 0).astype(np.float64)
         est = idct2(ihaar1(shrink * haar1(flat_n[lin])))
         # each group's energy summed over one contiguous run, as for a
         # single (K, b, b) group

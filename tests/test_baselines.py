@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,16 @@ def test_bm3d_constant_image_unchanged():
     assert np.allclose(out.data, 0.5, atol=1e-6)
 
 
+def test_bm3d_underflowing_sigma_keeps_a_flat_image():
+    # below sigma ~ 1.5e-162 sigma^2 is 0, and the Wiener shrink of a zero
+    # pilot coefficient was 0 / 0
+    img = unit_image(np.full((24, 24), 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = bm3d_denoise(img, Bm3dConfig(sigma=1e-200))
+    assert np.array_equal(out.data, img.data)
+
+
 def test_bm3d_huge_sigma_kills_ac():
     rng = np.random.default_rng(6)
     img = unit_image(np.clip(0.5 + 0.1 * rng.normal(size=(64, 64)), 0, 1))
@@ -263,6 +274,8 @@ def test_bm3d_rejects_degenerate_config():
         Bm3dConfig(block_size=5)
     with pytest.raises(ValueError):
         Bm3dConfig(max_matches=12)
+    with pytest.raises(ValueError, match="search_radius=1 .* max_matches=16"):
+        Bm3dConfig(search_radius=1)             # a 3 x 3 window of blocks
     with pytest.raises(ValueError):
         Bm3dConfig(sigma=0.0)
     with pytest.raises(ValueError):

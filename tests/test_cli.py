@@ -630,6 +630,31 @@ def test_bm3d_extreme_arguments_exit_0(tmp_path):
                        "--out", tmp_path / "o.pgm") == 0
 
 
+def test_bm3d_underflowing_sigma_exits_0(tmp_path):
+    # sigma^2 underflowed to 0, and the Wiener shrink of the flat image's
+    # zero coefficients was 0 / 0: a non-finite image, exit 4
+    src = tmp_path / "in.pgm"
+    write_pgm(src, Image2D(np.full((24, 24), 0.5, dtype=np.float32)))
+    for sigma in ("1e-200", "1e-170"):
+        out = tmp_path / f"o{sigma}.pgm"
+        assert run_cli("baseline", "--method", "bm3d", "--sigma", sigma,
+                       "--in", src, "--out", out) == 0
+        assert out.read_bytes() == src.read_bytes()
+
+
+def test_bm3d_search_window_smaller_than_a_group_exits_2(tmp_path, capsys):
+    # the kernel found "only 9 candidate blocks, need 16" after the spectra
+    # were computed, and named neither setting
+    src = tmp_path / "in.pgm"
+    write_pgm(src, Image2D(np.full((24, 24), 0.5, dtype=np.float32)))
+    assert run_cli("baseline", "--method", "bm3d", "--sigma", 0.1,
+                   "--search", 1, "--in", src,
+                   "--out", tmp_path / "o.pgm") == 2
+    err = capsys.readouterr().err
+    assert "search_radius=1" in err and "max_matches=16" in err
+    assert not (tmp_path / "o.pgm").exists()
+
+
 def test_nlm_tiny_h_exits_0(tmp_path):
     # 1/h^2 overflowed to inf and 0 * inf made NaN weights, so the image was
     # non-finite and the command exited 4

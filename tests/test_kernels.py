@@ -32,13 +32,22 @@ def _nlm_per_pixel(padded, height, width, pr, sr, h, sigma):
     return out
 
 
-def test_nlm_filter_matches_per_pixel_loop():
+@pytest.mark.parametrize("height, width, pr, sr, sigma", [
+    pytest.param(12, 12, 1, 3, 0.3, id="12x12"),
+    pytest.param(20, 23, 2, 7, 0.3, id="20x23-bench-radii"),
+    pytest.param(9, 14, 1, 3, 0.0, id="9x14-sigma0"),
+    pytest.param(13, 8, 1, 5, 0.3, id="13x8-window-wider-than-image"),
+    pytest.param(21, 20, 3, 2, 0.3, id="21x20-patch-wider-than-window"),
+])
+def test_nlm_filter_matches_per_pixel_loop(height, width, pr, sr, sigma):
+    # each pair of pixels is scored once, over anchors that reach past the
+    # outputs by the offset: an off-by-one there moves a weight or a pixel
     rng = np.random.default_rng(0)
-    img = rng.normal(size=(12, 12))
-    padded = np.pad(img, 4, mode="symmetric")
-    got = _kernels.nlm_filter(img, 1, 3, 0.9, 0.3)
-    want = _nlm_per_pixel(padded, 12, 12, 1, 3, 0.9, 0.3)
-    assert got.shape == (12, 12)
+    img = rng.normal(size=(height, width))
+    padded = np.pad(img, pr + sr, mode="symmetric")
+    got = _kernels.nlm_filter(img, pr, sr, 0.9, sigma)
+    want = _nlm_per_pixel(padded, height, width, pr, sr, 0.9, sigma)
+    assert got.shape == (height, width)
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -85,6 +94,8 @@ def test_match_blocks_matches_brute_force_random_and_degenerate():
     cc = np.tile(refs, refs.size)[order]
     assert rr.size > _kernels.MATCH_CHUNK
     noise = rng.normal(size=(20, 20, 16))
+    outlier = noise.copy()
+    outlier[10, 4] *= 1e30
     cases = [
         (noise, 5, 8),
         # every distance ties, so positions decide and the reference block
@@ -98,9 +109,22 @@ def test_match_blocks_matches_brute_force_random_and_degenerate():
         (noise * 1e200, 5, 8),
         (noise, 5, 1),
         (noise, 19, 400),          # k is the whole window
+        # the float32 prefilter's squares underflow, so it ranks nothing
+        (noise * 1e-30, 5, 8),
+        # its squares are subnormal: only the absolute term of the
+        # tolerance covers their rounding
+        (noise * 1e-22, 5, 8),
+        # float32 overflows where float64 does not, so the chunks that see
+        # such a block are scored exactly
+        (noise * 1e25, 5, 8),
+        (outlier, 5, 8),
+        # cancellation: the offset is 1e6, the distances 1e-2 apart
+        (1e6 + np.round(noise) / 10, 5, 8),
     ]
     for blocks, radius, k in cases:
-        got = _kernels.match_blocks(blocks, rr, cc, radius, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernels.match_blocks(blocks, rr, cc, radius, k)
         with np.errstate(over="ignore"):
             want = _match_brute_force(blocks, rr, cc, radius, k)
         assert np.array_equal(got, want)
