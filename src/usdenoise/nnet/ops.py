@@ -30,7 +30,8 @@ VM); it is 0.2 ms of that 12 ms forward.
 The backward pass rebuilds E from the input on the tape for
 dW_ky = dY @ view_ky^T instead of keeping it: taping E for every
 convolution raised the peak resident memory of 16-sample training passes
-on 32x32 from 104 to 170 MB and ran no faster.  At stride 1, dX is the
+on 32x32 by 66 MB (+63%, measured before the backward pass freed its
+tape as it went) and ran no faster.  At stride 1, dX is the
 transposed convolution: the same row-tap convolution of dY with every
 kernel flipped in both spatial axes and the in/out channels swapped.  At
 stride 2 that convolution would run over a dY grid that is three quarters

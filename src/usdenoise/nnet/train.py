@@ -5,13 +5,6 @@ clean images with the forward jump, and minimize the MSE between the
 predicted and the true noise.  Per epoch the loop records the mean train
 MSE, a held-out L1 score on a frozen corruption of the validation set, and
 the learning rate; the log serializes as ``epoch,train_mse,heldout_l1,lr``.
-
-Each batch is one forward and one backward pass.  ``_loss_and_grads``
-stays a function rather than inline in ``train``'s loop because its return
-frees the activation tape before the Adam step and the next batch's
-forward pass; inlined, the previous tape stays alive through that pass
-and the ``train`` benchmark's peak RSS rose from 103.7 to 114.9 MB
-(+11%; 2-vCPU VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -85,7 +78,11 @@ def load_model(path) -> tuple[UNetParams, UNetConfig]:
 
 
 def _as_batch_array(dataset) -> np.ndarray:
-    data = np.asarray(dataset, dtype=np.float64)
+    """The dataset as an (N, H, W) array.  A floating array is used as it
+    is, not copied; anything else becomes float64."""
+    data = np.asarray(dataset)
+    if not np.issubdtype(data.dtype, np.floating):
+        data = data.astype(np.float64)
     if data.ndim != 3:
         raise ValueError("dataset must be (N, H, W)")
     if data.shape[0] == 0:
@@ -95,17 +92,13 @@ def _as_batch_array(dataset) -> np.ndarray:
 
 def _corrupt(x0: np.ndarray, t: np.ndarray, sched: NoiseSchedule,
              eps: np.ndarray) -> np.ndarray:
-    """The forward jump, rounded to float32 so the network runs in float32."""
+    """The forward jump, rounded to float32 so the network runs in float32.
+
+    It computes in float64: the float64 schedule widens a float32 ``x0``
+    exactly, so a float32 dataset gives the bits of its float64 copy.
+    """
     ab = sched.alpha_bars[t - 1][:, None, None, None]
     return (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps).astype(np.float32)
-
-
-def _loss_and_grads(params: UNetParams, cfg: UNetConfig, x_t: np.ndarray,
-                    t: np.ndarray, eps: np.ndarray) -> tuple[float, dict]:
-    """The batch's MSE and its gradient table."""
-    eps_hat, tape = unet_forward(params, cfg, x_t, t)
-    loss, dloss = mse_loss(eps_hat, eps)
-    return loss, unet_backward(tape, dloss)
 
 
 def heldout_l1(params: UNetParams, cfg: UNetConfig, heldout: np.ndarray,
@@ -120,7 +113,7 @@ def heldout_l1(params: UNetParams, cfg: UNetConfig, heldout: np.ndarray,
     total = 0.0
     for lo in range(0, n, batch_size):
         sl = slice(lo, min(lo + batch_size, n))
-        eps_hat, _ = unet_forward(params, cfg, x_t[sl], t[sl])
+        eps_hat = unet_forward(params, cfg, x_t[sl], t[sl])[0]
         total += l1_eval(eps_hat, eps[sl]) * (sl.stop - sl.start)
     return total / n
 
@@ -164,7 +157,9 @@ def train(dataset, sched: NoiseSchedule, cfg: TrainConfig, net_cfg: UNetConfig,
             eps = standard_normal(x0.shape, cfg.seed + 1, draw_index=draw)
             eps = eps.astype(np.float64)
             x_t = _corrupt(x0, t, sched, eps)
-            loss, grads = _loss_and_grads(params, net_cfg, x_t, t, eps)
+            eps_hat, tape = unet_forward(params, net_cfg, x_t, t)
+            loss, dloss = mse_loss(eps_hat, eps)
+            grads = unet_backward(tape, dloss)
             if not math.isfinite(loss):
                 raise NumericError(f"training diverged: batch {bi} of epoch "
                                    f"{epoch} has loss {loss}")

@@ -11,6 +11,9 @@ divisible by 2^depth works.
 
 Forward returns an activation tape from which ``unet_backward`` computes
 exact reverse-mode gradients for every parameter; no autograd involved.
+Backward consumes its tape: it drops each activation as soon as it has
+read it, so the tape's memory falls as the gradients are computed, and a
+second backward over the same tape raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -201,25 +204,31 @@ def unet_backward(tape: dict, dloss_deps_hat: np.ndarray) -> dict:
     """Exact gradients of the forward pass; keys match the parameter table.
 
     The tape must come from a forward run against the current parameters;
-    updating the parameters invalidates outstanding tapes.  The gradients
-    take the dtype the forward pass ran in, and the upstream gradient is
-    cast to it.
+    updating the parameters invalidates outstanding tapes.  Backward
+    consumes the tape: it removes each activation entry as it reads it, so
+    the memory of each is freed once its layer's gradients are computed,
+    and a second call on the same tape raises ``ValueError``.  The
+    gradients take the dtype the forward pass ran in, and the upstream
+    gradient is cast to it.
     """
     cfg: UNetConfig = tape["cfg"]
     if tape["params"].step != tape["params_step"]:
         raise ValueError("stale tape: parameters were updated after forward")
+    if "head" not in tape:                   # the first entry backward pops
+        raise ValueError("consumed tape: unet_backward already ran on it")
     emb = tape["emb"]
     grads: dict[str, np.ndarray] = {}
 
     def conv_back(name, dy):
-        dx, dw, db = conv2d_bwd(dy, tape[name])
+        dx, dw, db = conv2d_bwd(dy, tape.pop(name))
         grads[f"{name}.w"] = dw
         grads[f"{name}.b"] = db
         return dx
 
     def block_back(name, dy):
-        dy = silu_bwd(dy, tape[f"{name}.act2"])
-        dy = silu_bwd(conv_back(f"{name}.conv2", dy), tape[f"{name}.act1"])
+        dy = silu_bwd(dy, tape.pop(f"{name}.act2"))
+        dy = silu_bwd(conv_back(f"{name}.conv2", dy),
+                      tape.pop(f"{name}.act1"))
         dbias = dy.sum(axis=(2, 3))                  # (B, C)
         grads[f"{name}.time.w"] = dbias.T @ emb
         grads[f"{name}.time.b"] = dbias.sum(axis=0)
@@ -233,7 +242,7 @@ def unet_backward(tape: dict, dloss_deps_hat: np.ndarray) -> dict:
         c = cfg.channels(d)
         dskips[d] = dy[:, c:]
         dy, grads[f"up{d}.w"], grads[f"up{d}.b"] = upconv2d_bwd(
-            dy[:, :c], tape[f"up{d}"])
+            dy[:, :c], tape.pop(f"up{d}"))
     dy = block_back("mid", dy)
     for d in reversed(range(cfg.depth)):
         dy = conv_back(f"down{d}", dy)

@@ -12,6 +12,7 @@ from usdenoise.nnet import (
     UNetConfig,
     UNetParams,
     adam_step,
+    heldout_l1,
     init_params,
     l1_eval,
     load_model,
@@ -31,6 +32,7 @@ from usdenoise.nnet.ops import (
     upconv2d_bwd,
     upconv2d_fwd,
 )
+from usdenoise.nnet.train import _as_batch_array
 
 TINY = UNetConfig(in_channels=1, base_channels=4, depth=1, time_embed_dim=8,
                   image_size=8)
@@ -220,6 +222,16 @@ def test_upconv2d_bwd_matches_finite_differences(case, delta=1e-5):
         assert np.allclose(analytic, numeric(arr), rtol=1e-6, atol=1e-6)
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated while ``fn()`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("case, bound", [
     ((1, 32, 16, 64, 64, 1), 6.0), ((4, 32, 32, 32, 32, 1), 6.0),
     ((1, 16, 32, 64, 64, 2), 3.0)])
@@ -228,13 +240,7 @@ def test_conv2d_fwd_peak_allocation(case, bound):
     # stride 1 and 3.3x at stride 2; the 3x row-tap operand stays below
     x, w, b, stride = _conv_case(case)
     x, w, b = x.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
-    tracemalloc.start()
-    try:
-        conv2d_fwd(x, w, b, stride)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < bound * x.nbytes
+    assert _traced_peak(lambda: conv2d_fwd(x, w, b, stride)) < bound * x.nbytes
 
 
 def test_conv2d_rejects_channel_mismatch():
@@ -380,16 +386,51 @@ def test_zero_upstream_gradient_gives_zero_table():
         assert np.array_equal(g, np.zeros_like(g))
 
 
-def test_backward_is_pure_wrt_tape():
+def test_backward_consumes_its_tape():
     params = init_params(TINY, seed=2)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(2, 1, 8, 8))
-    _, tape = unet_forward(params, TINY, x, np.array([2, 9]))
+    t = np.array([2, 9])
     dy = rng.normal(size=x.shape)
+    _, tape = unet_forward(params, TINY, x, t)
     g1 = unet_backward(tape, dy)
-    g2 = unet_backward(tape, dy)
+    with pytest.raises(ValueError, match="consumed"):
+        unet_backward(tape, dy)
+    # a fresh forward pass gives a fresh tape and the same gradients
+    g2 = unet_backward(unet_forward(params, TINY, x, t)[1], dy)
     for name in g1:
         assert np.array_equal(g1[name], g2[name])
+
+
+MEM = UNetConfig(image_size=32)
+
+
+def _batch16():
+    params = init_params(MEM, seed=0)
+    x = np.random.default_rng(1).normal(size=(16, 1, 32, 32))
+    return params, x.astype(np.float32), np.arange(1, 17)
+
+
+def test_training_step_memory_is_one_forward_pass():
+    # backward held the whole tape until it returned: 1.34x the forward
+    params, x, t = _batch16()
+    forward = _traced_peak(lambda: unet_forward(params, MEM, x, t))
+
+    def step():
+        eps_hat, tape = unet_forward(params, MEM, x, t)
+        unet_backward(tape, mse_loss(eps_hat, x)[1])
+
+    assert _traced_peak(step) <= 1.2 * forward
+
+
+def test_heldout_l1_memory_is_one_forward_pass():
+    # each batch's tape stayed alive through the next forward: 1.8x
+    params, x, t = _batch16()
+    forward = _traced_peak(lambda: unet_forward(params, MEM, x, t))
+    heldout, sched = _toy_data(48, 32, seed=2), make_schedule(300)
+    peak = _traced_peak(lambda: heldout_l1(params, MEM, heldout, sched,
+                                           seed=3, batch_size=16))
+    assert peak <= 1.2 * forward
 
 
 def test_stale_tape_rejected():
@@ -586,6 +627,28 @@ def test_train_non_finite_heldout_l1_raises_before_writing(tmp_path,
               SMALL, heldout_set=data[:4],
               checkpoint_path=tmp_path / "model.ckpt")
     assert not (tmp_path / "model.ckpt").exists()
+
+
+def test_as_batch_array_keeps_a_floating_dataset():
+    data = _toy_data(4, 16, seed=4)
+    assert data.dtype == np.float32
+    assert np.shares_memory(_as_batch_array(data), data)
+    ints = _as_batch_array(np.ones((2, 4, 4), dtype=np.uint8))
+    assert ints.dtype == np.float64
+
+
+def test_train_float32_set_matches_its_float64_copy(tmp_path):
+    # the float32 set is not widened whole; each batch widens exactly
+    data = _toy_data(12, 16, seed=4)
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=6)
+    runs = []
+    for dtype in (np.float32, np.float64):
+        ckpt = tmp_path / f"{np.dtype(dtype).name}.ckpt"
+        _, history = train(data[:8].astype(dtype), make_schedule(300), cfg,
+                           SMALL, heldout_set=data[8:].astype(dtype),
+                           checkpoint_path=ckpt)
+        runs.append((ckpt.read_bytes(), [r["heldout_l1"] for r in history]))
+    assert runs[0] == runs[1]
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
