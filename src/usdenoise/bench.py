@@ -31,7 +31,6 @@ import numpy as np
 
 from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.diffusion import (
-    DEFAULT_BETA,
     DEFAULT_STEPS,
     DEFAULT_T,
     NoiseSchedule,
@@ -70,8 +69,6 @@ class BenchConfig:
     seed: int = 0
     out_dir: str = "bench_out"
     checkpoint: str | None = None
-    schedule_T: int = DEFAULT_T
-    schedule_beta: float = DEFAULT_BETA
     ddpm_steps: int = DEFAULT_STEPS   # network calls per chain, at most t_start
     # phantom size: PhantomSpec's, but with a 64-element array
     phantom_nx: int = PhantomSpec.nx
@@ -94,8 +91,8 @@ class BenchConfig:
         if self.num_images < 1:
             raise ValueError("num_images must be at least 1")
         for t in self.t_starts:
-            if not 1 <= int(t) <= self.schedule_T:
-                raise ValueError(f"t_start {t} outside 1..{self.schedule_T}")
+            if not 1 <= int(t) <= DEFAULT_T:
+                raise ValueError(f"t_start {t} outside 1..{DEFAULT_T}")
         if self.ddpm_steps < 1:
             raise ValueError("ddpm_steps must be at least 1")
 
@@ -278,7 +275,7 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
     """Execute the benchmark, write its reports to ``cfg.out_dir`` and
     return (summary rows, per-image rows).  A summary row holds each metric's
     mean for one (method, t_start), sorted by method and then by t_start."""
-    sched = make_schedule(cfg.schedule_T, cfg.schedule_beta)
+    sched = make_schedule()
     ddpm = None
     if "ddpm" in cfg.methods:
         if cfg.checkpoint is None:

@@ -21,13 +21,7 @@ import numpy as np
 from usdenoise import __version__
 from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.bench import BenchConfig, DdpmDenoiser, run_bench, to_unit_clipped
-from usdenoise.diffusion import (
-    DEFAULT_BETA,
-    DEFAULT_STEPS,
-    DEFAULT_T,
-    forward_jump,
-    make_schedule,
-)
+from usdenoise.diffusion import DEFAULT_STEPS, forward_jump, make_schedule
 from usdenoise.formats import (
     FormatError,
     load_cifar,
@@ -103,9 +97,8 @@ def cmd_corrupt(args) -> int:
     if args.t == 0:
         out = img
     else:
-        sched = make_schedule(args.T, args.beta)
         eps = standard_normal(img.shape, args.seed, draw_index=args.t)
-        out = forward_jump(img, args.t, sched, eps)
+        out = forward_jump(img, args.t, make_schedule(), eps)
     write_pgm(args.out, to_unit_clipped(out.data))
     print(f"corrupted {args.input} at t={args.t} -> {args.out}")
     return 0
@@ -138,7 +131,6 @@ def cmd_train(args) -> int:
     if data.shape[0] - n_hold < 1:
         raise ValueError("dataset too small for the held-out split")
     train_set, heldout_set = data[:-n_hold], data[-n_hold:]
-    sched = make_schedule(args.T, args.beta)
     cfg = TrainConfig(batch_size=args.batch_size, lr=args.lr,
                       lr_gamma=args.lr_gamma, lr_step_epochs=args.lr_step,
                       epochs=args.epochs, seed=args.seed)
@@ -152,7 +144,7 @@ def cmd_train(args) -> int:
                              image_size=args.image_size)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _, history = train(train_set, sched, cfg, net_cfg,
+    _, history = train(train_set, make_schedule(), cfg, net_cfg,
                        heldout_set=heldout_set, initial=initial,
                        checkpoint_path=out / "model.ckpt",
                        log_path=out / "loss_log.csv", verbose=True)
@@ -169,7 +161,7 @@ def cmd_denoise(args) -> int:
     img = read_pgm(args.input).to_range(RANGE_SIGNED)
     denoiser = DdpmDenoiser(args.ckpt, args.seed if args.inject else None,
                             steps=args.steps)
-    out = denoiser(img, args.t_start, make_schedule(args.T, args.beta))
+    out = denoiser(img, args.t_start, make_schedule())
     write_pgm(args.out, to_unit_clipped(out))
     print(f"denoised {args.input} from t={args.t_start} -> {args.out}")
     return 0
@@ -249,11 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
     seeded.add_argument("--seed", type=int, default=0,
                         help="deterministic run seed")
-    schedule = argparse.ArgumentParser(add_help=False)
-    schedule.add_argument("--T", type=int, default=DEFAULT_T,
-                          help="number of diffusion steps in the schedule")
-    schedule.add_argument("--beta", type=float, default=DEFAULT_BETA,
-                          help="noise variance added per step")
     spec = PhantomSpec()
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--nx", type=int, default=spec.nx,
@@ -296,14 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="transducer elements")
     q.set_defaults(func=cmd_phantom)
 
-    q = command("corrupt", parents=[seeded, schedule],
+    q = command("corrupt", parents=[seeded],
                 help="apply the forward corruption process to an image")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--t", type=int, required=True, default=argparse.SUPPRESS,
                    help="number of forward steps (0 copies the input)")
     q.set_defaults(func=cmd_corrupt)
 
-    q = command("train", parents=[seeded, schedule],
+    q = command("train", parents=[seeded],
                 help="train the noise predictor")
     q.add_argument("--data", required=True, default=argparse.SUPPRESS,
                    help="PGM directory, CIFAR .bin batch, or speckle:N")
@@ -333,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="U-Net image size, and side of speckle:N patches")
     q.set_defaults(func=cmd_train)
 
-    q = command("denoise", parents=[seeded, schedule],
+    q = command("denoise", parents=[seeded],
                 help="reverse-process denoising with a trained model")
     q.add_argument("--in", dest="input", required=True)
     q.add_argument("--ckpt", required=True)

@@ -59,16 +59,16 @@ class HeaderError(FormatError):
 
 # -------------------------------------------------------------------- PGM
 
-def _read_pgm_token(buf: io.BufferedReader) -> bytes:
+def _read_pgm_token(f: io.BufferedReader) -> bytes:
     """Next whitespace-delimited token, skipping '#' comment lines."""
     tok = b""
     while True:
-        c = buf.read(1)
+        c = f.read(1)
         if c == b"":
             raise HeaderError("truncated PGM header")
         if c == b"#":
             while c not in (b"\n", b""):
-                c = buf.read(1)
+                c = f.read(1)
             continue
         if c.isspace():
             if tok:
@@ -80,24 +80,23 @@ def _read_pgm_token(buf: io.BufferedReader) -> bytes:
 def read_pgm(path) -> Image2D:
     """A binary 8-bit PGM as a unit-interval image: level k reads k/255."""
     with open(path, "rb") as f:
-        buf = io.BufferedReader(f)
-        if _read_pgm_token(buf) != b"P5":
+        if _read_pgm_token(f) != b"P5":
             raise MagicError("not a binary PGM (P5) file")
         try:
-            width = int(_read_pgm_token(buf))
-            height = int(_read_pgm_token(buf))
-            maxval = int(_read_pgm_token(buf))
+            width = int(_read_pgm_token(f))
+            height = int(_read_pgm_token(f))
+            maxval = int(_read_pgm_token(f))
         except ValueError as exc:
             raise HeaderError(f"bad PGM header field: {exc}") from None
         if maxval != 255:
             raise HeaderError(f"only maxval 255 supported, got {maxval}")
         if width < 1 or height < 1:
             raise HeaderError(f"bad PGM dimensions {width}x{height}")
-        left = os.fstat(f.fileno()).st_size - buf.tell()
+        left = os.fstat(f.fileno()).st_size - f.tell()
         if width * height > left:
             raise LengthError(f"PGM payload is {left} bytes, "
                               f"expected {width * height}")
-        payload = buf.read(width * height + 1)
+        payload = f.read(width * height + 1)
         if len(payload) != width * height:
             raise LengthError(f"PGM payload is {len(payload)} bytes, "
                               f"expected {width * height}")

@@ -9,13 +9,14 @@ the learning rate; the log serializes as ``epoch,train_mse,heldout_l1,lr``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 
 from usdenoise.diffusion import NoiseSchedule
-from usdenoise.formats import read_checkpoint, write_checkpoint
+from usdenoise.formats import HeaderError, read_checkpoint, write_checkpoint
 from usdenoise.image import NumericError
 from usdenoise.nnet.ops import l1_eval, mse_loss
 from usdenoise.nnet.optim import TrainConfig, adam_step, lr_schedule
@@ -33,39 +34,50 @@ CONFIG_KEY = "__config__"
 STEP_KEY = "__step__"
 
 
+def _tables(params: UNetParams) -> dict:
+    """Each checkpoint entry-name prefix with the table it holds."""
+    return {"w.": params.tensors, "m.": params.m, "v.": params.v}
+
+
 def params_to_entries(params: UNetParams, cfg: UNetConfig) -> dict:
     entries = {
-        CONFIG_KEY: np.array([cfg.in_channels, cfg.base_channels, cfg.depth,
-                              cfg.time_embed_dim, cfg.image_size],
-                             dtype=np.float32),
+        CONFIG_KEY: np.array(dataclasses.astuple(cfg), dtype=np.float32),
         STEP_KEY: np.array([params.step], dtype=np.float32),
     }
-    for name, w in params.tensors.items():
-        entries[f"w.{name}"] = w
-    for name, w in params.m.items():
-        entries[f"m.{name}"] = w
-    for name, w in params.v.items():
-        entries[f"v.{name}"] = w
+    for prefix, table in _tables(params).items():
+        entries.update({prefix + name: w for name, w in table.items()})
     return entries
 
 
+def _counts(entries: dict, key: str, size: int) -> list[int]:
+    """Entry ``key`` as ``size`` non-negative integers."""
+    if key not in entries:
+        raise HeaderError(f"checkpoint lacks the {key} entry")
+    values = entries[key].ravel().tolist()
+    if len(values) != size or not all(
+            math.isfinite(v) and v >= 0 and v == int(v) for v in values):
+        raise HeaderError(f"checkpoint entry {key} holds {values}, expected "
+                          f"{size} non-negative integer(s)")
+    return [int(v) for v in values]
+
+
 def entries_to_params(entries: dict) -> tuple[UNetParams, UNetConfig]:
-    if CONFIG_KEY not in entries or STEP_KEY not in entries:
-        raise ValueError("checkpoint lacks network configuration entries")
-    ic, bc, depth, tdim, isz = (int(v) for v in entries[CONFIG_KEY])
-    cfg = UNetConfig(in_channels=ic, base_channels=bc, depth=depth,
-                     time_embed_dim=tdim, image_size=isz)
-    params = UNetParams(step=int(entries[STEP_KEY][0]))
+    """The model in a checkpoint's table; ``HeaderError``, naming the entry,
+    when the table is not a well-formed model."""
+    params = UNetParams(step=_counts(entries, STEP_KEY, 1)[0])
+    tables = _tables(params)
     for key, arr in entries.items():
-        if key.startswith("w."):
-            params.tensors[key[2:]] = arr
-        elif key.startswith("m."):
-            params.m[key[2:]] = arr
-        elif key.startswith("v."):
-            params.v[key[2:]] = arr
-    check_compatible(params, cfg)
-    if set(params.m) != set(params.tensors) or set(params.v) != set(params.tensors):
-        raise ValueError("checkpoint optimizer state is incomplete")
+        if key[:2] in tables:
+            tables[key[:2]][key[2:]] = arr
+    try:    # an invalid config, or tensors that do not fit it
+        cfg = UNetConfig(*_counts(entries, CONFIG_KEY, 5))
+        check_compatible(params, cfg)
+    except ValueError as exc:
+        raise HeaderError(f"checkpoint entry {CONFIG_KEY}: {exc}") from None
+    unpaired = [prefix + name for prefix in ("m.", "v.")
+                for name in sorted(set(tables[prefix]) ^ set(params.tensors))]
+    if unpaired:
+        raise HeaderError(f"optimizer state incomplete at {unpaired[0]}")
     return params, cfg
 
 

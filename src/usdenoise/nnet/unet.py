@@ -48,9 +48,10 @@ class UNetConfig:
             raise ValueError("all network size parameters must be >= 1")
         if self.time_embed_dim % 2:
             raise ValueError("time embedding dimension must be even")
-        if self.image_size % (1 << self.depth):
+        if (self.depth >= self.image_size.bit_length()
+                or self.image_size % (1 << self.depth)):
             raise ValueError(f"image size {self.image_size} not divisible "
-                             f"by 2^depth = {1 << self.depth}")
+                             f"by 2^depth = 2^{self.depth}")
 
     def channels(self, level: int) -> int:
         return self.base_channels * (1 << level)
@@ -134,7 +135,8 @@ def check_compatible(params: UNetParams, cfg: UNetConfig):
     """Raise if the parameter table does not match the config's template."""
     expected = _param_shapes(cfg)
     if set(params.tensors) != set(expected):
-        raise ValueError("checkpoint/config mismatch: parameter names differ")
+        raise ValueError("checkpoint/config mismatch: parameter names differ "
+                         f"at {min(set(params.tensors) ^ set(expected))}")
     for name, shape in expected.items():
         if params.tensors[name].shape != shape:
             raise ValueError(f"checkpoint/config mismatch: {name} has shape "

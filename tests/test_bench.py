@@ -53,10 +53,11 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_config_keys_are_the_ones_with_a_caller():
     # the baseline, density, cyst, mask and GCNR settings belong to their
-    # library types or have one value, so they are not bench keys
+    # library types or have one value, so they are not bench keys; nor is
+    # the schedule, which must be the one the checkpoint was trained under
     assert [f.name for f in dataclasses.fields(BenchConfig)] == [
         "image_dir", "num_images", "t_starts", "methods", "seed", "out_dir",
-        "checkpoint", "schedule_T", "schedule_beta", "ddpm_steps",
+        "checkpoint", "ddpm_steps",
         "phantom_nx", "phantom_nz", "phantom_elements", "phantom_angles_deg"]
 
 

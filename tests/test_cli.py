@@ -13,10 +13,24 @@ from usdenoise.baselines import Bm3dConfig, NlmConfig
 from usdenoise.bench import BenchConfig
 from usdenoise.cli import main
 from usdenoise.diffusion import make_schedule
-from usdenoise.formats import read_pgm, read_rf, write_pgm, write_rf
+from usdenoise.formats import (
+    HeaderError,
+    read_checkpoint,
+    read_pgm,
+    read_rf,
+    write_checkpoint,
+    write_pgm,
+    write_rf,
+)
 from usdenoise.image import RANGE_SIGNED, Image2D
 from usdenoise.metrics import psnr
-from usdenoise.nnet import TrainConfig, UNetConfig, init_params, save_model
+from usdenoise.nnet import (
+    TrainConfig,
+    UNetConfig,
+    init_params,
+    load_model,
+    save_model,
+)
 from usdenoise.rng import standard_normal
 from usdenoise.ultrasound import Cyst, PhantomSpec, TransducerGeometry, phantom
 
@@ -277,7 +291,8 @@ def test_bench_absent_overrides_keep_the_config(tmp_path):
 
 # keys that BenchConfig once had, each at the value it defaulted to: the
 # baselines, the phantom density and the masks are set by their library
-# types, so a config that sets one is refused, not ignored
+# types, and the schedule is the package's, so a config that sets one is
+# refused, not ignored
 REMOVED_BENCH_KEYS = {
     "phantom_density": PhantomSpec.scatterer_density, "cyst_radius_mm": 1.5,
     "cyst_echogenicity": Cyst.echogenicity, "gcnr_bins": 64,
@@ -289,6 +304,7 @@ REMOVED_BENCH_KEYS = {
     "bm3d_search_radius": Bm3dConfig.search_radius,
     "bm3d_hard_threshold": Bm3dConfig.hard_threshold,
     "bm3d_stages": Bm3dConfig.stages,
+    "schedule_T": diffusion.DEFAULT_T, "schedule_beta": diffusion.DEFAULT_BETA,
 }
 
 
@@ -583,16 +599,80 @@ def test_denoise_nan_checkpoint_exits_4(tmp_path, capsys):
     assert not (tmp_path / "dn.pgm").exists()
 
 
+def _setting(key, *values):
+    def edit(entries):
+        entries[key] = np.array(values, dtype=np.float32)
+    return edit
+
+
+def _dropping(key):
+    return lambda entries: entries.pop(key)
+
+
+# the tiny checkpoint's __config__ is [1, 4, 1, 8, 8]
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_dropping("__config__"), "lacks the __config__ entry",
+                 id="no-config"),
+    pytest.param(_dropping("__step__"), "lacks the __step__ entry",
+                 id="no-step"),
+    pytest.param(_setting("__config__", 1, 4, 1, 8),
+                 "__config__ holds [1.0, 4.0, 1.0, 8.0], expected 5",
+                 id="config-size"),
+    pytest.param(_setting("__step__", 0, 0),
+                 "__step__ holds [0.0, 0.0], expected 1", id="step-size"),
+    *(pytest.param(_setting("__config__", 1, bad, 1, 8, 8),
+                   f"__config__ holds [1.0, {bad!r}", id=f"config-{bad}")
+      for bad in (math.nan, math.inf, -4.0, 4.5)),
+    *(pytest.param(_setting("__step__", bad), f"__step__ holds [{bad!r}]",
+                   id=f"step-{bad}")
+      for bad in (math.nan, -1.0, 0.5)),
+    pytest.param(_setting("__config__", 1, 4, 0, 8, 8),
+                 "__config__: all network size parameters must be >= 1",
+                 id="config-depth-0"),
+    pytest.param(_setting("__config__", 1, 4, 1e20, 8, 8),
+                 "__config__: image size 8 not divisible by 2^depth",
+                 id="config-huge-depth"),
+    pytest.param(_setting("__config__", 1, 4, 1, 7, 8),
+                 "__config__: time embedding dimension must be even",
+                 id="config-odd-embedding"),
+    pytest.param(_setting("__config__", 1, 8, 1, 8, 8),
+                 "__config__: checkpoint/config mismatch: stem.w has shape",
+                 id="tensors-vs-config"),
+    pytest.param(_dropping("w.dec0.conv1.b"),
+                 "__config__: checkpoint/config mismatch: parameter names "
+                 "differ at dec0.conv1.b",
+                 id="no-tensor"),
+    pytest.param(_dropping("m.dec0.conv1.w"), "m.dec0.conv1.w",
+                 id="no-first-moment"),
+    pytest.param(_setting("v.extra", 0.0), "v.extra", id="extra-moment"),
+])
+def test_malformed_checkpoint_is_a_format_error(tmp_path, capsys, edit,
+                                                message):
+    # a table that passed its CRC check but was not a model's raised a bare
+    # ValueError ("not enough values to unpack", "cannot convert float NaN
+    # to integer", ...), so the CLI exited 2
+    src, ckpt = _tiny_denoise_inputs(tmp_path)
+    entries = read_checkpoint(ckpt)
+    edit(entries)
+    write_checkpoint(ckpt, entries)
+    with pytest.raises(HeaderError) as raised:
+        load_model(ckpt)
+    assert message in str(raised.value)
+    assert run_cli("denoise", "--in", src, "--ckpt", ckpt, "--t-start", 3,
+                   "--out", tmp_path / "dn.pgm") == 3
+    assert f"format error: {raised.value}" in capsys.readouterr().err
+    assert not (tmp_path / "dn.pgm").exists()
+
+
 def test_nan_and_underflowing_arguments_exit_2(tmp_path, capsys):
-    # NaN passed the "> 0" style range checks of the schedule and the
-    # baseline configs, and only the non-finite image it produced was caught;
+    # NaN passed the "> 0" style range checks of the baseline configs, and
+    # only the non-finite image it produced was caught;
     # an NLM h whose square underflows raised ZeroDivisionError; a zero h
     # was taken as "not given" and replaced by 0.55 * sigma
     src = tmp_path / "in.pgm"
     write_pgm(src, Image2D(np.full((24, 24), 0.5, dtype=np.float32)))
     out = f"--out={tmp_path / 'o.pgm'}"
-    for argv in (["corrupt", "--t=5", "--beta=nan"],
-                 ["baseline", "--method=nlm", "--sigma=0.1", "--h=nan"],
+    for argv in (["baseline", "--method=nlm", "--sigma=0.1", "--h=nan"],
                  ["baseline", "--method=nlm", "--sigma=0.1", "--h=1e-200"],
                  ["baseline", "--method=nlm", "--sigma=0.1", "--h=0"],
                  ["baseline", "--method=nlm", "--sigma=0.1", "--h=-0.0"],
@@ -665,21 +745,6 @@ def test_nlm_tiny_h_exits_0(tmp_path):
     assert run_cli("baseline", "--method", "nlm", "--sigma", 0.1,
                    "--h", 1e-160, "--in", src, "--out", out) == 0
     assert np.isfinite(read_pgm(out).data).all()
-
-
-def test_denoise_non_finite_state_exits_4(tmp_path, capsys):
-    # a variance this small makes 1 - abar_t exactly 0, so the reverse step
-    # divides by zero; a non-finite image is a numeric failure, not exit 2
-    net_cfg = UNetConfig(base_channels=4, depth=1, time_embed_dim=8,
-                         image_size=8)
-    ckpt = tmp_path / "m.ckpt"
-    save_model(ckpt, init_params(net_cfg, seed=0), net_cfg)
-    src = tmp_path / "in.pgm"
-    write_pgm(src, Image2D(np.full((8, 8), 0.5, dtype=np.float32)))
-    assert run_cli("denoise", "--in", src, "--ckpt", ckpt, "--t-start", 2,
-                   "--beta=1e-300", "--out", tmp_path / "dn.pgm") == 4
-    assert "numeric failure" in capsys.readouterr().err
-    assert not (tmp_path / "dn.pgm").exists()
 
 
 SIGMA = 0.09
@@ -813,6 +878,44 @@ def test_every_flag_is_read_by_its_command(command):
 def test_seed_is_refused_where_nothing_reads_it(capsys, command):
     assert run_cli(command, *MINIMAL_ARGV[command], "--seed", 1) == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--T=300", "--beta=0.01"])
+@pytest.mark.parametrize("command", ["corrupt", "train", "denoise"])
+def test_schedule_flags_are_refused(capsys, command, flag):
+    # a checkpoint is right only under the schedule it was trained with,
+    # and no checkpoint records it, so no command lets it be set
+    assert run_cli(command, *MINIMAL_ARGV[command], flag) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# every option of each subcommand, by dest: adding or removing a flag is an
+# edit here, as adding or removing a bench config key is in test_bench.py
+OPTION_DESTS = {
+    "phantom": ["out", "seed", "nx", "nz", "width_mm", "depth_mm", "z0_mm",
+                "dynamic_range", "density", "cyst", "angles", "elements"],
+    "corrupt": ["out", "seed", "input", "t"],
+    "train": ["out", "seed", "data", "epochs", "batch_size", "lr",
+              "lr_gamma", "lr_step", "warm_start", "heldout_frac",
+              "base_channels", "depth", "time_dim", "image_size"],
+    "denoise": ["out", "seed", "input", "ckpt", "t_start", "steps", "inject"],
+    "baseline": ["out", "method", "input", "sigma", "h", "patch_radius",
+                 "search_radius", "block_size", "matches", "search",
+                 "threshold", "stages"],
+    "beamform": ["out", "nx", "nz", "width_mm", "depth_mm", "z0_mm",
+                 "dynamic_range", "rf", "angles", "compound"],
+    "bench": ["config", "seed", "out_dir", "checkpoint", "methods",
+              "t_starts", "num_images", "image_dir"],
+}
+
+
+def test_option_dests_are_pinned():
+    sub, = (a for a in cli.build_parser()._actions if a.dest == "command")
+    assert {name: [a.dest for a in q._actions if a.dest != "help"]
+            for name, q in sub.choices.items()} == OPTION_DESTS
+    # settable values: every subcommand flag and every bench config key
+    flags = sum(map(len, OPTION_DESTS.values()))
+    assert (flags, len(dataclasses.fields(BenchConfig))) == (67, 12)
 
 
 def test_denoise_inject_is_not_the_corruption_noise(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from usdenoise.diffusion import (
     make_schedule,
     reverse_step,
 )
-from usdenoise.image import RANGE_SIGNED, Image2D
+from usdenoise.image import RANGE_SIGNED, Image2D, NumericError
 from usdenoise.rng import standard_normal
 
 
@@ -67,6 +67,8 @@ def test_schedule_rejects_bad_input():
         make_schedule(10, 0.0)
     with pytest.raises(ValueError):
         make_schedule(10, 1.0)
+    with pytest.raises(ValueError):
+        make_schedule(10, math.nan)
     with pytest.raises(ValueError):
         NoiseSchedule(np.linspace(0.1, 1.5, 10))
     with pytest.raises(ValueError):
@@ -353,6 +355,54 @@ def test_respaced_injection_is_deterministic_per_seed():
     no_inject = denoise_from(noisy, 20, lambda im, t: np.zeros(im.shape),
                              sched, steps=5).data
     assert not np.array_equal(run(99), no_inject)
+
+
+def test_degenerate_schedule_is_a_numeric_failure():
+    # a variance this small makes 1 - abar_t exactly 0, so the reverse step
+    # divides by zero; a non-finite image is a numeric failure
+    sched = make_schedule(2, 1e-300)
+    with pytest.raises(NumericError):
+        denoise_from(const_img(0.5), 2, lambda im, t: np.zeros(im.shape), sched)
+
+
+@pytest.mark.parametrize("t", [10, 20, 300])
+def test_deterministic_chain_is_the_wiener_estimate(t):
+    # Under a Gaussian prior of mean mu and spectrum S > 0 the exact noise
+    # predictor is linear.  With V_t = abar_t S + 1 - abar_t, each step maps
+    # the centred coefficients by sqrt(a') V_s / V_t, and the product
+    # telescopes to sqrt(abar_t) S / V_t: every step count gives the Wiener
+    # estimate.
+    sched = make_schedule()
+    f = np.fft.fftfreq(64)
+    spectrum = 0.02 + 0.3 * np.exp(-(f[:, None] ** 2 + f ** 2) / 0.005)
+    mu = -0.3
+
+    def filtered(gain, x):
+        return np.fft.ifft2(gain * np.fft.fft2(x)).real
+
+    x0 = img(mu + filtered(np.sqrt(spectrum), standard_normal((64, 64), 21)))
+    xt = forward_jump(x0, t, sched, eps=standard_normal((64, 64), 22))
+    ab = sched.alpha_bar(t)
+    wiener = mu + filtered(np.sqrt(ab) * spectrum / (ab * spectrum + 1 - ab),
+                           xt.data - np.sqrt(ab) * mu)
+    seen = []
+
+    def predictor(im, tt):
+        a = sched.alpha_bar(tt)
+        seen.append(np.abs(im.data).max())
+        return filtered(np.sqrt(1 - a) / (a * spectrum + 1 - a),
+                        im.data - np.sqrt(a) * mu)
+
+    for steps in (1, 2, 5, t):
+        seen.clear()
+        out = denoise_from(xt, t, predictor, sched, steps=steps).data
+        # float32 rounding: each step rounds five times (eps_hat, its
+        # coefficient, the product, the difference, the quotient), each
+        # time by half an ulp of a value at most 2M / sqrt(abar_t), where M
+        # bounds |x| along the chain
+        m = max(seen + [np.abs(out).max()])
+        tol = len(seen) * 5 * np.finfo(np.float32).eps * m / math.sqrt(ab)
+        assert np.max(np.abs(out - wiener)) <= tol, steps
 
 
 def test_steps_below_one_raise():
