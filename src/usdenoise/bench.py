@@ -33,7 +33,6 @@ from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
 from usdenoise.diffusion import (
     DEFAULT_STEPS,
     DEFAULT_T,
-    NoiseSchedule,
     denoise_from,
     forward_jump,
     make_schedule,
@@ -213,22 +212,21 @@ class DdpmDenoiser:
                                   img.data[None, None], np.array([t]))
         return eps_hat[0, 0]
 
-    def __call__(self, noisy_signed: Image2D, t_start: int,
-                 sched: NoiseSchedule) -> np.ndarray:
-        return denoise_from(noisy_signed, t_start, self.predictor, sched,
-                            inject_seed=self.inject_seed,
+    def __call__(self, noisy_signed: Image2D, t_start: int) -> np.ndarray:
+        return denoise_from(noisy_signed, t_start, self.predictor,
+                            make_schedule(), inject_seed=self.inject_seed,
                             steps=self.steps).data
 
 
 def run_method(method: str, noisy_signed: Image2D, t_start: int,
-               sched: NoiseSchedule, ddpm: DdpmDenoiser | None) -> Image2D:
-    ab = sched.alpha_bar(t_start)
+               ddpm: DdpmDenoiser | None) -> Image2D:
+    ab = make_schedule().alpha_bar(t_start)
     if method == "noisy":
         return to_unit_clipped(noisy_signed.data)
     if method == "ddpm":
         if ddpm is None:
             raise ValueError("ddpm method requested without a checkpoint")
-        return to_unit_clipped(ddpm(noisy_signed, t_start, sched))
+        return to_unit_clipped(ddpm(noisy_signed, t_start))
     # classical baselines: undo attenuation, hand over the analytic sigma
     rescaled = noisy_signed.data.astype(np.float64) / math.sqrt(ab)
     sigma = math.sqrt((1.0 - ab) / ab) / 2.0
@@ -295,7 +293,7 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
                                   draw_index=7000 + i * 100 + t_start)
             noisy_signed = forward_jump(clean_signed, t_start, sched, eps)
             for method in cfg.methods:
-                est = run_method(method, noisy_signed, t_start, sched, ddpm)
+                est = run_method(method, noisy_signed, t_start, ddpm)
                 per_image.append({
                     "method": method,
                     "t_start": t_start,

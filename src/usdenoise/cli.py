@@ -161,7 +161,7 @@ def cmd_denoise(args) -> int:
     img = read_pgm(args.input).to_range(RANGE_SIGNED)
     denoiser = DdpmDenoiser(args.ckpt, args.seed if args.inject else None,
                             steps=args.steps)
-    out = denoiser(img, args.t_start, make_schedule())
+    out = denoiser(img, args.t_start)
     write_pgm(args.out, to_unit_clipped(out))
     print(f"denoised {args.input} from t={args.t_start} -> {args.out}")
     return 0

@@ -13,12 +13,16 @@ gradients to 1e-3 relative error.
 Convolutions are row-tap GEMMs (a kn2row / shifted-GEMM scheme).  The
 input is copied once, zero-bordered, into E (C, 3, s, Q, B, OW) with
 E[c, kx, p, q, b, ow] = xpad[b, c, s*q + p, s*ow + kx] at stride s: 3x the
-input instead of im2col's 9x.  At stride 2 the rows are grouped by parity
-as E is written, so the rows that kernel row ky reads, s*oh + ky for
-oh < OH, are the contiguous rows ky//s + oh of phase ky % s.  For each ky
-the (3C, OH*B*OW) operand is then a strided view of E: its rows (c, kx)
-are a uniform stride apart and its columns are contiguous, so NumPy hands
-it to BLAS without a copy.  The forward is three GEMMs with K = 3C,
+input instead of im2col's 9x.  E is allocated uninitialised and only its
+border is zeroed.  At stride 1 each kx plane is one flat copy of the
+(C, H*B*W) input shifted by kx - 1 elements; the pixel a shift carries
+across a row end lands in a border column, zeroed after the copy.  At
+stride 2 the rows are grouped by parity as E is written, so the rows that
+kernel row ky reads, s*oh + ky for oh < OH, are the contiguous rows
+ky//s + oh of phase ky % s.  For each ky the (3C, OH*B*OW) operand is then
+a strided view of E: its rows (c, kx) are a uniform stride apart and its
+columns are contiguous, so NumPy hands it to BLAS without a copy.  The
+forward is three GEMMs with K = 3C,
 y = sum_ky W[:, :, ky, :].reshape(O, 3C) @ view_ky, accumulated in
 (O, OH, B, OW) memory and returned as a (B, O, OH, OW) view; elementwise
 ops keep that layout, so the next layer's copy into E reads contiguous
@@ -27,17 +31,22 @@ which BLAS runs at a fraction of its rate on the other layers (5.6 against
 24-40 GFLOP/s for a B=1 64x64 forward on one OpenBLAS thread of a 2-vCPU
 VM); it is 0.2 ms of that 12 ms forward.
 
-The backward pass rebuilds E from the input on the tape for
-dW_ky = dY @ view_ky^T instead of keeping it: taping E for every
-convolution raised the peak resident memory of 16-sample training passes
-on 32x32 by 66 MB (+63%, measured before the backward pass freed its
-tape as it went) and ran no faster.  At stride 1, dX is the
-transposed convolution: the same row-tap convolution of dY with every
-kernel flipped in both spatial axes and the in/out channels swapped.  At
-stride 2 that convolution would run over a dY grid that is three quarters
-zeros, so dX is instead one matmul W^T dY, giving each input window's nine
-tap gradients, followed by nine stride-2 adds into a zero-bordered
-(C, H+2, B, W+2) buffer.
+The backward pass keeps no E: taping E for every convolution raised the
+peak resident memory of 16-sample training passes on 32x32 by 66 MB (+63%,
+measured before the backward pass freed its tape as it went) and ran no
+faster.  At stride 1 it expands dY instead, once, and takes both gradients
+from the tap rows of that expansion.  dX is the transposed convolution:
+the same three GEMMs over dY's rows with every kernel flipped in both
+spatial axes and the in/out channels swapped.  At pixel (h, b, w), row
+(o, kx') of tap row ky' holds dY[b, o, h + ky' - 1, w + kx' - 1], the
+gradient that dW's tap (2 - ky', 2 - kx') multiplies with x[b, c, h, w], so
+dW[o, c, ky, kx] = rows_{2-ky}[(o, 2-kx)] . x[c]: one (3O, H*B*W) by
+(H*B*W, C) GEMM per ky, reading the (C, H, B, W) input in place.  At
+stride 2 dY is on the output grid, so dW expands the input on the tape
+instead, dW_ky = dY @ view_ky^T; a convolution of dY for dX would run
+over a grid that is three quarters zeros, so dX is one matmul W^T dY,
+giving each input window's nine tap gradients, followed by nine stride-2
+adds into a zero-bordered (C, H+2, B, W+2) buffer.
 
 Upsampling is never materialised.  The decoder's nearest-neighbour 2x
 upsampling followed by a 3x3 convolution (a resize-convolution) is computed
@@ -88,13 +97,31 @@ def _expand(x: np.ndarray, stride: int) -> np.ndarray:
     OH, OW = (H - 1) // stride + 1, (W - 1) // stride + 1
     xt = x.transpose(1, 2, 0, 3)
     # rows per phase: OH + 2 at stride 1, OH + 1 at stride 2
-    e = np.zeros((C, 3, stride, OH + 2 // stride, B, OW), dtype=x.dtype)
-    for p in range(stride):
-        dst_r, src_r = _tap_span(p, e.shape[3], H, stride)
-        rows = xt[:, src_r]
+    e = np.empty((C, 3, stride, OH + 2 // stride, B, OW), dtype=x.dtype)
+    if stride == 1:
+        # plane kx is the (H, B, W) input shifted by kx - 1 elements, one
+        # flat copy; what the shift carries across a row end lands in the
+        # border columns and rows, which are zeroed below
+        n = H * B * W
+        planes = e.reshape(C, 3, -1)
         for kx in range(3):
-            dst_c, src_c = _tap_span(kx, OW, W, stride)
-            e[:, kx, p, dst_r, :, dst_c] = rows[..., src_c]
+            start = B * W + 1 - kx
+            planes[:, kx, start:start + n].reshape(xt.shape)[...] = xt
+    else:
+        for p in range(stride):
+            dst_r, src_r = _tap_span(p, e.shape[3], H, stride)
+            rows = xt[:, src_r]
+            for kx in range(3):
+                dst_c, src_c = _tap_span(kx, OW, W, stride)
+                e[:, kx, p, dst_r, :, dst_c] = rows[..., src_c]
+    for p in range(stride):
+        dst_r = _tap_span(p, e.shape[3], H, stride)[0]
+        e[:, :, p, :dst_r.start] = 0
+        e[:, :, p, dst_r.stop:] = 0
+    for kx in range(3):
+        dst_c = _tap_span(kx, OW, W, stride)[0]
+        e[:, kx, ..., :dst_c.start] = 0
+        e[:, kx, ..., dst_c.stop:] = 0
     return e
 
 
@@ -106,20 +133,17 @@ def _tap_rows(e: np.ndarray, oh: int) -> list:
             for ky in range(3)]
 
 
-def _conv(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Bias-free 3x3 same-padding convolution, as (O, OH, B, OW) memory."""
-    B, C, H, W = x.shape
-    O, C2 = w.shape[:2]
-    if C2 != C:
-        raise ValueError(f"weight expects {C2} channels, input has {C}")
-    OH, OW = (H - 1) // stride + 1, (W - 1) // stride + 1
-    rows = _tap_rows(_expand(x, stride), OH)
-    y = w[:, :, 0].reshape(O, 3 * C) @ rows[0]
+def _tap_gemms(w: np.ndarray, rows: list) -> np.ndarray:
+    """sum_ky w[:, :, ky].reshape(O, 3C) @ rows[ky]: the three GEMMs of a
+    row-tap convolution over the tap rows of ``_tap_rows``, as (O, N)
+    memory."""
+    O = w.shape[0]
+    y = w[:, :, 0].reshape(O, -1) @ rows[0]
     part = np.empty_like(y)
     for ky in (1, 2):
-        np.matmul(w[:, :, ky].reshape(O, 3 * C), rows[ky], out=part)
+        np.matmul(w[:, :, ky].reshape(O, -1), rows[ky], out=part)
         y += part
-    return y.reshape(O, OH, B, OW)
+    return y
 
 
 def conv2d_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
@@ -128,9 +152,14 @@ def conv2d_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1):
     x is (B, C, H, W); w is (O, C, 3, 3).  stride 2 halves the spatial size
     (inputs must have even extent in that case).
     """
-    y = _conv(x, w, stride)
-    y += b[:, None, None, None]
-    return y.transpose(2, 0, 1, 3), (x, w, stride)
+    B, C, H, W = x.shape
+    O, C2 = w.shape[:2]
+    if C2 != C:
+        raise ValueError(f"weight expects {C2} channels, input has {C}")
+    OH, OW = (H - 1) // stride + 1, (W - 1) // stride + 1
+    y = _tap_gemms(w, _tap_rows(_expand(x, stride), OH))
+    y += b[:, None]
+    return y.reshape(O, OH, B, OW).transpose(2, 0, 1, 3), (x, w, stride)
 
 
 def conv2d_bwd(dy: np.ndarray, cache):
@@ -140,13 +169,19 @@ def conv2d_bwd(dy: np.ndarray, cache):
     O = w.shape[0]
     OH, OW = dy.shape[2:]
     dy_mat = dy.transpose(1, 2, 0, 3).reshape(O, OH * B * OW)
-    dw = np.stack([(dy_mat @ rows.T).reshape(O, C, 3)
-                   for rows in _tap_rows(_expand(x, stride), OH)], axis=2)
     db = dy_mat.sum(axis=1)
     if stride == 1:
+        # rows[ky'][(o, kx'), (h, b, w)] = dy[b, o, h + ky' - 1, w + kx' - 1],
+        # so tap (ky, kx) of dW reads rows[2 - ky][(o, 2 - kx)] against x
+        rows = _tap_rows(_expand(dy, 1), H)
+        x_mat = x.transpose(1, 2, 0, 3).reshape(C, H * B * W)
+        dw_ky = np.stack([r @ x_mat.T for r in rows[::-1]])
+        dw = dw_ky.reshape(3, O, 3, C)[:, :, ::-1].transpose(1, 3, 0, 2).copy()
         w_t = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx = _conv(dy, w_t, 1)
+        dx = _tap_gemms(w_t, rows).reshape(C, H, B, W)
     else:
+        dw = np.stack([(dy_mat @ rows.T).reshape(O, C, 3)
+                       for rows in _tap_rows(_expand(x, stride), OH)], axis=2)
         taps = (w.reshape(O, C * 9).T @ dy_mat).reshape(C, 3, 3, OH, B, OW)
         dxp = np.zeros((C, H + 2, B, W + 2), dtype=taps.dtype)
         for ky in range(3):

@@ -180,7 +180,9 @@ def unet_forward(params: UNetParams, cfg: UNetConfig, x: np.ndarray,
     def block(name, h):
         h, tape[f"{name}.conv1"] = conv2d_fwd(h, p[f"{name}.conv1.w"],
                                               p[f"{name}.conv1.b"])
-        h = h + (emb @ p[f"{name}.time.w"].T + p[f"{name}.time.b"])[:, :, None, None]
+        # added in place, so h keeps the conv output's (C, H, B, W) memory
+        tb = emb @ p[f"{name}.time.w"].T + p[f"{name}.time.b"]
+        h += tb[:, :, None, None]
         h, tape[f"{name}.act1"] = silu_fwd(h)
         h, tape[f"{name}.conv2"] = conv2d_fwd(h, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
         h, tape[f"{name}.act2"] = silu_fwd(h)
@@ -196,7 +198,9 @@ def unet_forward(params: UNetParams, cfg: UNetConfig, x: np.ndarray,
     h = block("mid", h)
     for d in reversed(range(cfg.depth)):
         h, tape[f"up{d}"] = upconv2d_fwd(h, p[f"up{d}.w"], p[f"up{d}.b"])
-        h = np.concatenate([h, skips[d]], axis=1)
+        # concatenated in (C, H, B, W) memory, the layout the convs read
+        h = np.concatenate([h.transpose(1, 2, 0, 3),
+                            skips[d].transpose(1, 2, 0, 3)]).transpose(2, 0, 1, 3)
         h = block(f"dec{d}", h)
     eps_hat, tape["head"] = conv2d_fwd(h, p["head.w"], p["head.b"])
     return eps_hat, tape

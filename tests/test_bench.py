@@ -116,9 +116,9 @@ def test_baselines_beat_noisy_on_synthetic_set():
         clean_signed = ti.clean.to_range(RANGE_SIGNED)
         eps = standard_normal(ti.clean.shape, 5, draw_index=1)
         noisy_signed = forward_jump(clean_signed, t_start, sched, eps)
-        noisy = run_method("noisy", noisy_signed, t_start, sched, None)
+        noisy = run_method("noisy", noisy_signed, t_start, None)
         for method in ("nlm", "bm3d"):
-            est = run_method(method, noisy_signed, t_start, sched, None)
+            est = run_method(method, noisy_signed, t_start, None)
             assert (psnr(ti.clean, est, 1.0)
                     > psnr(ti.clean, noisy, 1.0))
 
@@ -233,7 +233,7 @@ def test_speckle_ratio_is_the_annulus_std_ratio(tmp_path):
     for i, (ti, row) in enumerate(zip(images, per_image)):
         eps = standard_normal(ti.clean.shape, 8, draw_index=7000 + i * 100 + 10)
         noisy = forward_jump(ti.clean.to_range(RANGE_SIGNED), 10, sched, eps)
-        est = run_method("noisy", noisy, 10, sched, None)
+        est = run_method("noisy", noisy, 10, None)
         expect = (np.std(est.data[ti.outside].astype(np.float64))
                   / np.std(ti.clean.data[ti.outside].astype(np.float64)))
         assert row["speckle_ratio"] == pytest.approx(expect, rel=1e-12)

@@ -785,8 +785,7 @@ def test_bench_defaults_are_the_library_configs(monkeypatch):
     import usdenoise.bench as bench
     # the baselines run at their configs' defaults but for the analytic
     # sigma of the rescaled input
-    sched = make_schedule()
-    ab = sched.alpha_bar(10)
+    ab = make_schedule().alpha_bar(10)
     sigma = math.sqrt((1.0 - ab) / ab) / 2.0
     noisy = Image2D(np.zeros((8, 8), dtype=np.float32), RANGE_SIGNED)
     for method, callee, expected in (
@@ -795,7 +794,7 @@ def test_bench_defaults_are_the_library_configs(monkeypatch):
             ("bm3d", "bm3d_denoise", Bm3dConfig(sigma=sigma))):
         monkeypatch.setattr(bench, callee, _stand_in)
         with pytest.raises(Called) as called:
-            bench.run_method(method, noisy, 10, sched, None)
+            bench.run_method(method, noisy, 10, None)
         assert called.value.args[1] == expected
     # the bench's phantoms are PhantomSpec() but for the 64-element array,
     # the seed and the cyst, whose echogenicity is Cyst's

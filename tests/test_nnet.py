@@ -24,6 +24,7 @@ from usdenoise.nnet import (
     unet_backward,
     unet_forward,
 )
+from usdenoise.nnet import ops
 from usdenoise.nnet.ops import (
     conv2d_bwd,
     conv2d_fwd,
@@ -109,10 +110,12 @@ def test_time_index_reaches_output():
 # ------------------------------------------------------- conv primitives
 
 # (B, C, O, H, W, stride): channel counts and extents all differ; then a
-# stem-like C = 1 (GEMMs with K = 3), a head-like O = 1 and a B = 4 stride 2
+# stem-like C = 1 (GEMMs with K = 3), a head-like O = 1, a B = 4 stride 2
+# and widths 1 and 2, where every pixel of a row is next to a row end
 CONV_CASES = [(2, 3, 5, 6, 8, 1), (2, 3, 5, 6, 8, 2), (1, 4, 2, 5, 7, 1),
               (3, 2, 3, 4, 10, 2), (2, 1, 4, 6, 8, 1), (2, 4, 1, 6, 8, 1),
-              (4, 3, 5, 6, 8, 2)]
+              (4, 3, 5, 6, 8, 2), (2, 3, 4, 5, 1, 1), (3, 2, 3, 4, 2, 1),
+              (2, 3, 4, 6, 2, 2)]
 
 
 def _conv_by_taps(x, w, b, stride):
@@ -171,7 +174,7 @@ def test_conv2d_bwd_matches_finite_differences(case, delta=1e-5):
 
 
 # (B, C, O, H, W): B > 1, odd C != O, H != W
-UPCONV_CASES = [(2, 3, 5, 3, 4), (3, 5, 2, 4, 2)]
+UPCONV_CASES = [(2, 3, 5, 3, 4), (3, 5, 2, 4, 2), (2, 3, 4, 3, 1)]
 
 
 def _upsampled_conv(x, w, b):
@@ -220,6 +223,117 @@ def test_upconv2d_bwd_matches_finite_differences(case, delta=1e-5):
 
     for analytic, arr in ((dx, x), (dw, w), (db, b)):
         assert np.allclose(analytic, numeric(arr), rtol=1e-6, atol=1e-6)
+
+
+def _network_layout(a):
+    """a with the same values in (C, H, B, W) memory, the layout the U-Net's
+    activations and gradients have."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0, 3)).transpose(2, 0, 1, 3)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("shape", [(2, 3, 5, 1), (3, 2, 4, 2), (2, 3, 5, 7),
+                                   (2, 1, 7, 4)])
+@pytest.mark.parametrize("layout", ["network", "c-contiguous"])
+def test_expand_matches_padded_reference(monkeypatch, stride, shape, layout):
+    x = np.random.default_rng(9).normal(size=shape).astype(np.float32)
+    if layout == "network":
+        x = _network_layout(x)
+    B, C, H, W = shape
+    OH, OW = (H - 1) // stride + 1, (W - 1) // stride + 1
+    # E[c, kx, p, q, b, ow] = xpad[b, c, stride*q + p, stride*ow + kx]; at odd
+    # extents stride 2 reads one row or column past the one-pixel border
+    xpad = np.pad(x, ((0, 0), (0, 0), (1, 1 + stride), (1, 1 + stride)))
+    rows = stride * np.arange(OH + 2 // stride) + np.arange(stride)[:, None]
+    cols = stride * np.arange(OW) + np.arange(3)[:, None]
+    ref = xpad[:, :, rows[:, :, None, None], cols].transpose(1, 4, 2, 3, 0, 5)
+    # E is allocated uninitialised: fill its memory with NaN so that any
+    # border element left unwritten shows
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    e = ops._expand(x, stride)
+    monkeypatch.undo()
+    assert e.shape == ref.shape and e.dtype == ref.dtype
+    assert e.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def _conv_bwd_by_taps(x, w, g, stride):
+    """Reference gradients of ``_conv_by_taps``: one product per kernel tap."""
+    OH, OW = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    dxp, dw = np.zeros_like(xp), np.zeros_like(w)
+    for ky in range(3):
+        for kx in range(3):
+            window = (slice(None), slice(None),
+                      slice(ky, ky + stride * OH, stride),
+                      slice(kx, kx + stride * OW, stride))
+            dw[:, :, ky, kx] = np.einsum("bohw,bchw->oc", g, xp[window])
+            dxp[window] += np.einsum("oc,bohw->bchw", w[:, :, ky, kx], g)
+    return dxp[:, :, 1:-1, 1:-1], dw, g.sum(axis=(0, 2, 3))
+
+
+def _gamma(n):
+    """Higham's gamma_n for float32: a float32 sum of n products, in any
+    order, errs by at most gamma_n times the sum of their magnitudes."""
+    u = 2.0 ** -24
+    return n * u / (1 - n * u)
+
+
+def _assert_float32_gradients(got, x, w, g, stride, upsample):
+    """got = float32 (dx, dw, db) for float32 x, w, g; compared with the
+    float64 tap loop on the same values, within gamma_n of the products'
+    magnitudes, n the products each gradient element sums plus two."""
+    def taps(x, w, g):
+        if upsample:
+            x = x.repeat(2, axis=2).repeat(2, axis=3)
+        dx, dw, db = _conv_bwd_by_taps(x, w, g, stride)
+        if upsample:
+            B, C, H, W = dx.shape
+            dx = dx.reshape(B, C, H // 2, 2, W // 2, 2).sum(axis=(3, 5))
+        return dx, dw, db
+
+    x, w, g = (a.astype(np.float64) for a in (x, w, g))
+    want = taps(x, w, g)
+    size = taps(np.abs(x), np.abs(w), np.abs(g))
+    B, O, OH, OW = g.shape
+    # dx sums 9 taps of O channels (over each 2x2 block when upsampled);
+    # dw and db sum one product per output pixel
+    n = {0: 9 * O * (4 if upsample else 1), 1: B * OH * OW, 2: B * OH * OW}
+    for i, name in enumerate(("dx", "dw", "db")):
+        assert got[i].dtype == np.float32 and got[i].shape == want[i].shape
+        err = np.abs(got[i] - want[i])
+        assert np.all(err <= _gamma(n[i] + 2) * size[i]), name
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+def test_conv2d_bwd_float32_matches_tap_loop(case):
+    x, w, b, stride = _conv_case(case, seed=7)
+    x, w, b = x.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
+    x = _network_layout(x)
+    y, cache = conv2d_fwd(x, w, b, stride)
+    g = np.random.default_rng(8).normal(size=y.shape).astype(np.float32)
+    g = _network_layout(g)
+    _assert_float32_gradients(conv2d_bwd(g, cache), x, w, g, stride,
+                              upsample=False)
+
+
+@pytest.mark.parametrize("case", UPCONV_CASES)
+def test_upconv2d_bwd_float32_matches_tap_loop(case):
+    B, C, O, H, W = case
+    x, w, b, _ = _conv_case((B, C, O, H, W, 1), seed=10)
+    x, w, b = x.astype(np.float32), w.astype(np.float32), b.astype(np.float32)
+    x = _network_layout(x)
+    y, cache = upconv2d_fwd(x, w, b)
+    g = np.random.default_rng(11).normal(size=y.shape).astype(np.float32)
+    g = _network_layout(g)
+    _assert_float32_gradients(upconv2d_bwd(g, cache), x, w, g, 1,
+                              upsample=True)
 
 
 def _traced_peak(fn) -> int:
@@ -329,7 +443,7 @@ def test_ddpm_denoiser_runs_the_network_in_float32(monkeypatch, tmp_path):
     save_model(ckpt, init_params(TINY, seed=0), TINY)
     denoiser = bench.DdpmDenoiser(ckpt)
     noisy = np.random.default_rng(8).uniform(-1, 1, (8, 8))
-    out = denoiser(Image2D(noisy, RANGE_SIGNED), 3, make_schedule(300))
+    out = denoiser(Image2D(noisy, RANGE_SIGNED), 3)
     assert out.shape == (8, 8)
     assert seen == [np.dtype(np.float32)] * 3
 
@@ -431,6 +545,38 @@ def test_heldout_l1_memory_is_one_forward_pass():
     peak = _traced_peak(lambda: heldout_l1(params, MEM, heldout, sched,
                                            seed=3, batch_size=16))
     assert peak <= 1.2 * forward
+
+
+def test_each_convolution_expands_one_operand_per_pass(monkeypatch):
+    # a stride-1 backward takes dW and dX from the expansion of dy; when it
+    # also re-expanded its taped input, backward built 30 expansions
+    calls = []
+    expand = ops._expand
+
+    def spy(x, stride):
+        calls.append(stride)
+        return expand(x, stride)
+
+    monkeypatch.setattr(ops, "_expand", spy)
+    cfg = UNetConfig()
+    params = init_params(cfg, seed=0)
+    x = np.random.default_rng(3).normal(size=(2, 1, 32, 32)).astype(np.float32)
+    eps_hat, tape = unet_forward(params, cfg, x, np.array([1, 2]))
+    assert len(calls) == 16
+    calls.clear()
+    unet_backward(tape, mse_loss(eps_hat, x)[1])
+    assert len(calls) == 16
+
+
+def test_tape_keeps_conv_inputs_in_network_memory():
+    # the expansions and the stride-1 dW read (C, H, B, W) memory in place;
+    # only the stem's input is the caller's (B, C, H, W) array
+    cfg = UNetConfig()
+    x = np.random.default_rng(3).normal(size=(2, 1, 32, 32)).astype(np.float32)
+    _, tape = unet_forward(init_params(cfg, seed=0), cfg, x, np.array([1, 2]))
+    for name, entry in tape.items():
+        if isinstance(entry, tuple) and name != "stem":
+            assert entry[0].transpose(1, 2, 0, 3).flags.c_contiguous, name
 
 
 def test_stale_tape_rejected():
