@@ -8,6 +8,7 @@
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 
@@ -16,6 +17,7 @@ import numpy as np
 MATCH_CHUNK = 16  # references per block-matching GEMM
 SAFETY = 2.0      # margin of the block-matching prefilter over its error bound
 F32_SAFE = float(np.finfo(np.float32).max) / 8  # no float32 distance overflows
+EXP_FLOOR = -600.0  # NLM weights: exp(-600) times any |pixel| > 1e-47 is normal
 
 
 def nlm_filter(img: np.ndarray, patch_radius: int, search_radius: int,
@@ -27,6 +29,13 @@ def nlm_filter(img: np.ndarray, patch_radius: int, search_radius: int,
     ``exp(-max(d2 - 2 sigma^2, 0) / h^2)`` with ``d2`` the mean squared
     distance between the two centered patches; each output pixel is the
     weight-normalized average of the search-window center pixels.
+    Exponents below ``EXP_FLOOR`` count as ``EXP_FLOOR``.  Below about -708
+    ``exp`` returns subnormals or 0, which NumPy computes 13-55 times
+    slower than a normal result, and above that the weights' products with
+    small pixels are subnormal, 30 times slower to multiply.  The weight
+    this adds, under ``3e-261`` a pair against the pixel's own weight 1,
+    moves an output by at most ``3e-261`` times the window's pixel count
+    times the image's peak magnitude.
 
     The weight of a pair of pixels does not depend on which of the two is
     the output, so each pair is scored once (Condat, "A simple trick to
@@ -53,10 +62,12 @@ def nlm_filter(img: np.ndarray, patch_radius: int, search_radius: int,
     row = q.shape[1]
     qf = q.ravel()
     k = 2 * pr + 1
-    # scaling by 1/h twice keeps the h -> 0 limit, weight 1 at zero excess
-    # and 0 elsewhere: below h ~ 1e-154, 1/h^2 is inf and 0 * inf is NaN
-    inv_h = 1.0 / h
-    two_sigma2 = 2.0 * sigma * sigma
+    # the exponent is -max(d2 k^2 - 2 sigma^2 k^2, 0) / (h k)^2, with d2 k^2
+    # the patch's sum of squares.  Scaling by 1/(h k) twice keeps the h -> 0
+    # limit, weight 1 at zero excess and (next to) 0 elsewhere: below
+    # h ~ 1e-154, 1/h^2 is inf and 0 * inf is NaN
+    inv_hk = 1.0 / (h * k)
+    two_sigma2 = 2.0 * sigma * sigma * k * k
 
     n_out = (height - 1) * row + width
     first = m * row + m                 # flat index of output pixel (0, 0)
@@ -89,11 +100,11 @@ def nlm_filter(img: np.ndarray, patch_radius: int, search_radius: int,
                 np.add(rows[:n_w], rows[1:1 + n_w], out=w)
                 for j in range(2, k):
                     w += rows[j:j + n_w]
-                w /= k * k
                 w -= two_sigma2
                 np.maximum(w, 0.0, out=w)
-                w *= -inv_h
-                w *= inv_h
+                w *= -inv_hk
+                w *= inv_hk
+                np.maximum(w, EXP_FLOOR, out=w)
                 np.exp(w, out=w)
                 # output t takes anchor t with the pixel t + delta ...
                 np.multiply(w[s:], qf[first + s:first + s + n_out], out=term)
@@ -236,13 +247,16 @@ def cycle_phasor(cycles: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _carrier_table(cycles_per_sample: float, half_width: int,
-                   n_bins: int) -> np.ndarray:
-    """``exp(i theta k)`` for samples ``k = -half_width .. n_bins -
-    half_width - 1``, ``theta = 2 pi cycles_per_sample``; read-only because
-    every caller shares it."""
+def _carrier_table(cycles_per_sample: float, half_width: int, n_bins: int,
+                   tap: int) -> np.ndarray:
+    """``exp(i theta (k + tap))`` for centre samples ``k = -half_width ..
+    n_bins - half_width - 1``, ``theta = 2 pi cycles_per_sample``: the
+    carrier at tap ``tap`` of an echo centred on ``k``.  The phase of ``k``
+    is reduced as ``cycle_phasor`` does and the tap's is one scalar
+    rotation.  Read-only because every caller shares it."""
     k = np.arange(-half_width, n_bins - half_width, dtype=np.float64)
     table = cycle_phasor(k * cycles_per_sample)
+    table *= cmath.exp(2j * math.pi * cycles_per_sample * tap)
     table.setflags(write=False)
     return table
 
@@ -260,31 +274,53 @@ def deposit_pulses(tau: np.ndarray, re: np.ndarray, im: np.ndarray,
     samples falling outside the trace are dropped.
 
     Works tap by tap: with ``c = floor(tau*fs)`` and ``x = c - tau*fs`` in
-    (-1, 0], tap ``j`` (sample ``c + j``) has ``t - tau = (x + j)/fs``.  The
-    carrier is ``A`` rotated to its centre sample, ``A exp(i theta c)``,
-    ``theta = 2 pi f0/fs``, then by the scalar ``exp(i theta j)``.  The
-    centre-sample phasors are gathered from one table per trace length
-    (``_carrier_table``), so no ``cos`` or ``sin`` runs per echo: NumPy
-    evaluates float64 ``cos``/``sin`` one element at a time, at 10-20 times
-    the cost of ``exp``.  The Gaussian ``exp(-b (x + j)^2)``,
-    ``b = 1/(2 (sigma_t fs)^2)``, is the scalar ``exp(-b j^2)`` times
-    ``exp(-b x^2 - 2 b x j)``, which steps by ``exp(-2 b x)`` from tap to
-    tap.  That recurrence stays inside float64 range while
-    ``b*(2*half_width+1) < 700``, i.e. for pulses wider than about a
-    twentieth of a sample; a narrower pulse raises ``ValueError``.  A
+    (-1, 0], tap ``j`` (sample ``c + j``) has ``t - tau = (x + j)/fs``.  With
+    ``theta = 2 pi f0/fs`` and ``b = 1/(2 (sigma_t fs)^2)`` the Gaussian
+    ``exp(-b (x + j)^2)`` is the scalar ``exp(-b j^2)`` times
+    ``exp(-b x^2 - 2 b x j)``, so tap ``j`` adds ``exp(-b j^2) v_j`` with
+
+        v_j = Re{A exp(i theta (c + j)) exp(-b x^2 - 2 b x j)}.
+
+    With ``q = exp(-2 b x)`` that is a rotation by ``theta`` damped by
+    ``q`` per tap, which obeys Goertzel's second-order recurrence (Am. Math.
+    Monthly 65(1), 1958) ``v_(j+1) = p v_j - q^2 v_(j-1)``, ``p = 2 q
+    cos(theta)``.  Each tap is three passes over the echoes (scale
+    ``v_(j-1)`` by ``q^2``, form ``p v_j``, subtract) and one ``bincount``
+    of ``v_j`` over the echoes' centre samples.  The first two taps' ``v``
+    come from ``exp(i theta (c + j))`` gathered from one table per tap and
+    trace length (``_carrier_table``), so no ``cos`` or ``sin`` runs per
+    echo: NumPy evaluates float64 ``cos``/``sin`` one element at a time, at
+    10-20 times the cost of ``exp``.  The Gaussian's scalars ``exp(-b j^2)``
+    weight the bins, not the echoes: tap ``j``'s bins, read from ``j`` on,
+    line up with the samples, and one matrix-vector product sums the taps.
+
+    Range: over the taps ``|v_j| / |A|`` runs from ``exp(-b (2 hw + 1))``
+    (``j = -hw``, ``x`` near -1, ``hw = half_width``) up to
+    ``exp(b (2 hw - 1))``, and ``q^2`` reaches ``exp(4 b)``.  The first taps
+    must be normal floats, as the recurrence carries their relative error
+    to every later tap, and the largest must not overflow, so
+    ``b * max(2 hw + 1, 4) < 700`` keeps all of them inside float64 range
+    with a margin of ``e^8`` for the amplitudes: pulses wider than about a
+    twentieth of a sample.  A narrower pulse raises ``ValueError``.  A
     phantom's pulse is wider than a sample, because ``PhantomSpec`` keeps
-    ``f0`` below ``fs/2``.  Each tap is one ``bincount`` over the centre
-    samples, read at offset ``j``.
+    ``f0`` below ``fs/2``.
+
+    Rounding: an error made at tap ``k`` reaches tap ``j`` scaled by
+    ``q^(j-k) sin((j - k + 1) theta) / sin(theta)``, against the envelope's
+    ``q^(j-k)``, so the errors grow about as ``j u / sin(theta)`` relative to
+    the envelope (``u = 2^-53``, ``j`` counted from the first tap), or as
+    ``j^2 u`` while ``j`` is below ``1/sin(theta)``.  Over 27 taps that is
+    about ``5e-14 |A|`` per echo at ``f0 = 0.49 fs`` (``sin(theta) =
+    0.063``) and ``4e-15 |A|`` at the phantom's ``0.16 fs``.
     """
     tau = np.asarray(tau, dtype=np.float64)
     re = np.asarray(re, dtype=np.float64)
     im = np.asarray(im, dtype=np.float64)
     n, hw = int(n_samples), int(half_width)
-    trace = np.zeros(n, dtype=np.float64)
     if tau.size == 0:
-        return trace
+        return np.zeros(n, dtype=np.float64)
     b = 0.5 / (sigma_t * fs) ** 2
-    if not b * (2 * hw + 1) < 700.0:
+    if not b * max(2 * hw + 1, 4) < 700.0:
         raise ValueError(f"pulse std {sigma_t} s is too narrow for "
                          f"{2 * hw + 1} taps at {fs} Hz")
     pos = tau * fs
@@ -293,30 +329,35 @@ def deposit_pulses(tau: np.ndarray, re: np.ndarray, im: np.ndarray,
     if not hit.all():
         centers, pos, re, im = centers[hit], pos[hit], re[hit], im[hit]
     x = centers - pos
-    theta = 2.0 * np.pi * f0 / fs
     # bin c + hw collects the scatterers centred on sample c, so for tap j
     # the bins from hw - j on line up with samples 0, 1, ..., n - 1
     idx = centers.astype(np.int64) + hw
     n_bins = n + 2 * hw
-    carrier = _carrier_table(f0 / fs, hw, n_bins)[idx]
-    cr, ci = carrier.real, carrier.imag
-    re, im = re * cr - im * ci, re * ci + im * cr
-    g = np.exp(-b * x * (x - 2.0 * hw))
-    re *= g
-    im *= g
+    g = np.exp(-b * x * (x - 2.0 * hw))     # exp(-b x^2 - 2 b x j), j = -hw
     q = np.exp(-2.0 * b * x)
-    w = np.empty_like(x)
-    t = np.empty_like(x)
+    v, v_next, t = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    for out, j in ((v, -hw), (v_next, 1 - hw)):   # at j = -hw, 1 - hw
+        carrier = _carrier_table(f0 / fs, hw, n_bins, j)[idx]
+        np.multiply(re, carrier.real, out=out)
+        np.multiply(im, carrier.imag, out=t)
+        out -= t
+        out *= g
+    v_next *= q
+    p = q * (2.0 * math.cos(2.0 * math.pi * f0 / fs))
+    q2 = np.square(q, out=q)
+    # row j + hw holds tap j's bins, one column to spare: the flat run from
+    # 2 hw in rows of n_bins starts each row at that tap's bin hw - j
+    bins = np.empty((2 * hw + 1, n_bins + 1))
     for j in range(-hw, hw + 1):
-        s = math.exp(-b * j * j)
-        np.multiply(re, s * math.cos(theta * j), out=w)
-        np.multiply(im, s * math.sin(theta * j), out=t)
-        w -= t
-        trace += np.bincount(idx, weights=w,
-                             minlength=n_bins)[hw - j:hw - j + n]
-        re *= q
-        im *= q
-    return trace
+        bins[j + hw, :n_bins] = np.bincount(idx, weights=v, minlength=n_bins)
+        if j + 1 < hw:      # v_(j+2) = p v_(j+1) - q^2 v_j, in v_j's buffer
+            v *= q2
+            np.multiply(p, v_next, out=t)
+            np.subtract(t, v, out=v)
+        v, v_next = v_next, v
+    taps = np.arange(-hw, hw + 1, dtype=np.float64)
+    aligned = bins.reshape(-1)[2 * hw:2 * hw + (2 * hw + 1) * n_bins]
+    return np.exp(-b * taps * taps) @ aligned.reshape(2 * hw + 1, -1)[:, :n]
 
 
 def das_sum(rf: np.ndarray, sample_idx: np.ndarray) -> np.ndarray:

@@ -200,8 +200,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def silu_fwd(x: np.ndarray):
-    return x * _sigmoid(x), x
+def silu_fwd(x: np.ndarray, out: np.ndarray | None = None):
+    """``(x * sigmoid(x), x)``, the product written to ``out`` if given."""
+    return np.multiply(x, _sigmoid(x), out=out), x
 
 
 def silu_bwd(dy: np.ndarray, x: np.ndarray):
@@ -209,13 +210,15 @@ def silu_bwd(dy: np.ndarray, x: np.ndarray):
     return dy * s * (1.0 + x * (1.0 - s))
 
 
-def upconv2d_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+def upconv2d_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                 out: np.ndarray | None = None):
     """``conv2d_fwd(upsample2(x), w, b)`` computed at x's resolution.
 
     x is (B, C, H, W); returns ``(y, cache)`` with y (B, O, 2H, 2W), where
     upsample2 is nearest-neighbour 2x upsampling.  One stride-1 convolution
     of x with the (4*O, C, 3, 3) parity-folded kernels gives every output
-    parity; its channels are interleaved into the output pixels.
+    parity; its channels are interleaved into the output pixels.  y is a
+    view of (O, 2H, B, 2W) memory: ``out`` if given, else a new array.
     """
     O, C = w.shape[:2]
     wf = w.reshape(O * C, 9) @ _FOLD.astype(w.dtype, copy=False)
@@ -225,7 +228,9 @@ def upconv2d_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     # y4 is a view of (py, px, O, H, B, W) memory; write (O, H, py, B, W, px)
     # memory by parity, which runs 5-7x faster than one transposed copy
     parts = y4.transpose(1, 2, 0, 3).reshape(2, 2, O, H, B, W)
-    y = np.empty((O, H, 2, B, W, 2), dtype=y4.dtype)
+    if out is None:
+        out = np.empty((O, 2 * H, B, 2 * W), dtype=y4.dtype)
+    y = out.reshape(O, H, 2, B, W, 2)
     for py in range(2):
         for px in range(2):
             y[:, :, py, :, :, px] = parts[py, px]

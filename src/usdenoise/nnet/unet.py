@@ -177,7 +177,7 @@ def unet_forward(params: UNetParams, cfg: UNetConfig, x: np.ndarray,
     tape: dict = {"emb": emb, "cfg": cfg, "params": params,
                   "params_step": params.step}
 
-    def block(name, h):
+    def block(name, h, out=None):
         h, tape[f"{name}.conv1"] = conv2d_fwd(h, p[f"{name}.conv1.w"],
                                               p[f"{name}.conv1.b"])
         # added in place, so h keeps the conv output's (C, H, B, W) memory
@@ -185,23 +185,26 @@ def unet_forward(params: UNetParams, cfg: UNetConfig, x: np.ndarray,
         h += tb[:, :, None, None]
         h, tape[f"{name}.act1"] = silu_fwd(h)
         h, tape[f"{name}.conv2"] = conv2d_fwd(h, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
-        h, tape[f"{name}.act2"] = silu_fwd(h)
+        h, tape[f"{name}.act2"] = silu_fwd(h, out=out)
         return h
 
     h, tape["stem"] = conv2d_fwd(x, p["stem.w"], p["stem.b"])
-    skips = []
+    # decoder level d reads the upsampled map and encoder level d's output
+    # concatenated in (2C, H, B, W) memory, the layout the convs read; both
+    # are written there, and down{d} reads the second half in place, so the
+    # tape holds each skip once
+    cats = []
     for d in range(cfg.depth):
-        h = block(f"enc{d}", h)
-        skips.append(h)
+        c = cfg.channels(d)
+        cats.append(np.empty((2 * c, h.shape[2], B, h.shape[3]), dtype=dt))
+        h = block(f"enc{d}", h, out=cats[d][c:].transpose(2, 0, 1, 3))
         h, tape[f"down{d}"] = conv2d_fwd(h, p[f"down{d}.w"], p[f"down{d}.b"],
                                          stride=2)
     h = block("mid", h)
     for d in reversed(range(cfg.depth)):
-        h, tape[f"up{d}"] = upconv2d_fwd(h, p[f"up{d}.w"], p[f"up{d}.b"])
-        # concatenated in (C, H, B, W) memory, the layout the convs read
-        h = np.concatenate([h.transpose(1, 2, 0, 3),
-                            skips[d].transpose(1, 2, 0, 3)]).transpose(2, 0, 1, 3)
-        h = block(f"dec{d}", h)
+        _, tape[f"up{d}"] = upconv2d_fwd(h, p[f"up{d}.w"], p[f"up{d}.b"],
+                                         out=cats[d][:cfg.channels(d)])
+        h = block(f"dec{d}", cats[d].transpose(2, 0, 1, 3))
     eps_hat, tape["head"] = conv2d_fwd(h, p["head.w"], p["head.b"])
     return eps_hat, tape
 

@@ -10,6 +10,7 @@ from usdenoise.ultrasound.beamform import (
     bmode_from_frames,
     compound,
     das_beamform,
+    rx_delay,
     tx_delay,
 )
 from usdenoise.ultrasound.phantom import (
@@ -42,6 +43,7 @@ __all__ = [
     "envelope_image",
     "fft",
     "log_compress",
+    "rx_delay",
     "speckle_patches",
     "synth_phantom",
     "synth_rf",

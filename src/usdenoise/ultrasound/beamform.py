@@ -23,6 +23,27 @@ def tx_delay(x, z, angle: float, geometry: TransducerGeometry):
             + ref) / geometry.sound_speed
 
 
+def rx_delay(x, z, x_e, geometry: TransducerGeometry) -> np.ndarray:
+    """One-way receive delay from field point(s) ``(x, z)`` back to the
+    element(s) at lateral position ``x_e``: ``sqrt((x - x_e)^2 + z^2) / c``,
+    as a new float64 array of the broadcast shape.
+
+    All of it runs in place on that one array.  The square root of the
+    squared sum is within an ulp or so of ``np.hypot``, which NumPy 2.4
+    evaluates one element at a time at about five times the cost; squared
+    lengths in metres are far from float64 overflow and underflow, where
+    ``hypot`` would differ.
+    """
+    out = np.empty(np.broadcast_shapes(np.shape(x), np.shape(x_e),
+                                       np.shape(z)))
+    np.subtract(x, x_e, out=out)
+    out *= out
+    out += np.square(z)
+    np.sqrt(out, out=out)
+    out /= geometry.sound_speed
+    return out
+
+
 def receive_window(geometry: TransducerGeometry) -> np.ndarray:
     """Hann receive apodization over the elements.
 
@@ -51,13 +72,11 @@ def das_beamform(rf: RFFrame, grid: ImagingGrid) -> np.ndarray:
     weights = receive_window(g)
     xs = grid.x
     zs = grid.z
-    X, Z = np.meshgrid(xs, zs)            # (nz, nx)
-    tx = tx_delay(X, Z, rf.steer_angle, g).reshape(-1)
-    ex = g.element_x()
-    # (elements, pixels) fractional sample indices
-    dx = X.reshape(-1)[None, :] - ex[:, None]
-    rx = np.sqrt(dx * dx + (Z.reshape(-1)[None, :]) ** 2) / g.sound_speed
-    idx = (tx[None, :] + rx) * g.sampling_rate
+    X, Z = (a.reshape(-1) for a in np.meshgrid(xs, zs))    # (nz*nx,)
+    # (elements, pixels) fractional sample indices, in one buffer
+    idx = rx_delay(X, Z, g.element_x()[:, None], g)
+    idx += tx_delay(X, Z, rf.steer_angle, g)
+    idx *= g.sampling_rate
     summed = _kernels.das_sum(rf.samples.astype(np.float64) * weights[:, None],
                               idx)
     if not np.isfinite(summed).all():

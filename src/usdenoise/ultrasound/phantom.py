@@ -12,12 +12,12 @@ Scatterer ``s`` echoes ``Re{A exp(i 2 pi f0 t)} G(t - tau)`` on element
 ``A = (re + i im) exp(-i 2 pi f0 tau)`` the echo's complex amplitude at
 ``t = 0``.  NumPy 2.4 evaluates float64 ``cos``, ``sin`` and ``hypot`` one
 element at a time, 14-30 ns each against about 1.7 ns for ``exp`` (x86-64
-Xeon VM), so ``synth_rf`` calls them as rarely as the model allows: one
-``hypot`` and one ``cos``/``sin`` pair per scatterer and element, for the
-receive delay and phasor shared by every angle, and one ``cos``/``sin``
-pair per scatterer and angle, for the transmit phasor.
-``_kernels.deposit_pulses`` then deposits each (element, angle) trace with
-``exp`` alone.
+Xeon VM), so ``synth_rf`` calls ``cos`` and ``sin`` as rarely as the model
+allows: one pair per scatterer and element, for the receive phasor shared
+by every angle, and one pair per scatterer and angle, for the transmit
+phasor.  The receive delay is ``beamform.rx_delay``, a square root of the
+squared sum, not ``hypot``.  ``_kernels.deposit_pulses`` then deposits each
+(element, angle) trace with ``exp`` alone.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from usdenoise.rng import _normals, standard_normal, uniforms
 from usdenoise.ultrasound.beamform import (
     bmode_from_frames,
     receive_window,
+    rx_delay,
     tx_delay,
 )
 from usdenoise.ultrasound.signal import log_compress
@@ -206,7 +207,7 @@ def synth_rf(spec: PhantomSpec) -> list[RFFrame]:
         traces.append(np.empty((g.element_count,
                                 int(_trace_length(spec, angle))), np.float32))
     for e, x_e in enumerate(g.element_x()):
-        rx = np.hypot(xs - x_e, zs) / g.sound_speed
+        rx = rx_delay(xs, zs, x_e, g)
         rx_phasor = _kernels.cycle_phasor(-f0 * rx)
         for tx_a, a_amp, out in zip(tx, tx_amp, traces):
             echo_amp = a_amp * rx_phasor

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from usdenoise import _kernels
+from usdenoise.baselines.nlm import NlmConfig, nlm_denoise
+from usdenoise.image import Image2D
 
 
 def _nlm_per_pixel(padded, height, width, pr, sr, h, sigma):
@@ -65,6 +67,34 @@ def test_nlm_filter_tiny_h_takes_the_zero_limit():
     assert np.isfinite(got).all()
     assert np.abs(got - want).max() < 1e-12
     assert not np.array_equal(got, img)     # some neighbours do get weight 1
+
+
+def test_nlm_filter_floors_exponents_that_underflow():
+    # patch distances far above h^2: exp underflows to subnormals and 0,
+    # NumPy's slow path, so the kernel floors its exponents at EXP_FLOOR.
+    # The floor's weights are invisible next to each pixel's weight 1
+    pr, sr, h, sigma = 1, 2, 0.055, 0.1
+    img = np.random.default_rng(6).normal(size=(64, 64)).astype(np.float32)
+    padded = np.pad(img.astype(np.float64), pr + sr, mode="symmetric")
+    k, m = 2 * pr + 1, pr + sr
+    centre = padded[sr:sr + 64 + 2 * pr, sr:sr + 64 + 2 * pr]
+    exponents = []
+    for dy in range(-sr, sr + 1):
+        for dx in range(-sr, sr + 1):
+            other = padded[m + dy - pr:m + dy + pr + 64,
+                           m + dx - pr:m + dx + pr + 64]
+            d2 = np.lib.stride_tricks.sliding_window_view(
+                (centre - other) ** 2, (k, k)).mean(axis=(-2, -1))
+            exponents.append(-np.maximum(d2 - 2 * sigma * sigma, 0) / h ** 2)
+    exponents = np.array(exponents)
+    assert (exponents < -745).any() and (exponents > _kernels.EXP_FLOOR).any()
+    want = _nlm_per_pixel(padded, 64, 64, pr, sr, h, sigma)
+    got = _kernels.nlm_filter(img, pr, sr, h, sigma)
+    assert np.abs(got - want).max() < 1e-12
+    out = nlm_denoise(Image2D(img), NlmConfig(patch_radius=pr,
+                                              search_radius=sr, h=h,
+                                              sigma=sigma))
+    assert np.array_equal(out.data, want.astype(np.float32))
 
 
 def _match_brute_force(blocks, ref_rows, ref_cols, search_radius, k):

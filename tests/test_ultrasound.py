@@ -20,6 +20,7 @@ from usdenoise.ultrasound import (
     fft,
     log_compress,
     phantom,
+    rx_delay,
     speckle_patches,
     synth_phantom,
     synth_rf,
@@ -204,11 +205,34 @@ def test_deposit_pulses_matches_per_sample_loop(sigma_t, case):
     assert np.abs(got - want).max(initial=0.0) < 1e-12
 
 
+@pytest.mark.parametrize("f0", [0.49 * 50e6, 50e6 / 40])
+@pytest.mark.parametrize("case", ["random", "clipped_both_ends",
+                                  "shared_centre"])
+def test_deposit_pulses_matches_per_sample_loop_at_extreme_carriers(f0, case):
+    # the tap recurrence rotates by theta = 2 pi f0/fs per tap, and its
+    # rounding errors grow as 1/sin(theta): theta is near pi at 0.49 fs and
+    # near 0 at fs/40
+    tau = _deposit_cases()[case]
+    rng = np.random.default_rng(14)
+    amp = rng.normal(size=tau.size)
+    phase = rng.uniform(-np.pi, np.pi, tau.size)
+    args = (50e6, f0, 62.5e-9, 96, 13)
+    got = _kernels.deposit_pulses(tau, *_reference_amplitude(tau, amp, phase,
+                                                             f0), *args)
+    want = _deposit_per_sample(tau, amp, phase, *args)
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_deposit_pulses_rejects_a_pulse_too_narrow_for_the_recurrence():
     tau = _deposit_cases()["random"]
     with pytest.raises(ValueError, match="too narrow"):
         _kernels.deposit_pulses(tau, np.ones(tau.size), np.zeros(tau.size),
                                 50e6, 8e6, 1e-9, 96, 13)
+    # three taps keep every v_j in range (b (2 hw + 1) = 600), but the
+    # recurrence's q^2 = exp(-4 b x) overflows for x near -1
+    with pytest.raises(ValueError, match="too narrow"):
+        _kernels.deposit_pulses(tau, np.ones(tau.size), np.zeros(tau.size),
+                                50e6, 8e6, 1e-9, 96, 1)
 
 
 def test_phantom_rejects_a_carrier_at_or_above_nyquist(monkeypatch):
@@ -263,6 +287,41 @@ def _single_scatterer_frame(spec, x, z, angle):
         traces[e] = _kernels.deposit_pulses(
             tau, re, im, g.sampling_rate, g.center_frequency, sigma_t, n, hw)
     return RFFrame(traces.astype(np.float32), angle, g)
+
+
+def test_rx_delay_matches_hypot():
+    # the square root of the squared sum is within an ulp of np.hypot; each
+    # then rounds its division by c, which can add one more
+    g = TEST_GEOMETRY
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-3.2e-3, 3.2e-3, 20000)
+    z = rng.uniform(6.8e-3, 13.2e-3, 20000)
+    x_e = g.element_x()[::7, None]
+    unit = dataclasses.replace(g, sound_speed=1.0)
+    hyp = np.hypot(x - x_e, z)
+    assert rx_delay(x, z, x_e, unit).shape == hyp.shape
+    assert np.all(np.abs(rx_delay(x, z, x_e, unit) - hyp) <= np.spacing(hyp))
+    want = hyp / g.sound_speed
+    assert np.all(np.abs(rx_delay(x, z, x_e, g) - want)
+                  <= 2 * np.spacing(want))
+
+
+def test_das_beamform_keeps_the_bits_of_its_delay_formula():
+    # das_beamform adds the transmit delay to rx_delay's buffer; the sum
+    # tx + rx, then times fs, is the same float as before, so the image is
+    spec = PhantomSpec(nx=24, nz=20, geometry=TEST_GEOMETRY,
+                       scatterer_density=2.0, seed=8, angles=(-0.1, 0.15))
+    grid = spec.grid()
+    for frame in synth_rf(spec):
+        g = frame.geometry
+        X, Z = np.meshgrid(grid.x, grid.z)
+        tx = tx_delay(X, Z, frame.steer_angle, g).reshape(-1)
+        dx = X.reshape(-1)[None, :] - g.element_x()[:, None]
+        rx = np.sqrt(dx * dx + (Z.reshape(-1)[None, :]) ** 2) / g.sound_speed
+        idx = (tx[None, :] + rx) * g.sampling_rate
+        rf = frame.samples.astype(np.float64) * np.hanning(g.element_count)[:, None]
+        want = _kernels.das_sum(rf, idx).reshape(grid.nz, grid.nx)
+        assert np.array_equal(das_beamform(frame, grid), want)
 
 
 def test_das_zero_rf_gives_zero_image():
@@ -405,7 +464,7 @@ def test_synth_rf_skips_zero_amplitude_scatterers_exactly(monkeypatch):
     assert len(deposited) == g.element_count
     for x_e, (n, trace) in zip(g.element_x(), deposited):
         assert n == (amp != 0).sum()
-        rx = np.hypot(xs - x_e, zs) / g.sound_speed
+        rx = rx_delay(xs, zs, x_e, g)
         # the echo amplitudes as synth_rf composes them, zeros included
         a = ((re + 1j * im) * _kernels.cycle_phasor(-f0 * tx)
              * _kernels.cycle_phasor(-f0 * rx))
