@@ -12,7 +12,7 @@ Library layout:
 - ``_kernels``    -- NumPy hot loops (NLM, block matching, pulse synthesis, DAS)
 """
 
-from usdenoise.image import Image2D, RANGE_SIGNED, RANGE_UNIT
+from usdenoise.image import Image2D, RANGE_UNIT
 
 __version__ = "0.1.0"
 
@@ -23,6 +23,5 @@ __all__ = [
     "COMPILED_KERNELS",
     "Image2D",
     "RANGE_UNIT",
-    "RANGE_SIGNED",
     "__version__",
 ]

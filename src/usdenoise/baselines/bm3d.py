@@ -176,6 +176,4 @@ def bm3d_denoise(img: Image2D, cfg: Bm3dConfig) -> Image2D:
     basic = _stage1(noisy, spectra, cfg)
     out = (_stage2(noisy, spectra, basic, cfg) if cfg.stages == "two"
            else basic)
-    lo, hi = img.bounds()
-    out = np.clip(out, lo, hi)
-    return img.like(out.astype(np.float32))
+    return Image2D(np.clip(out, 0.0, 1.0).astype(np.float32))

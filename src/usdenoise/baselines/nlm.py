@@ -47,4 +47,4 @@ def nlm_denoise(img: Image2D, cfg: NlmConfig) -> Image2D:
                          f"search_radius={cfg.search_radius}")
     out = _kernels.nlm_filter(img.data, cfg.patch_radius, cfg.search_radius,
                               cfg.h, cfg.sigma)
-    return img.like(out.astype(np.float32))
+    return Image2D(out.astype(np.float32))

@@ -6,7 +6,7 @@ by the clean image's std there; 1 keeps the speckle, 0 flattens it).
 The comparison protocol for the classical baselines: after t forward steps
 the corrupted image is rescaled by 1/sqrt(abar_t) to undo the signal
 attenuation, which leaves additive noise of std sqrt((1-abar_t)/abar_t) in
-the signed-unit domain (half that after mapping to display range); that
+the signed domain [-1, 1] (half that after mapping to display range); that
 analytic sigma is handed to NLM/BM3D, which otherwise run at the
 ``NlmConfig``/``Bm3dConfig`` defaults (NLM's h is ``H_FACTOR * sigma``; the
 ``baseline`` command is where to tune them).  All metrics are computed in
@@ -38,7 +38,7 @@ from usdenoise.diffusion import (
     make_schedule,
 )
 from usdenoise.formats import read_pgm
-from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
+from usdenoise.image import Image2D, to_signed, to_unit_clipped
 from usdenoise.metrics import gcnr, psnr
 from usdenoise.nnet import load_model, unet_forward
 from usdenoise.rng import standard_normal, uniforms
@@ -185,20 +185,15 @@ def load_image_set(cfg: BenchConfig) -> list[BenchImage]:
     return images
 
 
-def to_unit_clipped(signed: np.ndarray) -> Image2D:
-    """Map signed-unit samples to a unit-interval image, clipped to [0, 1]."""
-    return Image2D(np.clip((signed + 1.0) / 2.0, 0.0, 1.0), RANGE_UNIT)
-
-
 class DdpmDenoiser:
-    """Checkpoint-backed reverse-process denoiser.
+    """Checkpoint-backed reverse-process denoiser of signed images.
 
     ``inject_seed`` and ``steps`` are passed through to ``denoise_from``,
     so a chain makes min(steps, t_start) network calls.  U-Net errors
     propagate unchanged: an input the checkpoint cannot run (wrong channel
     count, extent not divisible by 2^depth) raises ``unet_forward``'s
-    ``ValueError``.  A non-finite noise prediction reaches ``reverse_step``,
-    whose ``Image2D`` raises ``NumericError``.
+    ``ValueError``.  A non-finite noise prediction makes ``reverse_step``
+    raise ``NumericError``.
     """
 
     def __init__(self, checkpoint_path, inject_seed: int | None = None,
@@ -207,34 +202,34 @@ class DdpmDenoiser:
         self.inject_seed = inject_seed
         self.steps = steps
 
-    def predictor(self, img: Image2D, t: int) -> np.ndarray:
+    def predictor(self, x: np.ndarray, t: int) -> np.ndarray:
         eps_hat, _ = unet_forward(self.params, self.net_cfg,
-                                  img.data[None, None], np.array([t]))
+                                  x[None, None], np.array([t]))
         return eps_hat[0, 0]
 
-    def __call__(self, noisy_signed: Image2D, t_start: int) -> np.ndarray:
+    def __call__(self, noisy_signed: np.ndarray, t_start: int) -> np.ndarray:
         return denoise_from(noisy_signed, t_start, self.predictor,
                             make_schedule(), inject_seed=self.inject_seed,
-                            steps=self.steps).data
+                            steps=self.steps)
 
 
-def run_method(method: str, noisy_signed: Image2D, t_start: int,
+def run_method(method: str, noisy_signed: np.ndarray, t_start: int,
                ddpm: DdpmDenoiser | None) -> Image2D:
     ab = make_schedule().alpha_bar(t_start)
     if method == "noisy":
-        return to_unit_clipped(noisy_signed.data)
+        return to_unit_clipped(noisy_signed)
     if method == "ddpm":
         if ddpm is None:
             raise ValueError("ddpm method requested without a checkpoint")
         return to_unit_clipped(ddpm(noisy_signed, t_start))
     # classical baselines: undo attenuation, hand over the analytic sigma
-    rescaled = noisy_signed.data.astype(np.float64) / math.sqrt(ab)
+    rescaled = noisy_signed.astype(np.float64) / math.sqrt(ab)
     sigma = math.sqrt((1.0 - ab) / ab) / 2.0
-    unit = Image2D((rescaled + 1.0) / 2.0, RANGE_UNIT)
+    unit = Image2D((rescaled + 1.0) / 2.0)
     out = (nlm_denoise(unit, NlmConfig(h=NlmConfig.H_FACTOR * sigma,
                                        sigma=sigma))
            if method == "nlm" else bm3d_denoise(unit, Bm3dConfig(sigma=sigma)))
-    return Image2D(np.clip(out.data, 0.0, 1.0), RANGE_UNIT)
+    return Image2D(np.clip(out.data, 0.0, 1.0))
 
 
 def _std_ratio(est: np.ndarray, clean: np.ndarray, mask: np.ndarray) -> float:
@@ -286,7 +281,7 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
 
     per_image = []
     for i, ti in enumerate(images):
-        clean_signed = ti.clean.to_range(RANGE_SIGNED)
+        clean_signed = to_signed(ti.clean)
         for t_start in cfg.t_starts:
             t_start = int(t_start)
             eps = standard_normal(ti.clean.shape, cfg.seed,

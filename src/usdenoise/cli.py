@@ -20,7 +20,7 @@ import numpy as np
 
 from usdenoise import __version__
 from usdenoise.baselines import Bm3dConfig, NlmConfig, bm3d_denoise, nlm_denoise
-from usdenoise.bench import BenchConfig, DdpmDenoiser, run_bench, to_unit_clipped
+from usdenoise.bench import BenchConfig, DdpmDenoiser, run_bench
 from usdenoise.diffusion import DEFAULT_STEPS, forward_jump, make_schedule
 from usdenoise.formats import (
     FormatError,
@@ -30,7 +30,7 @@ from usdenoise.formats import (
     write_pgm,
     write_rf,
 )
-from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D, NumericError
+from usdenoise.image import Image2D, NumericError, to_signed, to_unit_clipped
 from usdenoise.nnet import TrainConfig, UNetConfig, load_model, train
 from usdenoise.rng import standard_normal
 from usdenoise.ultrasound import (
@@ -77,7 +77,7 @@ def cmd_phantom(args) -> int:
     for i, frame in enumerate(frames):
         write_rf(out / f"rf_{i:03d}.rf", frame)
     for i, mask in enumerate(masks):
-        write_pgm(out / f"mask_{i:02d}.pgm", Image2D(mask, RANGE_UNIT))
+        write_pgm(out / f"mask_{i:02d}.pgm", Image2D(mask))
     (out / "meta.json").write_text(json.dumps({
         "seed": spec.seed, "nx": spec.nx, "nz": spec.nz,
         "width_m": spec.width_m, "depth_m": spec.depth_m, "z0_m": spec.z0_m,
@@ -93,13 +93,13 @@ def cmd_phantom(args) -> int:
 # ----------------------------------------------------------------- corrupt
 
 def cmd_corrupt(args) -> int:
-    img = read_pgm(args.input).to_range(RANGE_SIGNED)
+    img = to_signed(read_pgm(args.input))
     if args.t == 0:
         out = img
     else:
         eps = standard_normal(img.shape, args.seed, draw_index=args.t)
         out = forward_jump(img, args.t, make_schedule(), eps)
-    write_pgm(args.out, to_unit_clipped(out.data))
+    write_pgm(args.out, to_unit_clipped(out))
     print(f"corrupted {args.input} at t={args.t} -> {args.out}")
     return 0
 
@@ -108,14 +108,13 @@ def cmd_corrupt(args) -> int:
 
 def _load_dataset(source: str, image_size: int, seed: int) -> np.ndarray:
     """Dataset sources: a directory of PGMs, a CIFAR-style .bin batch, or
-    ``speckle:N`` for N synthetic patches.  Returns signed-unit (N, H, W)."""
+    ``speckle:N`` for N synthetic patches.  Returns signed (N, H, W)."""
     if source.startswith("speckle:"):
         n = int(source.split(":", 1)[1])
         return speckle_patches(n, size=image_size, seed=seed) * 2.0 - 1.0
     path = Path(source)
     if path.is_dir():
-        stacks = [read_pgm(p).to_range(RANGE_SIGNED).data
-                  for p in sorted(path.glob("*.pgm"))]
+        stacks = [to_signed(read_pgm(p)) for p in sorted(path.glob("*.pgm"))]
         if not stacks:
             raise ValueError(f"no PGM images in {source}")
         return np.stack(stacks)
@@ -158,7 +157,7 @@ def cmd_train(args) -> int:
 # ----------------------------------------------------------------- denoise
 
 def cmd_denoise(args) -> int:
-    img = read_pgm(args.input).to_range(RANGE_SIGNED)
+    img = to_signed(read_pgm(args.input))
     denoiser = DdpmDenoiser(args.ckpt, args.seed if args.inject else None,
                             steps=args.steps)
     out = denoiser(img, args.t_start)

@@ -1,5 +1,6 @@
 """Variance schedule plus the forward (corruption) and reverse (denoising)
-Markov processes.
+Markov processes, on signed images: plain float32 (H, W) arrays scaled
+to [-1, 1] (``image.to_signed``).
 
 Step indices are 1-based: ``t`` runs over ``1..T`` and ``x_0`` is the clean
 image.  The reverse step is the DDPM posterior step (Ho et al. 2020,
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from usdenoise.image import Image2D
+from usdenoise.image import finite32
 from usdenoise.rng import standard_normal
 
 DEFAULT_T = 300
@@ -77,35 +78,37 @@ def make_schedule(T: int = DEFAULT_T, beta: float = DEFAULT_BETA) -> NoiseSchedu
 
 def _noise_array(eps, shape) -> np.ndarray:
     """The noise array ``eps`` as float32, or zero noise for ``None``;
-    its shape must be the image's."""
+    its samples must be finite and its shape the image's."""
     if eps is None:
         return np.zeros(shape, dtype=np.float32)
-    arr = np.asarray(eps, dtype=np.float32)
+    arr = finite32(eps)
     if arr.shape != tuple(shape):
         raise ValueError(f"noise shape {arr.shape} does not match image {tuple(shape)}")
     return arr
 
 
-def forward_step(x_prev: Image2D, t: int, sched: NoiseSchedule, eps=None) -> Image2D:
+def forward_step(x_prev: np.ndarray, t: int, sched: NoiseSchedule,
+                 eps=None) -> np.ndarray:
     """One corruption step: sqrt(1-b_t) * x_prev + sqrt(b_t) * eps."""
     t = sched._check_t(t)
     e = _noise_array(eps, x_prev.shape)
     b = sched.beta(t)
-    out = np.float32(np.sqrt(1.0 - b)) * x_prev.data + np.float32(np.sqrt(b)) * e
-    return x_prev.like(out)
+    return finite32(np.float32(np.sqrt(1.0 - b)) * x_prev
+                    + np.float32(np.sqrt(b)) * e)
 
 
-def forward_jump(x0: Image2D, t: int, sched: NoiseSchedule, eps=None) -> Image2D:
+def forward_jump(x0: np.ndarray, t: int, sched: NoiseSchedule,
+                 eps=None) -> np.ndarray:
     """Jump straight to step t: sqrt(abar_t) * x0 + sqrt(1-abar_t) * eps."""
     t = sched._check_t(t)
     e = _noise_array(eps, x0.shape)
     ab = sched.alpha_bar(t)
-    out = np.float32(np.sqrt(ab)) * x0.data + np.float32(np.sqrt(1.0 - ab)) * e
-    return x0.like(out)
+    return finite32(np.float32(np.sqrt(ab)) * x0
+                    + np.float32(np.sqrt(1.0 - ab)) * e)
 
 
-def reverse_step(x_t: Image2D, t: int, eps_hat, sched: NoiseSchedule,
-                 inject=None, *, s: int | None = None) -> Image2D:
+def reverse_step(x_t: np.ndarray, t: int, eps_hat, sched: NoiseSchedule,
+                 inject=None, *, s: int | None = None) -> np.ndarray:
     """One denoising step from x_t to x_s (default s = t-1) given predicted
     noise."""
     t = sched._check_t(t)
@@ -120,26 +123,28 @@ def reverse_step(x_t: Image2D, t: int, eps_hat, sched: NoiseSchedule,
         b = 1.0 - a
     e = _noise_array(eps_hat, x_t.shape)
     # a degenerate schedule (1 - abar_t == 0) or a diverging chain gives
-    # inf or NaN here; Image2D rejects it with NumericError, so no warning
+    # inf or NaN here; finite32 rejects it with NumericError, so no warning
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         coef = (1.0 - a) / np.sqrt(1.0 - ab)
-        out = (x_t.data - np.float32(coef) * e) / np.float32(np.sqrt(a))
+        out = (x_t - np.float32(coef) * e) / np.float32(np.sqrt(a))
         if inject is not None and s > 0:
             z = _noise_array(inject, x_t.shape)
             out = out + np.float32(np.sqrt(b)) * z
-    return x_t.like(out)
+    return finite32(out)
 
 
-def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule,
-                 inject_seed: int | None = None,
-                 steps: int | None = None) -> Image2D:
+def denoise_from(x_noisy: np.ndarray, t_start: int, predictor,
+                 sched: NoiseSchedule, inject_seed: int | None = None,
+                 steps: int | None = None) -> np.ndarray:
     """Run reverse steps from t_start to 0, one predictor call per step.
 
     The chain visits ``steps`` evenly spaced integer steps from t_start
     down to 0 (t_start*k//steps for k = steps..1), or every step when
     ``steps`` is None or at least t_start; a count below 1 raises
-    ``ValueError``.  ``predictor(x: Image2D, t: int) -> ndarray`` supplies
-    the per-step noise estimate.  When ``inject_seed`` is given, a fresh
+    ``ValueError``.  ``predictor(x: ndarray, t: int) -> ndarray`` supplies
+    the per-step noise estimate from the float32 chain state.  A
+    non-finite sample in ``x_noisy``, in a noise estimate or in any step's
+    output raises ``NumericError``.  When ``inject_seed`` is given, a fresh
     reproducible noise field is injected at every step except the last.
     Its draw index is -t: the forward draws (``corrupt``, ``bench``) use
     non-negative indices, so at the same seed the chain never injects the
@@ -152,7 +157,7 @@ def denoise_from(x_noisy: Image2D, t_start: int, predictor, sched: NoiseSchedule
     elif steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
     ts = [t_start * k // steps for k in range(steps, 0, -1)]
-    x = x_noisy
+    x = finite32(x_noisy)
     for t, s in zip(ts, ts[1:] + [0]):
         eps_hat = predictor(x, t)
         inject = (standard_normal(x.shape, inject_seed, draw_index=-t)

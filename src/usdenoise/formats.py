@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from usdenoise.image import RANGE_UNIT, Image2D, range_bounds
+from usdenoise.image import Image2D
 from usdenoise.ultrasound.types import RFFrame, TransducerGeometry
 
 TENSOR_MAGIC = b"NDF1"
@@ -101,12 +101,11 @@ def read_pgm(path) -> Image2D:
             raise LengthError(f"PGM payload is {len(payload)} bytes, "
                               f"expected {width * height}")
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return Image2D(data.astype(np.float32) * (1 / 255), RANGE_UNIT)
+    return Image2D(data.astype(np.float32) * (1 / 255))
 
 
 def _quantize_u8(img: Image2D) -> np.ndarray:
-    lo, hi = range_bounds(img.value_range)
-    scaled = (img.data.astype(np.float64) - lo) * (255.0 / (hi - lo))
+    scaled = img.data.astype(np.float64) * 255.0
     # round half away from zero, then clamp
     rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
     return np.clip(rounded, 0, 255).astype(np.uint8)
@@ -238,7 +237,7 @@ def load_cifar(path, to_gray: bool = True):
     """Load a binary batch of 3073-byte records.
 
     Returns ``(images, labels)``: images are float32 normalized to the
-    signed-unit range, shaped (N, 32, 32) when ``to_gray`` (unweighted mean
+    signed range [-1, 1], shaped (N, 32, 32) when ``to_gray`` (unweighted mean
     of the three channel planes) else (N, 3, 32, 32).
     """
     blob = Path(path).read_bytes()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from usdenoise.image import RANGE_UNIT, Image2D
+from usdenoise.image import Image2D
 
 
 def fft(x: np.ndarray) -> np.ndarray:
@@ -55,4 +55,4 @@ def log_compress(env, dynamic_range_db: float) -> Image2D:
         raise ValueError("all-zero envelope cannot be log-compressed")
     floor = peak * 10.0 ** (-dynamic_range_db / 20.0)
     db = 20.0 * np.log10(np.maximum(data, floor) / peak)
-    return Image2D((db + dynamic_range_db) / dynamic_range_db, RANGE_UNIT)
+    return Image2D((db + dynamic_range_db) / dynamic_range_db)

@@ -17,7 +17,7 @@ from usdenoise.diffusion import (
     forward_step,
     make_schedule,
 )
-from usdenoise.image import RANGE_SIGNED, Image2D
+from usdenoise.image import to_signed
 from usdenoise.metrics import gcnr, mse, psnr
 from usdenoise.rng import standard_normal
 
@@ -48,13 +48,13 @@ def test_criterion_01_schedule_algebra():
 def test_criterion_02_forward_process_equivalence():
     t0 = time.time()
     s = make_schedule(300)
-    x = Image2D(np.tanh(standard_normal((16, 16), seed=21)), RANGE_SIGNED)
+    x = np.tanh(standard_normal((16, 16), seed=21)).astype(np.float32)
     stepped = x
     for t in range(1, 301):
         stepped = forward_step(stepped, t, s, eps=None)
     jumped = forward_jump(x, 300, s, eps=None)
-    rel = (np.abs(stepped.data - jumped.data)
-           / np.maximum(np.abs(jumped.data), 1e-12)).max()
+    rel = (np.abs(stepped - jumped)
+           / np.maximum(np.abs(jumped), 1e-12)).max()
     assert rel <= 1e-5
 
     worst = 0.0
@@ -77,22 +77,21 @@ def test_criterion_02_forward_process_equivalence():
 def test_criterion_03_sampler_inversion(bench_outputs):
     _, images, _, _ = bench_outputs
     s = make_schedule(300)
-    x0 = images[0].clean.to_range(RANGE_SIGNED)
+    x0 = to_signed(images[0].clean)
     eps = standard_normal(x0.shape, seed=31)
     x1 = forward_jump(x0, 1, s, eps=eps)
     rec = denoise_from(x1, 1, lambda im, t: eps, s)
-    max_err = float(np.abs(rec.data - x0.data).max())
+    max_err = float(np.abs(rec - x0).max())
     assert max_err <= 1e-4
 
     improved = 0
     for i, ti in enumerate(images):
-        clean = ti.clean.to_range(RANGE_SIGNED)
+        clean = to_signed(ti.clean)
         for t_start in (10, 20):
             e = standard_normal(clean.shape, seed=600 + i, draw_index=t_start)
             noisy = forward_jump(clean, t_start, s, eps=e)
             rec = denoise_from(noisy, t_start, lambda im, t: e, s)
-            assert (psnr(clean.data, rec.data, 2.0)
-                    > psnr(clean.data, noisy.data, 2.0))
+            assert psnr(clean, rec, 2.0) > psnr(clean, noisy, 2.0)
             improved += 1
     _report(3, f"t=1 inversion max err {max_err:.2e}; oracle predictor "
                f"improved PSNR on {improved}/{improved} image corruptions")

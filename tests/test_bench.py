@@ -16,7 +16,7 @@ from usdenoise.bench import (
     run_method,
 )
 from usdenoise.diffusion import forward_jump, make_schedule
-from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
+from usdenoise.image import RANGE_UNIT, Image2D, to_signed
 from usdenoise.metrics import psnr
 from usdenoise.nnet import UNetConfig, init_params, save_model
 from usdenoise.rng import standard_normal
@@ -113,7 +113,7 @@ def test_baselines_beat_noisy_on_synthetic_set():
     images = _test_images(n=2, size=48, seed=7)
     t_start = 10
     for ti in images:
-        clean_signed = ti.clean.to_range(RANGE_SIGNED)
+        clean_signed = to_signed(ti.clean)
         eps = standard_normal(ti.clean.shape, 5, draw_index=1)
         noisy_signed = forward_jump(clean_signed, t_start, sched, eps)
         noisy = run_method("noisy", noisy_signed, t_start, None)
@@ -232,7 +232,7 @@ def test_speckle_ratio_is_the_annulus_std_ratio(tmp_path):
     sched = make_schedule(300)
     for i, (ti, row) in enumerate(zip(images, per_image)):
         eps = standard_normal(ti.clean.shape, 8, draw_index=7000 + i * 100 + 10)
-        noisy = forward_jump(ti.clean.to_range(RANGE_SIGNED), 10, sched, eps)
+        noisy = forward_jump(to_signed(ti.clean), 10, sched, eps)
         est = run_method("noisy", noisy, 10, None)
         expect = (np.std(est.data[ti.outside].astype(np.float64))
                   / np.std(ti.clean.data[ti.outside].astype(np.float64)))

@@ -11,12 +11,12 @@ from usdenoise.diffusion import (
     make_schedule,
     reverse_step,
 )
-from usdenoise.image import RANGE_SIGNED, Image2D, NumericError
+from usdenoise.image import NumericError
 from usdenoise.rng import standard_normal
 
 
 def img(data):
-    return Image2D(np.asarray(data, dtype=np.float32), RANGE_SIGNED)
+    return np.asarray(data, dtype=np.float32)
 
 
 def const_img(value, shape=(8, 8)):
@@ -87,21 +87,21 @@ def test_forward_step_zero_noise():
     s = make_schedule(300)
     x = img(np.linspace(-1, 1, 64).reshape(8, 8))
     out = forward_step(x, 5, s, eps=None)
-    assert np.allclose(out.data, math.sqrt(1 - 1 / 300) * x.data, rtol=1e-6)
+    assert np.allclose(out, math.sqrt(1 - 1 / 300) * x, rtol=1e-6)
 
 
 def test_forward_step_zero_signal():
     s = make_schedule(300)
     e = standard_normal((8, 8), seed=1)
     out = forward_step(const_img(0.0), 3, s, eps=e)
-    assert np.allclose(out.data, math.sqrt(1 / 300) * e, rtol=1e-6)
+    assert np.allclose(out, math.sqrt(1 / 300) * e, rtol=1e-6)
 
 
 def test_forward_step_constant_oracle():
     s = make_schedule(300)
     out = forward_step(const_img(1.0), 1, s, eps=None)
     # high-precision oracle sqrt(299/300)
-    assert np.allclose(out.data, 0.9983319421, atol=1e-6)
+    assert np.allclose(out, 0.9983319421, atol=1e-6)
 
 
 def test_forward_step_validation():
@@ -121,14 +121,14 @@ def test_forward_jump_zero_noise():
     s = make_schedule(300)
     x = img(standard_normal((8, 8), seed=2))
     out = forward_jump(x, 17, s, eps=None)
-    assert np.allclose(out.data, math.sqrt(s.alpha_bar(17)) * x.data, rtol=1e-6)
+    assert np.allclose(out, math.sqrt(s.alpha_bar(17)) * x, rtol=1e-6)
 
 
 def test_forward_jump_constant_t10_oracle():
     s = make_schedule(300)
     out = forward_jump(const_img(1.0), 10, s, eps=None)
     # oracle sqrt((299/300)^10)
-    assert np.allclose(out.data, 0.9834440747, atol=1e-5)
+    assert np.allclose(out, 0.9834440747, atol=1e-5)
 
 
 def test_forward_step_composition_equals_jump():
@@ -138,7 +138,7 @@ def test_forward_step_composition_equals_jump():
     for t in range(1, 21):
         stepped = forward_step(stepped, t, s, eps=None)
     jumped = forward_jump(x, 20, s, eps=None)
-    assert np.allclose(stepped.data, jumped.data, rtol=1e-5)
+    assert np.allclose(stepped, jumped, rtol=1e-5)
 
 
 def test_forward_jump_monte_carlo_variance():
@@ -173,7 +173,7 @@ def test_forward_determinism_bit_identical():
     e = standard_normal((8, 8), seed=5, draw_index=9)
     a = forward_jump(x, 30, s, eps=e)
     b = forward_jump(x, 30, s, eps=e)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------------ reverse_step
@@ -182,7 +182,7 @@ def test_reverse_step_zero_prediction():
     s = make_schedule(300)
     x = img(standard_normal((8, 8), seed=6))
     out = reverse_step(x, 12, np.zeros((8, 8)), s)
-    assert np.allclose(out.data, x.data / math.sqrt(s.alpha(12)), rtol=1e-6)
+    assert np.allclose(out, x / math.sqrt(s.alpha(12)), rtol=1e-6)
 
 
 def test_reverse_step_posterior_inverts_t1():
@@ -191,7 +191,7 @@ def test_reverse_step_posterior_inverts_t1():
     e = standard_normal((8, 8), seed=8)
     x1 = forward_jump(x0, 1, s, eps=e)
     rec = reverse_step(x1, 1, e, s, inject=None)
-    assert np.max(np.abs(rec.data - x0.data)) < 1e-6
+    assert np.max(np.abs(rec - x0)) < 1e-6
 
 
 def test_reverse_step_constant_t20_oracle():
@@ -201,7 +201,7 @@ def test_reverse_step_constant_t20_oracle():
     a = 299.0 / 300.0
     expect = (1 - (1 - a) / math.sqrt(1 - a ** 20)) / math.sqrt(a)
     assert expect == pytest.approx(0.98853382138, abs=1e-9)
-    assert np.allclose(out.data, expect, atol=1e-5)
+    assert np.allclose(out, expect, atol=1e-5)
 
 
 def test_reverse_step_validation():
@@ -219,7 +219,7 @@ def test_denoise_single_step_zero_predictor():
     s = make_schedule(300)
     x = img(standard_normal((8, 8), seed=9))
     out = denoise_from(x, 1, lambda im, t: np.zeros(im.shape), s)
-    assert np.allclose(out.data, x.data / math.sqrt(s.alpha(1)), rtol=1e-6)
+    assert np.allclose(out, x / math.sqrt(s.alpha(1)), rtol=1e-6)
 
 
 def test_denoise_runs_exactly_t_start_steps():
@@ -241,8 +241,8 @@ def test_denoise_oracle_predictor_reduces_error():
         e = standard_normal((16, 16), seed=20 + t_start)
         noisy = forward_jump(x0, t_start, s, eps=e)
         rec = denoise_from(noisy, t_start, lambda im, t: e, s)
-        mse_noisy = np.mean((noisy.data - x0.data) ** 2)
-        mse_rec = np.mean((rec.data - x0.data) ** 2)
+        mse_noisy = np.mean((noisy - x0) ** 2)
+        mse_rec = np.mean((rec - x0) ** 2)
         assert mse_rec < mse_noisy  # PSNR strictly improves
 
 
@@ -256,8 +256,8 @@ def test_denoise_deterministic_with_injection():
                      inject_seed=99)
     c = denoise_from(noisy, 15, lambda im, t: np.zeros(im.shape), s,
                      inject_seed=100)
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_predictor_exception_propagates_unchanged():
@@ -294,13 +294,13 @@ def test_every_step_count_is_the_one_step_chain(inject_seed):
     x = img(np.tanh(standard_normal((8, 8), seed=13)))
 
     def predictor(im, t):
-        return np.sin(im.data * t)
+        return np.sin(im * t)
 
     expected = _loop_of_one_steps(x, 20, predictor, sched, inject_seed)
     for steps in (20, 21, 300):
         out = denoise_from(x, 20, predictor, sched, inject_seed=inject_seed,
                            steps=steps)
-        assert np.array_equal(out.data, expected.data), steps
+        assert np.array_equal(out, expected), steps
 
 
 def test_respaced_chain_calls_the_predictor_at_even_steps():
@@ -324,8 +324,8 @@ def test_one_respaced_step_inverts_the_forward_jump(t):
     e = standard_normal((16, 16), seed=15, draw_index=t)
     xt = forward_jump(x0, t, sched, eps=e)
     rec = denoise_from(xt, t, lambda im, tt: e, sched, steps=1)
-    assert np.max(np.abs(rec.data - x0.data)) < 1e-6
-    assert np.array_equal(rec.data, reverse_step(xt, t, e, sched, s=0).data)
+    assert np.max(np.abs(rec - x0)) < 1e-6
+    assert np.array_equal(rec, reverse_step(xt, t, e, sched, s=0))
 
 
 def test_respaced_step_uses_the_cumulative_variances():
@@ -336,9 +336,9 @@ def test_respaced_step_uses_the_cumulative_variances():
     z = standard_normal((8, 8), seed=18)
     out = reverse_step(x, 20, e, sched, inject=z, s=12)
     a = sched.alpha_bar(20) / sched.alpha_bar(12)
-    expect = ((x.data - (1 - a) / math.sqrt(1 - sched.alpha_bar(20)) * e)
+    expect = ((x - (1 - a) / math.sqrt(1 - sched.alpha_bar(20)) * e)
               / math.sqrt(a) + math.sqrt(1 - a) * z)
-    assert np.allclose(out.data, expect, atol=1e-5)
+    assert np.allclose(out, expect, atol=1e-5)
 
 
 def test_respaced_injection_is_deterministic_per_seed():
@@ -348,12 +348,12 @@ def test_respaced_injection_is_deterministic_per_seed():
 
     def run(seed):
         return denoise_from(noisy, 20, lambda im, t: np.zeros(im.shape),
-                            sched, inject_seed=seed, steps=5).data
+                            sched, inject_seed=seed, steps=5)
 
     assert np.array_equal(run(99), run(99))
     assert not np.array_equal(run(99), run(100))
     no_inject = denoise_from(noisy, 20, lambda im, t: np.zeros(im.shape),
-                             sched, steps=5).data
+                             sched, steps=5)
     assert not np.array_equal(run(99), no_inject)
 
 
@@ -365,37 +365,81 @@ def test_degenerate_schedule_is_a_numeric_failure():
         denoise_from(const_img(0.5), 2, lambda im, t: np.zeros(im.shape), sched)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+def test_non_finite_arrays_are_numeric_failures(bad):
+    # 1e300 is finite in float64 but inf after the cast to float32
+    sched = make_schedule(300)
+    x = np.full((8, 8), 0.5)
+    x[3, 4] = bad
+    zero = np.zeros((8, 8))
+    with pytest.raises(NumericError):
+        forward_jump(x, 10, sched)
+    with pytest.raises(NumericError):
+        forward_jump(zero, 10, sched, eps=x)
+    with pytest.raises(NumericError):
+        reverse_step(x, 10, zero, sched)
+    with pytest.raises(NumericError):
+        reverse_step(zero, 10, x, sched)
+    calls = []
+    with pytest.raises(NumericError):
+        denoise_from(x, 10, lambda im, t: calls.append(t) or zero, sched)
+    assert calls == []          # the input is checked before the first call
+    with pytest.raises(NumericError):
+        denoise_from(zero, 10, lambda im, t: x, sched)
+
+
+# A Gaussian prior of mean PRIOR_MEAN and spectrum PRIOR_SPECTRUM > 0 on
+# 64x64 images, under which the exact noise predictor is linear: with
+# V_t = abar_t S + 1 - abar_t it scales the centred coefficients of x_t by
+# sqrt(1 - abar_t) / V_t.
+_F = np.fft.fftfreq(64)
+PRIOR_SPECTRUM = 0.02 + 0.3 * np.exp(-(_F[:, None] ** 2 + _F ** 2) / 0.005)
+PRIOR_MEAN = -0.3
+
+
+def _filtered(gain, x):
+    return np.fft.ifft2(gain * np.fft.fft2(x)).real
+
+
+def _prior_x_t(sched, t):
+    """One fixed draw from the prior, forward-jumped to step t."""
+    x0 = img(PRIOR_MEAN + _filtered(np.sqrt(PRIOR_SPECTRUM),
+                                    standard_normal((64, 64), 21)))
+    return forward_jump(x0, t, sched, eps=standard_normal((64, 64), 22))
+
+
+def _prior_variance(sched, t):
+    """V_t per frequency; V_0 is the spectrum itself."""
+    ab = sched.alpha_bar(t) if t else 1.0
+    return ab * PRIOR_SPECTRUM + 1 - ab
+
+
+def _exact_predictor(sched, seen):
+    def predictor(im, t):
+        a = sched.alpha_bar(t)
+        seen.append(np.abs(im).max())
+        return _filtered(np.sqrt(1 - a) / _prior_variance(sched, t),
+                         im - np.sqrt(a) * PRIOR_MEAN)
+    return predictor
+
+
 @pytest.mark.parametrize("t", [10, 20, 300])
 def test_deterministic_chain_is_the_wiener_estimate(t):
-    # Under a Gaussian prior of mean mu and spectrum S > 0 the exact noise
-    # predictor is linear.  With V_t = abar_t S + 1 - abar_t, each step maps
-    # the centred coefficients by sqrt(a') V_s / V_t, and the product
-    # telescopes to sqrt(abar_t) S / V_t: every step count gives the Wiener
-    # estimate.
+    # Each step maps the centred coefficients by sqrt(a') V_s / V_t, and
+    # the product telescopes to sqrt(abar_t) S / V_t: every step count
+    # gives the Wiener estimate.
     sched = make_schedule()
-    f = np.fft.fftfreq(64)
-    spectrum = 0.02 + 0.3 * np.exp(-(f[:, None] ** 2 + f ** 2) / 0.005)
-    mu = -0.3
-
-    def filtered(gain, x):
-        return np.fft.ifft2(gain * np.fft.fft2(x)).real
-
-    x0 = img(mu + filtered(np.sqrt(spectrum), standard_normal((64, 64), 21)))
-    xt = forward_jump(x0, t, sched, eps=standard_normal((64, 64), 22))
+    xt = _prior_x_t(sched, t)
     ab = sched.alpha_bar(t)
-    wiener = mu + filtered(np.sqrt(ab) * spectrum / (ab * spectrum + 1 - ab),
-                           xt.data - np.sqrt(ab) * mu)
+    wiener = PRIOR_MEAN + _filtered(
+        np.sqrt(ab) * PRIOR_SPECTRUM / _prior_variance(sched, t),
+        xt - np.sqrt(ab) * PRIOR_MEAN)
     seen = []
-
-    def predictor(im, tt):
-        a = sched.alpha_bar(tt)
-        seen.append(np.abs(im.data).max())
-        return filtered(np.sqrt(1 - a) / (a * spectrum + 1 - a),
-                        im.data - np.sqrt(a) * mu)
+    predictor = _exact_predictor(sched, seen)
 
     for steps in (1, 2, 5, t):
         seen.clear()
-        out = denoise_from(xt, t, predictor, sched, steps=steps).data
+        out = denoise_from(xt, t, predictor, sched, steps=steps)
         # float32 rounding: each step rounds five times (eps_hat, its
         # coefficient, the product, the difference, the quotient), each
         # time by half an ulp of a value at most 2M / sqrt(abar_t), where M
@@ -403,6 +447,47 @@ def test_deterministic_chain_is_the_wiener_estimate(t):
         m = max(seen + [np.abs(out).max()])
         tol = len(seen) * 5 * np.finfo(np.float32).eps * m / math.sqrt(ab)
         assert np.max(np.abs(out - wiener)) <= tol, steps
+
+
+@pytest.mark.parametrize("steps", [5, 20])
+def test_injected_chain_variance_follows_the_recursion(steps):
+    # From one fixed x_t, each step t -> s maps a centred coefficient by
+    # sqrt(a') V_s / V_t and adds sqrt(b') times the coefficient of a fresh
+    # white field, of unit variance under the orthonormal FFT.  Across
+    # chains the variance is then v_s = a' (V_s/V_t)^2 v_t + b' from v = 0,
+    # with no b' on the step to 0.  A field drawn twice, a wrong sqrt(b')
+    # or noise on the last step moves the variance off this recursion.
+    sched = make_schedule()
+    t, n = 20, 48
+    xt = _prior_x_t(sched, t)
+    predictor = _exact_predictor(sched, [])
+    coef = np.stack([
+        np.fft.fft2(denoise_from(xt, t, predictor, sched,
+                                 inject_seed=1000 + k, steps=steps),
+                    norm="ortho")
+        for k in range(n)])
+    sample_var = (np.abs(coef - coef.mean(axis=0)) ** 2).sum(axis=0) / (n - 1)
+
+    ts = [t * k // steps for k in range(steps, 0, -1)] + [0]
+    v = np.zeros_like(PRIOR_SPECTRUM)
+    for tt, s in zip(ts, ts[1:]):
+        a = sched.alpha_bar(tt) / (sched.alpha_bar(s) if s else 1.0)
+        gain = _prior_variance(sched, s) / _prior_variance(sched, tt)
+        v = a * gain ** 2 * v + (1 - a if s else 0.0)
+
+    # Each ratio sample_var / v is chi-square over its degrees of freedom:
+    # 2(n-1) for a complex coefficient, whose conjugate is the same draw,
+    # and n-1 for a real one.  Over a set of m frequencies closed under
+    # negation the mean ratio has variance 2 / (m (n-1)).  The frequencies
+    # split into three such bands, the flat floor of the spectrum and two
+    # levels of its peak, and each band's mean must lie within five
+    # standard errors of 1.
+    ratio = sample_var / v
+    band = np.digitize(v / v.min(), [1.01, 2.0])
+    for b in range(3):
+        r = ratio[band == b]
+        se = math.sqrt(2.0 / (r.size * (n - 1)))
+        assert abs(r.mean() - 1.0) <= 5 * se, (b, r.mean(), se)
 
 
 def test_steps_below_one_raise():

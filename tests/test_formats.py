@@ -21,7 +21,7 @@ from usdenoise.formats import (
     write_rf,
     write_tensor,
 )
-from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D
+from usdenoise.image import RANGE_UNIT, Image2D, to_signed, to_unit_clipped
 from usdenoise.ultrasound import RFFrame, TransducerGeometry
 
 
@@ -60,12 +60,18 @@ def test_pgm_quantizes_unit_range(tmp_path):
 
 
 def test_pgm_signed_round_trip_through_unit(tmp_path):
-    img = Image2D(np.linspace(-1, 1, 64, dtype=np.float32).reshape(8, 8),
-                  RANGE_SIGNED)
-    p = tmp_path / "s.pgm"
-    write_pgm(p, img)
-    back = read_pgm(p).to_range(RANGE_SIGNED)
-    assert np.abs(back.data - img.data).max() <= 1.0 / 255.0 + 1e-6
+    # level k reads as float32(k) * float32(1/255), which is float32(k/255)
+    # or one ulp from it, and maps to twice that minus 1 in float32;
+    # mapping back to the unit interval and writing restores every byte
+    p = tmp_path / "levels.pgm"
+    p.write_bytes(b"P5\n16 16\n255\n" + bytes(range(256)))
+    signed = to_signed(read_pgm(p))
+    expect = np.array([np.float32(k) * np.float32(1 / 255) * 2 - 1
+                       for k in range(256)]).reshape(16, 16)
+    assert signed.dtype == expect.dtype == np.float32
+    assert signed.tobytes() == expect.tobytes()
+    write_pgm(tmp_path / "back.pgm", to_unit_clipped(signed))
+    assert (tmp_path / "back.pgm").read_bytes() == p.read_bytes()
 
 
 def test_pgm_rejects_maxval_not_255(tmp_path):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from usdenoise.image import RANGE_SIGNED, RANGE_UNIT, Image2D, NumericError
+from usdenoise.image import (
+    RANGE_UNIT,
+    Image2D,
+    NumericError,
+    to_signed,
+    to_unit_clipped,
+)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
@@ -13,24 +19,23 @@ def test_non_finite_samples_raise(bad):
         Image2D(data)
 
 
-def test_like_keeps_the_range_tag():
-    img = Image2D(np.zeros((3, 4)), RANGE_SIGNED)
-    out = img.like(np.full((2, 2), 7.0))
-    assert out.value_range == RANGE_SIGNED
-    assert out.data.dtype == np.float32
+@pytest.mark.parametrize("tag", ["signed-unit", "bogus"])
+def test_the_unit_interval_is_the_one_value_range(tag):
+    assert Image2D(np.zeros((2, 2)), RANGE_UNIT).value_range == RANGE_UNIT
+    with pytest.raises(ValueError, match="unknown value range") as err:
+        Image2D(np.zeros((2, 2)), tag)
+    assert type(err.value) is ValueError
+
+
+def test_to_signed_and_to_unit_clipped_map_between_the_domains():
+    unit = Image2D(np.array([[0.0, 0.25], [0.5, 1.0]]))
+    signed = to_signed(unit)
+    assert signed.dtype == np.float32
+    assert np.array_equal(signed, [[-1.0, -0.5], [0.0, 1.0]])
+    back = to_unit_clipped(signed)
+    assert back.data.dtype == np.float32
+    assert np.array_equal(back.data, unit.data)
+    clipped = to_unit_clipped(np.array([[-3.0, -1.0], [1.0, 3.0]]))
+    assert np.array_equal(clipped.data, [[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(NumericError):
-        img.like(np.full((2, 2), np.nan))
-
-
-def test_to_range_round_trips_unit_and_signed():
-    rng = np.random.default_rng(0)
-    unit = Image2D(rng.random((6, 7)), RANGE_UNIT)
-    signed = unit.to_range(RANGE_SIGNED)
-    assert signed.value_range == RANGE_SIGNED
-    assert np.allclose(signed.data, unit.data * 2.0 - 1.0, atol=1e-6)
-    back = signed.to_range(RANGE_UNIT)
-    assert back.value_range == RANGE_UNIT
-    assert np.allclose(back.data, unit.data, atol=1e-6)
-    same = unit.to_range(RANGE_UNIT)
-    assert np.array_equal(same.data, unit.data)
-    assert same.data is not unit.data
+        to_unit_clipped(np.full((2, 2), np.nan))

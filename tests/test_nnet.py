@@ -436,14 +436,14 @@ def test_train_and_heldout_run_the_network_in_float32(monkeypatch):
 
 def test_ddpm_denoiser_runs_the_network_in_float32(monkeypatch, tmp_path):
     import usdenoise.bench as bench
-    from usdenoise.image import RANGE_SIGNED, Image2D
 
     seen = _record_forward_dtypes(monkeypatch, bench)
     ckpt = tmp_path / "tiny.ckpt"
     save_model(ckpt, init_params(TINY, seed=0), TINY)
     denoiser = bench.DdpmDenoiser(ckpt)
+    # float64 input: the chain casts it to float32 before the first call
     noisy = np.random.default_rng(8).uniform(-1, 1, (8, 8))
-    out = denoiser(Image2D(noisy, RANGE_SIGNED), 3)
+    out = denoiser(noisy, 3)
     assert out.shape == (8, 8)
     assert seen == [np.dtype(np.float32)] * 3
 
