@@ -41,7 +41,7 @@ from usdenoise.formats import read_pgm
 from usdenoise.image import Image2D, to_signed, to_unit_clipped
 from usdenoise.metrics import gcnr, psnr
 from usdenoise.nnet import load_model, unet_forward
-from usdenoise.rng import standard_normal, uniforms
+from usdenoise.rng import standard_normal, stream, uniforms
 from usdenoise.ultrasound import Cyst, PhantomSpec, TransducerGeometry, synth_phantom
 from usdenoise.ultrasound.phantom import annulus_mask, cyst_mask
 
@@ -155,13 +155,13 @@ def make_phantom_set(cfg: BenchConfig) -> list[BenchImage]:
     angles = tuple(math.radians(a) for a in cfg.phantom_angles_deg)
     images = []
     for i in range(cfg.num_images):
-        jitter = uniforms(2, cfg.seed, draw_index=900 + i) - 0.5
+        jitter = uniforms(2, cfg.seed, stream("bench.cyst", i)) - 0.5
         cyst = Cyst(cx=float(jitter[0]) * 1.2e-3,
                     cz=10.0e-3 + float(jitter[1]) * 1.2e-3,
                     radius=CYST_RADIUS_M)
         spec = PhantomSpec(nx=cfg.phantom_nx, nz=cfg.phantom_nz,
-                           geometry=geometry, angles=angles,
-                           seed=cfg.seed * 1009 + i, cysts=(cyst,))
+                           geometry=geometry, angles=angles, cysts=(cyst,),
+                           seed=stream("bench.phantom", cfg.seed, i))
         bmode, _, _ = synth_phantom(spec)
         inside = cyst_mask(spec, cyst, erode=MASK_GAP_PX)
         outside = annulus_mask(spec, cyst, gap=MASK_GAP_PX)
@@ -285,7 +285,7 @@ def run_bench(cfg: BenchConfig, images: list[BenchImage] | None = None):
         for t_start in cfg.t_starts:
             t_start = int(t_start)
             eps = standard_normal(ti.clean.shape, cfg.seed,
-                                  draw_index=7000 + i * 100 + t_start)
+                                  stream("bench.noise", i, t_start))
             noisy_signed = forward_jump(clean_signed, t_start, sched, eps)
             for method in cfg.methods:
                 est = run_method(method, noisy_signed, t_start, ddpm)

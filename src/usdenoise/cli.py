@@ -32,7 +32,7 @@ from usdenoise.formats import (
 )
 from usdenoise.image import Image2D, NumericError, to_signed, to_unit_clipped
 from usdenoise.nnet import TrainConfig, UNetConfig, load_model, train
-from usdenoise.rng import standard_normal
+from usdenoise.rng import standard_normal, stream
 from usdenoise.ultrasound import (
     Cyst,
     ImagingGrid,
@@ -97,7 +97,7 @@ def cmd_corrupt(args) -> int:
     if args.t == 0:
         out = img
     else:
-        eps = standard_normal(img.shape, args.seed, draw_index=args.t)
+        eps = standard_normal(img.shape, args.seed, stream("corrupt", args.t))
         out = forward_jump(img, args.t, make_schedule(), eps)
     write_pgm(args.out, to_unit_clipped(out))
     print(f"corrupted {args.input} at t={args.t} -> {args.out}")

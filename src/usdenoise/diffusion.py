@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from usdenoise.image import finite32
-from usdenoise.rng import standard_normal
+from usdenoise.rng import standard_normal, stream
 
 DEFAULT_T = 300
 DEFAULT_BETA = 1.0 / 300.0
@@ -145,11 +145,9 @@ def denoise_from(x_noisy: np.ndarray, t_start: int, predictor,
     the per-step noise estimate from the float32 chain state.  A
     non-finite sample in ``x_noisy``, in a noise estimate or in any step's
     output raises ``NumericError``.  When ``inject_seed`` is given, a fresh
-    reproducible noise field is injected at every step except the last.
-    Its draw index is -t: the forward draws (``corrupt``, ``bench``) use
-    non-negative indices, so at the same seed the chain never injects the
-    noise it is removing.  An exception the predictor raises propagates
-    unchanged.
+    reproducible noise field is injected at every step except the last,
+    the step from t drawing ``(inject_seed, stream("inject", t))``.  An
+    exception the predictor raises propagates unchanged.
     """
     t_start = sched._check_t(t_start)
     if steps is None or steps >= t_start:
@@ -160,7 +158,7 @@ def denoise_from(x_noisy: np.ndarray, t_start: int, predictor,
     x = finite32(x_noisy)
     for t, s in zip(ts, ts[1:] + [0]):
         eps_hat = predictor(x, t)
-        inject = (standard_normal(x.shape, inject_seed, draw_index=-t)
+        inject = (standard_normal(x.shape, inject_seed, stream("inject", t))
                   if inject_seed is not None and s > 0 else None)
         x = reverse_step(x, t, eps_hat, sched, inject, s=s)
     return x

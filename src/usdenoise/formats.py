@@ -77,8 +77,13 @@ def _read_pgm_token(f: io.BufferedReader) -> bytes:
         tok += c
 
 
+def _unit_levels(u8: np.ndarray) -> np.ndarray:
+    """Level k reads float32(k) * float32(1/255), within an ulp of k/255."""
+    return u8.astype(np.float32) * (1 / 255)
+
+
 def read_pgm(path) -> Image2D:
-    """A binary 8-bit PGM as a unit-interval image: level k reads k/255."""
+    """A binary 8-bit PGM as a unit-interval image (``_unit_levels``)."""
     with open(path, "rb") as f:
         if _read_pgm_token(f) != b"P5":
             raise MagicError("not a binary PGM (P5) file")
@@ -101,7 +106,7 @@ def read_pgm(path) -> Image2D:
             raise LengthError(f"PGM payload is {len(payload)} bytes, "
                               f"expected {width * height}")
     data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return Image2D(data.astype(np.float32) * (1 / 255))
+    return Image2D(_unit_levels(data))
 
 
 def _quantize_u8(img: Image2D) -> np.ndarray:
@@ -236,9 +241,9 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 def load_cifar(path, to_gray: bool = True):
     """Load a binary batch of 3073-byte records.
 
-    Returns ``(images, labels)``: images are float32 normalized to the
-    signed range [-1, 1], shaped (N, 32, 32) when ``to_gray`` (unweighted mean
-    of the three channel planes) else (N, 3, 32, 32).
+    Returns ``(images, labels)``: images are float32 in [-1, 1], a byte
+    read as ``to_signed`` maps its PGM level, shaped (N, 32, 32) when
+    ``to_gray`` (unweighted mean of the channel planes) else (N, 3, 32, 32).
     """
     blob = Path(path).read_bytes()
     if len(blob) == 0 or len(blob) % CIFAR_RECORD_BYTES != 0:
@@ -250,8 +255,7 @@ def load_cifar(path, to_gray: bool = True):
     if np.any(labels > 9):
         bad = int(np.argmax(labels > 9))
         raise HeaderError(f"record {bad} has label {labels[bad]} > 9")
-    pixels = records[:, 1:].reshape(n, 3, 32, 32).astype(np.float32)
-    pixels = pixels / 127.5 - 1.0
+    pixels = _unit_levels(records[:, 1:].reshape(n, 3, 32, 32)) * 2.0 - 1.0
     if to_gray:
         return pixels.mean(axis=1), labels
     return pixels, labels

@@ -28,7 +28,7 @@ from usdenoise.nnet.unet import (
     unet_backward,
     unet_forward,
 )
-from usdenoise.rng import standard_normal, uniforms
+from usdenoise.rng import standard_normal, stream, uniforms
 
 CONFIG_KEY = "__config__"
 STEP_KEY = "__step__"
@@ -107,7 +107,7 @@ def _corrupt(x0: np.ndarray, t: np.ndarray, sched: NoiseSchedule,
     """The forward jump, rounded to float32 so the network runs in float32.
 
     It computes in float64: the float64 schedule widens a float32 ``x0``
-    exactly, so a float32 dataset gives the bits of its float64 copy.
+    and ``eps`` exactly, so float32 inputs give the bits of float64 copies.
     """
     ab = sched.alpha_bars[t - 1][:, None, None, None]
     return (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps).astype(np.float32)
@@ -118,9 +118,9 @@ def heldout_l1(params: UNetParams, cfg: UNetConfig, heldout: np.ndarray,
     """L1 noise-prediction error on a frozen corruption of the held-out set."""
     data = _as_batch_array(heldout)[:, None]
     n = data.shape[0]
-    t = 1 + np.floor(uniforms(n, seed, draw_index=0) * sched.T).astype(np.int64)
-    t = np.minimum(t, sched.T)
-    eps = standard_normal(data.shape, seed, draw_index=1).astype(np.float64)
+    u = uniforms(n, seed, stream("heldout.t"))
+    t = np.minimum(1 + np.floor(u * sched.T).astype(np.int64), sched.T)
+    eps = standard_normal(data.shape, seed, stream("heldout.noise"))
     x_t = _corrupt(data, t, sched, eps)
     total = 0.0
     for lo in range(0, n, batch_size):
@@ -157,17 +157,16 @@ def train(dataset, sched: NoiseSchedule, cfg: TrainConfig, net_cfg: UNetConfig,
     history: list[dict] = []
     for epoch in range(cfg.epochs):
         lr = lr_schedule(epoch, cfg)
-        order = np.argsort(uniforms(n, cfg.seed, draw_index=10_000 + epoch),
+        order = np.argsort(uniforms(n, cfg.seed, stream("train.order", epoch)),
                            kind="stable")
         losses = []
         for bi, lo in enumerate(range(0, n, cfg.batch_size)):
             idx = order[lo:lo + cfg.batch_size]
             x0 = data[idx][:, None]
-            draw = 20_000 + epoch * 1000 + bi
-            u = uniforms(idx.size, cfg.seed, draw_index=draw)
+            u = uniforms(idx.size, cfg.seed, stream("train.t", epoch, bi))
             t = np.minimum(1 + np.floor(u * sched.T).astype(np.int64), sched.T)
-            eps = standard_normal(x0.shape, cfg.seed + 1, draw_index=draw)
-            eps = eps.astype(np.float64)
+            eps = standard_normal(x0.shape, cfg.seed,
+                                  stream("train.noise", epoch, bi))
             x_t = _corrupt(x0, t, sched, eps)
             eps_hat, tape = unet_forward(params, net_cfg, x_t, t)
             loss, dloss = mse_loss(eps_hat, eps)
@@ -181,7 +180,7 @@ def train(dataset, sched: NoiseSchedule, cfg: TrainConfig, net_cfg: UNetConfig,
                "heldout_l1": math.nan, "lr": lr}
         if heldout_set is not None:
             row["heldout_l1"] = heldout_l1(params, net_cfg, heldout_set,
-                                           sched, seed=cfg.seed + 2,
+                                           sched, seed=cfg.seed,
                                            batch_size=cfg.batch_size)
             if not math.isfinite(row["heldout_l1"]):
                 raise NumericError(f"training diverged: held-out L1 of epoch "

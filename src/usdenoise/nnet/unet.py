@@ -31,7 +31,7 @@ from usdenoise.nnet.ops import (
     upconv2d_bwd,
     upconv2d_fwd,
 )
-from usdenoise.rng import uniforms
+from usdenoise.rng import stream, uniforms
 
 
 @dataclass(frozen=True)
@@ -118,13 +118,13 @@ def _param_shapes(cfg: UNetConfig) -> dict:
 def init_params(cfg: UNetConfig, seed: int = 0) -> UNetParams:
     """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases."""
     params = UNetParams()
-    for draw, (name, shape) in enumerate(_param_shapes(cfg).items()):
+    for name, shape in _param_shapes(cfg).items():
         if name.endswith(".b"):
             w = np.zeros(shape, dtype=np.float32)
         else:
             fan_in = int(np.prod(shape[1:]))
             bound = math.sqrt(1.0 / fan_in)
-            u = uniforms(int(np.prod(shape)), seed, draw_index=draw)
+            u = uniforms(math.prod(shape), seed, stream("unet.init " + name))
             w = ((2.0 * u - 1.0) * bound).astype(np.float32).reshape(shape)
         params.tensors[name] = w
     params.zero_moments()

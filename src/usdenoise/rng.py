@@ -15,9 +15,16 @@ power-of-two arithmetic, so they are the same on every machine.  Gaussian
 fields go through NumPy's ``log``, which NumPy dispatches by CPU (its
 AVX-512 path and libm differ in the last bit on a fraction of inputs), so
 they repeat exactly for one NumPy build and CPU dispatch level.
+
+Every draw the package makes is ``(seed, stream(purpose, *keys))``: the
+index hashes what the field is for and the integers it is drawn at, so
+two purposes, or one purpose at two keys, share a stream with
+probability 2^-64.  Indices 0-3 are the phantom scatterers' reserved block.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -32,6 +39,13 @@ _NORMAL_CHUNK = 1 << 14
 _WORD_BLOCK = 2 * _NORMAL_CHUNK
 # word n of a block that starts at word s is (key + GAMMA * s) + _STEPS[n]
 _STEPS = _GAMMA * np.arange(1, _WORD_BLOCK + 1, dtype=np.uint64)
+
+
+def stream(purpose: str, *keys) -> int:
+    """Draw index of ``purpose`` at the integer ``keys``: the first 8 bytes
+    of BLAKE2b over ``repr((purpose, *keys))``, read little-endian."""
+    text = repr((purpose, *map(int, keys))).encode()
+    return int.from_bytes(hashlib.blake2b(text).digest()[:8], "little")
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:

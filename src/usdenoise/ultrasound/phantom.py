@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from usdenoise import _kernels
-from usdenoise.rng import _normals, standard_normal, uniforms
+from usdenoise.rng import _normals, standard_normal, stream, uniforms
 from usdenoise.ultrasound.beamform import (
     bmode_from_frames,
     receive_window,
@@ -313,8 +313,8 @@ def speckle_patches(count: int, size: int = 32, seed: int = 0) -> np.ndarray:
     for i in range(0, count, _PATCH_CHUNK):
         j = min(i + _PATCH_CHUNK, count)
         chunk = looks[:, :(j - i) * pixels]
-        for draw_index, part in enumerate(chunk):
-            _normals(part, seed, draw_index, i * pixels)
+        for k, part in enumerate(chunk):
+            _normals(part, seed, stream("speckle.look", k), i * pixels)
         shape = (j - i, PATCH_LOOKS, size, size)
         re, im = (_sep_blur(part.reshape(shape), taps) for part in chunk)
         np.hypot(re, im, out=re)
@@ -322,7 +322,7 @@ def speckle_patches(count: int, size: int = 32, seed: int = 0) -> np.ndarray:
 
     n_cysts = int(round(count * PATCH_CYST_FRACTION))
     if n_cysts:
-        u = uniforms(4 * count, seed, 2).reshape(count, 4)
+        u = uniforms(4 * count, seed, stream("speckle.cyst")).reshape(count, 4)
         yy, xx = np.mgrid[0:size, 0:size]
         for i in range(n_cysts):
             cy = size * (0.25 + 0.5 * u[i, 0])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -19,7 +20,7 @@ from usdenoise.diffusion import forward_jump, make_schedule
 from usdenoise.image import RANGE_UNIT, Image2D, to_signed
 from usdenoise.metrics import psnr
 from usdenoise.nnet import UNetConfig, init_params, save_model
-from usdenoise.rng import standard_normal
+from usdenoise.rng import standard_normal, stream
 from usdenoise.ultrasound import speckle_patches
 
 
@@ -231,13 +232,31 @@ def test_speckle_ratio_is_the_annulus_std_ratio(tmp_path):
     _, per_image = run_bench(cfg, images=images)
     sched = make_schedule(300)
     for i, (ti, row) in enumerate(zip(images, per_image)):
-        eps = standard_normal(ti.clean.shape, 8, draw_index=7000 + i * 100 + 10)
+        eps = standard_normal(ti.clean.shape, 8, stream("bench.noise", i, 10))
         noisy = forward_jump(to_signed(ti.clean), 10, sched, eps)
         est = run_method("noisy", noisy, 10, None)
         expect = (np.std(est.data[ti.outside].astype(np.float64))
                   / np.std(ti.clean.data[ti.outside].astype(np.float64)))
         assert row["speckle_ratio"] == pytest.approx(expect, rel=1e-12)
         assert row["speckle_ratio"] > 1.0   # the noise adds to the speckle
+
+
+def test_every_image_and_level_draws_its_own_noise(tmp_path, monkeypatch):
+    # image 0 at t=110 and image 1 at t=10 drew one field: the index was
+    # 7000 + 100 * image + t
+    fields = []
+
+    def spy(shape, seed, draw_index):
+        fields.append(standard_normal(shape, seed, draw_index))
+        return fields[-1]
+
+    monkeypatch.setattr(bench, "standard_normal", spy)
+    cfg = BenchConfig(methods=("noisy",), t_starts=(10, 110), seed=8,
+                      out_dir=str(tmp_path / "out"))
+    run_bench(cfg, images=_test_images(n=2))
+    assert len(fields) == 4
+    assert not any(np.array_equal(a, b)
+                   for a, b in itertools.combinations(fields, 2))
 
 
 def test_flat_clean_annulus_gives_nan_speckle_ratio(tmp_path):

@@ -942,12 +942,8 @@ def test_denoise_inject_is_not_the_corruption_noise(tmp_path, monkeypatch):
     assert run_cli("corrupt", "--in", src, "--t", 20,
                    "--out", tmp_path / "noisy.pgm") == 0
     assert not np.array_equal(injected[20], drawn[0])
-    # the draws of `corrupt --seed 0 --t t`, for every t of the schedule
-    corruptions = [standard_normal((8, 8), 0, draw_index=t)
-                   for t in range(1, 301)]
-    for t in (8, 12, 16, 20):
-        assert not any(np.array_equal(injected[t], eps)
-                       for eps in corruptions), t
+    # that no corrupt draw is an inject draw at any t is the stream
+    # enumeration of tests/test_streams.py
 
 
 def test_version_flag(capsys):

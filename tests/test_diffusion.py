@@ -12,7 +12,7 @@ from usdenoise.diffusion import (
     reverse_step,
 )
 from usdenoise.image import NumericError
-from usdenoise.rng import standard_normal
+from usdenoise.rng import standard_normal, stream
 
 
 def img(data):
@@ -282,7 +282,7 @@ def test_predictor_exception_propagates_unchanged():
 def _loop_of_one_steps(x, t_start, predictor, sched, inject_seed=None):
     # the one-step chain written out: reverse_step(x, t, ...) for t_start..1
     for t in range(t_start, 0, -1):
-        inject = (standard_normal(x.shape, inject_seed, draw_index=-t)
+        inject = (standard_normal(x.shape, inject_seed, stream("inject", t))
                   if inject_seed is not None and t > 1 else None)
         x = reverse_step(x, t, predictor(x, t), sched, inject)
     return x

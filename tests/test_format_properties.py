@@ -248,4 +248,5 @@ def test_cifar_records_decode_to_their_pixels(tmp_path, labels, data):
     p.write_bytes(blob)
     images, back = load_cifar(p, to_gray=False)
     assert back.tolist() == labels
-    assert np.array_equal(images, pixels.astype(np.float32) / 127.5 - 1.0)
+    levels = pixels.astype(np.float32) * np.float32(1 / 255)   # read_pgm's
+    assert np.array_equal(images, levels * 2 - 1)

@@ -233,6 +233,18 @@ def test_cifar_color_mode(tmp_path):
     assert np.allclose(images, 128 / 127.5 - 1.0, atol=1e-6)
 
 
+def test_cifar_byte_reads_as_its_pgm_level_made_signed(tmp_path):
+    # bytes mapped as k / 127.5 - 1 read one float32 ulp off the PGM path
+    # on 111 of the 256 levels
+    levels = bytes(range(256))
+    (tmp_path / "levels.pgm").write_bytes(b"P5\n16 16\n255\n" + levels)
+    (tmp_path / "batch.bin").write_bytes(bytes([0]) + levels * 12)
+    images, _ = load_cifar(tmp_path / "batch.bin", to_gray=False)
+    expect = to_signed(read_pgm(tmp_path / "levels.pgm")).ravel()
+    assert images.dtype == expect.dtype == np.float32
+    assert images.tobytes() == np.tile(expect, 12).tobytes()
+
+
 def test_cifar_gray_is_channel_mean(tmp_path):
     rec = bytearray([1])
     rec.extend([30] * 1024)   # R plane

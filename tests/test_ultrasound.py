@@ -7,7 +7,7 @@ import pytest
 
 from tests.conftest import TEST_GEOMETRY
 from usdenoise import _kernels
-from usdenoise.rng import standard_normal
+from usdenoise.rng import standard_normal, stream
 from usdenoise.ultrasound import (
     Cyst,
     ImagingGrid,
@@ -593,8 +593,10 @@ def test_speckle_patches_chunks_equal_one_shot(seed):
     out = speckle_patches(count, size=size, seed=seed)
     taps = np.exp(-np.arange(-2.0, 3.0) ** 2 / 2.0)
     taps /= taps.sum()
-    re = standard_normal((count, looks, size, size), seed, 0)
-    im = standard_normal((count, looks, size, size), seed, 1)
+    re = standard_normal((count, looks, size, size), seed,
+                         stream("speckle.look", 0))
+    im = standard_normal((count, looks, size, size), seed,
+                         stream("speckle.look", 1))
     env = np.hypot(phantom._sep_blur(re.astype(np.float64), taps),
                    phantom._sep_blur(im.astype(np.float64), taps)).mean(axis=1)
     assert n_cysts < 2 * phantom._PATCH_CHUNK
