@@ -56,7 +56,8 @@ def _word(seed, draw_index, n):
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -12345])
-@pytest.mark.parametrize("draw_index", [0, 2 ** 64 - 1])   # stream() is 64-bit
+# stream() gives 64-bit indices; a negative index wraps mod 2**64
+@pytest.mark.parametrize("draw_index", [0, -20, 2 ** 64 - 1])
 def test_words_match_an_independent_splitmix64(seed, draw_index):
     block = 2 * rng._NORMAL_CHUNK                     # words per fill block
     n = 2 * block + 9                                 # three fill blocks
