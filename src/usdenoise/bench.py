@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -87,10 +88,14 @@ class BenchConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} lists an entry twice: {list(values)}")
+        counts = (self.num_images, self.ddpm_steps, *self.t_starts)
+        if not all(isinstance(v, numbers.Integral) for v in counts):
+            raise ValueError("num_images, ddpm_steps and t_starts must be "
+                             f"integers, got {counts}")
         if self.num_images < 1:
             raise ValueError("num_images must be at least 1")
         for t in self.t_starts:
-            if not 1 <= int(t) <= DEFAULT_T:
+            if not 1 <= t <= DEFAULT_T:
                 raise ValueError(f"t_start {t} outside 1..{DEFAULT_T}")
         if self.ddpm_steps < 1:
             raise ValueError("ddpm_steps must be at least 1")

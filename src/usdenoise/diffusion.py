@@ -2,18 +2,19 @@
 Markov processes, on signed images: plain float32 (H, W) arrays scaled
 to [-1, 1] (``image.to_signed``).
 
-Step indices are 1-based: ``t`` runs over ``1..T`` and ``x_0`` is the clean
-image.  The reverse step is the DDPM posterior step (Ho et al. 2020,
-Algorithm 2) from step t to any earlier step s:
+Step indices are 1-based integers: ``t`` runs over ``1..T`` and ``x_0`` is
+the clean image.  The reverse step is the DDPM posterior step (Ho et al.
+2020, Algorithm 2) from step t to any earlier step s, by one rule:
 
     x_s = (x_t - (1-a')/sqrt(1-abar_t) * eps_hat)/sqrt(a') + sqrt(b') * z,
     a' = abar_t/abar_s (abar_0 = 1),  b' = 1 - a'
 
-For s = t-1 this is the one-step chain, and it uses a' = a_t and b' = b_t
-exactly.  A chain that visits an evenly spaced subsequence of the steps is
-the respacing of Nichol & Dhariwal (2021).  At s = 0, fed the exact noise,
-the step algebraically inverts the forward jump.  The injected noise z is
-zero at s = 0 and whenever no injected noise is supplied.
+For s = t-1 this is the one-step chain, and its float32 coefficients equal
+those of a' = a_t and b' = b_t at every step of the default schedule.  A
+chain that visits an evenly spaced subsequence of the steps is the
+respacing of Nichol & Dhariwal (2021).  At s = 0, fed the exact noise, the
+step algebraically inverts the forward jump.  The injected noise z is zero
+at s = 0 and whenever no injected noise is supplied.
 """
 
 from __future__ import annotations
@@ -52,17 +53,11 @@ class NoiseSchedule:
     def T(self) -> int:
         return self.betas.size
 
-    def _check_t(self, t: int) -> int:
-        t = int(t)
-        if not 1 <= t <= self.T:
+    def _check_t(self, t):
+        t = _integer(t, "step index t")
+        if not np.all((1 <= t) & (t <= self.T)):
             raise ValueError(f"step index t={t} outside 1..{self.T}")
         return t
-
-    def beta(self, t: int) -> float:
-        return float(self.betas[self._check_t(t) - 1])
-
-    def alpha(self, t: int) -> float:
-        return float(self.alphas[self._check_t(t) - 1])
 
     def alpha_bar(self, t: int) -> float:
         return float(self.alpha_bars[self._check_t(t) - 1])
@@ -74,6 +69,14 @@ def make_schedule(T: int = DEFAULT_T, beta: float = DEFAULT_BETA) -> NoiseSchedu
     if T < 1:
         raise ValueError("T must be at least 1")
     return NoiseSchedule(np.full(T, float(beta), dtype=np.float64))
+
+
+def _integer(value, name: str):
+    """An integer as int, an integer array as int64; else ``ValueError``."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iu" and not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return arr.astype(np.int64) if arr.ndim else int(arr)
 
 
 def _noise_array(eps, shape) -> np.ndarray:
@@ -89,22 +92,26 @@ def _noise_array(eps, shape) -> np.ndarray:
 
 def forward_step(x_prev: np.ndarray, t: int, sched: NoiseSchedule,
                  eps=None) -> np.ndarray:
-    """One corruption step: sqrt(1-b_t) * x_prev + sqrt(b_t) * eps."""
+    """One corruption step, sqrt(a_t) * x_prev + sqrt(1-a_t) * eps: the
+    forward jump of the one-step schedule b_t."""
     t = sched._check_t(t)
-    e = _noise_array(eps, x_prev.shape)
-    b = sched.beta(t)
-    return finite32(np.float32(np.sqrt(1.0 - b)) * x_prev
-                    + np.float32(np.sqrt(b)) * e)
+    return forward_jump(x_prev, 1, NoiseSchedule(sched.betas[t - 1:t]), eps)
 
 
-def forward_jump(x0: np.ndarray, t: int, sched: NoiseSchedule,
+def forward_jump(x0: np.ndarray, t, sched: NoiseSchedule,
                  eps=None) -> np.ndarray:
-    """Jump straight to step t: sqrt(abar_t) * x0 + sqrt(1-abar_t) * eps."""
+    """Jump straight to step t: sqrt(abar_t) * x0 + sqrt(1-abar_t) * eps,
+    in float64 and rounded once to float32.  ``t`` is one step index or an
+    integer array of one per item along the leading axes of ``x0``; a step
+    that is not an integer in 1..T, or an array of another shape, raises
+    ``ValueError``."""
     t = sched._check_t(t)
+    if np.shape(t) != x0.shape[:np.ndim(t)]:
+        raise ValueError(f"steps of shape {np.shape(t)} do not lead {x0.shape}")
     e = _noise_array(eps, x0.shape)
-    ab = sched.alpha_bar(t)
-    return finite32(np.float32(np.sqrt(ab)) * x0
-                    + np.float32(np.sqrt(1.0 - ab)) * e)
+    ab = sched.alpha_bars[t - 1]
+    ab = ab.reshape(ab.shape + (1,) * (x0.ndim - ab.ndim))
+    return finite32(np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * e)
 
 
 def reverse_step(x_t: np.ndarray, t: int, eps_hat, sched: NoiseSchedule,
@@ -112,15 +119,11 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat, sched: NoiseSchedule,
     """One denoising step from x_t to x_s (default s = t-1) given predicted
     noise."""
     t = sched._check_t(t)
-    s = t - 1 if s is None else int(s)
+    s = t - 1 if s is None else _integer(s, "reverse step target s")
     if not 0 <= s < t:
         raise ValueError(f"reverse step target s={s} outside 0..{t - 1}")
     ab = sched.alpha_bar(t)
-    if s == t - 1:
-        a, b = sched.alpha(t), sched.beta(t)
-    else:
-        a = ab / (sched.alpha_bar(s) if s else 1.0)
-        b = 1.0 - a
+    a = ab / (sched.alpha_bar(s) if s else 1.0)
     e = _noise_array(eps_hat, x_t.shape)
     # a degenerate schedule (1 - abar_t == 0) or a diverging chain gives
     # inf or NaN here; finite32 rejects it with NumericError, so no warning
@@ -129,7 +132,7 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat, sched: NoiseSchedule,
         out = (x_t - np.float32(coef) * e) / np.float32(np.sqrt(a))
         if inject is not None and s > 0:
             z = _noise_array(inject, x_t.shape)
-            out = out + np.float32(np.sqrt(b)) * z
+            out = out + np.float32(np.sqrt(1.0 - a)) * z
     return finite32(out)
 
 
@@ -140,9 +143,9 @@ def denoise_from(x_noisy: np.ndarray, t_start: int, predictor,
 
     The chain visits ``steps`` evenly spaced integer steps from t_start
     down to 0 (t_start*k//steps for k = steps..1), or every step when
-    ``steps`` is None or at least t_start; a count below 1 raises
-    ``ValueError``.  ``predictor(x: ndarray, t: int) -> ndarray`` supplies
-    the per-step noise estimate from the float32 chain state.  A
+    ``steps`` is None or at least t_start; a count below 1 or a fractional
+    one raises ``ValueError``.  ``predictor(x: ndarray, t: int) -> ndarray``
+    supplies the per-step noise estimate from the float32 chain state.  A
     non-finite sample in ``x_noisy``, in a noise estimate or in any step's
     output raises ``NumericError``.  When ``inject_seed`` is given, a fresh
     reproducible noise field is injected at every step except the last,
@@ -150,10 +153,10 @@ def denoise_from(x_noisy: np.ndarray, t_start: int, predictor,
     exception the predictor raises propagates unchanged.
     """
     t_start = sched._check_t(t_start)
-    if steps is None or steps >= t_start:
-        steps = t_start
-    elif steps < 1:
+    steps = t_start if steps is None else _integer(steps, "steps")
+    if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
+    steps = min(steps, t_start)
     ts = [t_start * k // steps for k in range(steps, 0, -1)]
     x = finite32(x_noisy)
     for t, s in zip(ts, ts[1:] + [0]):

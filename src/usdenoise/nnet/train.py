@@ -1,10 +1,11 @@
 """Noise-prediction training loop.
 
 Per batch: draw one step index per item uniformly over [1, T], corrupt the
-clean images with the forward jump, and minimize the MSE between the
-predicted and the true noise.  Per epoch the loop records the mean train
-MSE, a held-out L1 score on a frozen corruption of the validation set, and
-the learning rate; the log serializes as ``epoch,train_mse,heldout_l1,lr``.
+clean images with ``diffusion.forward_jump`` (float64, rounded once to the
+network's float32), and minimize the MSE between the predicted and the true
+noise.  Per epoch the loop records the mean train MSE, a held-out L1 score
+on a frozen corruption of the validation set, and the learning rate; the
+log serializes as ``epoch,train_mse,heldout_l1,lr``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from usdenoise.diffusion import NoiseSchedule
+from usdenoise.diffusion import NoiseSchedule, forward_jump
 from usdenoise.formats import HeaderError, read_checkpoint, write_checkpoint
 from usdenoise.image import NumericError
 from usdenoise.nnet.ops import l1_eval, mse_loss
@@ -102,17 +103,6 @@ def _as_batch_array(dataset) -> np.ndarray:
     return data
 
 
-def _corrupt(x0: np.ndarray, t: np.ndarray, sched: NoiseSchedule,
-             eps: np.ndarray) -> np.ndarray:
-    """The forward jump, rounded to float32 so the network runs in float32.
-
-    It computes in float64: the float64 schedule widens a float32 ``x0``
-    and ``eps`` exactly, so float32 inputs give the bits of float64 copies.
-    """
-    ab = sched.alpha_bars[t - 1][:, None, None, None]
-    return (np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps).astype(np.float32)
-
-
 def heldout_l1(params: UNetParams, cfg: UNetConfig, heldout: np.ndarray,
                sched: NoiseSchedule, seed: int, batch_size: int = 16) -> float:
     """L1 noise-prediction error on a frozen corruption of the held-out set."""
@@ -121,7 +111,7 @@ def heldout_l1(params: UNetParams, cfg: UNetConfig, heldout: np.ndarray,
     u = uniforms(n, seed, stream("heldout.t"))
     t = np.minimum(1 + np.floor(u * sched.T).astype(np.int64), sched.T)
     eps = standard_normal(data.shape, seed, stream("heldout.noise"))
-    x_t = _corrupt(data, t, sched, eps)
+    x_t = forward_jump(data, t, sched, eps)
     total = 0.0
     for lo in range(0, n, batch_size):
         sl = slice(lo, min(lo + batch_size, n))
@@ -137,9 +127,9 @@ def train(dataset, sched: NoiseSchedule, cfg: TrainConfig, net_cfg: UNetConfig,
 
     ``initial`` warm-starts from existing weights (shape-checked against
     ``net_cfg``); optimizer moments restart at zero.  ``history`` rows are
-    dicts with epoch, train_mse, heldout_l1, lr.  A non-finite batch loss
-    or held-out L1 raises ``NumericError`` before any checkpoint or log is
-    written.
+    dicts with epoch, train_mse, heldout_l1, lr.  A non-finite corrupted
+    batch, batch loss or held-out L1 raises ``NumericError`` before any
+    checkpoint or log is written.
     """
     data = _as_batch_array(dataset)
     n, h, w = data.shape
@@ -167,7 +157,7 @@ def train(dataset, sched: NoiseSchedule, cfg: TrainConfig, net_cfg: UNetConfig,
             t = np.minimum(1 + np.floor(u * sched.T).astype(np.int64), sched.T)
             eps = standard_normal(x0.shape, cfg.seed,
                                   stream("train.noise", epoch, bi))
-            x_t = _corrupt(x0, t, sched, eps)
+            x_t = forward_jump(x0, t, sched, eps)
             eps_hat, tape = unet_forward(params, net_cfg, x_t, t)
             loss, dloss = mse_loss(eps_hat, eps)
             grads = unet_backward(tape, dloss)

@@ -82,6 +82,15 @@ def test_config_rejects_a_fractional_step_count(tmp_path):
         BenchConfig.from_json(p)
 
 
+@pytest.mark.parametrize("key,value", [("t_starts", (10, 2.5)),
+                                       ("ddpm_steps", 2.5),
+                                       ("num_images", 2.5)])
+def test_config_rejects_fractional_counts_made_in_code(key, value):
+    # int() ran the bench at t=2; the counts failed later with TypeError
+    with pytest.raises(ValueError, match="must be integers"):
+        BenchConfig(**{key: value})
+
+
 def test_noisy_rows_decrease_with_t(tmp_path):
     cfg = BenchConfig(methods=("noisy",), t_starts=(10, 20), seed=3,
                       out_dir=str(tmp_path / "out"))

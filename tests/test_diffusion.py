@@ -167,6 +167,49 @@ def test_forward_jump_monte_carlo_mean():
     assert np.all(np.abs(mean - math.sqrt(s.alpha_bar(t)) * x0) < bound)
 
 
+def test_per_item_steps_match_per_item_calls():
+    s = make_schedule(300)
+    x0 = img(standard_normal((3, 2, 1, 8, 8), seed=23))
+    e = standard_normal(x0.shape, seed=24)
+    t = np.array([[1, 300], [17, 17], [150, 2]])
+    out = forward_jump(x0, t, s, eps=e)
+    for i, j in np.ndindex(t.shape):
+        assert np.array_equal(out[i, j],
+                              forward_jump(x0[i, j], int(t[i, j]), s, e[i, j]))
+
+
+@pytest.mark.parametrize("t", [np.array([3, 4]), np.array([3, 4, 5, 6]),
+                               np.array([[3, 4, 5]]),
+                               np.array([0, 4, 5]), np.array([3, 301, 5]),
+                               np.array([3.0, 4.0, 5.0]),
+                               np.array([3, 4.5, 5])])
+def test_bad_step_arrays_raise(t):
+    # too short, too long, the wrong axes, out of range, fractional
+    x0 = img(np.zeros((3, 1, 4, 4)))
+    with pytest.raises(ValueError):
+        forward_jump(x0, t, make_schedule(300))
+
+
+@pytest.mark.parametrize("fn", [forward_jump, forward_step])
+def test_fractional_step_index_raises(fn):
+    # int(2.5) made this the t=2 image
+    with pytest.raises(ValueError, match="integer"):
+        fn(const_img(0.5), 2.5, make_schedule(300))
+
+
+def test_forward_jump_rounds_float64_arithmetic_once():
+    s = make_schedule(300)
+    x0 = img(np.tanh(standard_normal((16, 16), seed=25)))
+    e = standard_normal((16, 16), seed=26)
+    ab = s.alpha_bars[40 - 1]
+    expect = (np.sqrt(ab) * x0.astype(np.float64)
+              + np.sqrt(1.0 - ab) * e.astype(np.float64)).astype(np.float32)
+    out = forward_jump(x0, 40, s, eps=e)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, expect)
+    assert np.array_equal(out, forward_jump(x0.astype(np.float64), 40, s, e))
+
+
 def test_forward_determinism_bit_identical():
     s = make_schedule(300)
     x = img(standard_normal((8, 8), seed=4))
@@ -182,7 +225,7 @@ def test_reverse_step_zero_prediction():
     s = make_schedule(300)
     x = img(standard_normal((8, 8), seed=6))
     out = reverse_step(x, 12, np.zeros((8, 8)), s)
-    assert np.allclose(out, x / math.sqrt(s.alpha(12)), rtol=1e-6)
+    assert np.allclose(out, x / math.sqrt(s.alphas[12 - 1]), rtol=1e-6)
 
 
 def test_reverse_step_posterior_inverts_t1():
@@ -213,13 +256,42 @@ def test_reverse_step_validation():
         reverse_step(x, 1, np.zeros((3, 3)), s)
 
 
+def _one_step_reference(x, t, e, sched, z):
+    # the one-step branch the sampler had, from a_t and b_t themselves
+    a, b = sched.alphas[t - 1], sched.betas[t - 1]
+    coef = (1.0 - a) / np.sqrt(1.0 - sched.alpha_bars[t - 1])
+    out = (x - np.float32(coef) * e) / np.float32(np.sqrt(a))
+    if z is not None and t > 1:
+        out = out + np.float32(np.sqrt(b)) * z
+    return out
+
+
+@pytest.mark.parametrize("inject", [False, True])
+def test_one_step_is_the_a_t_b_t_step_at_every_t(inject):
+    # a' = abar_t/abar_{t-1} and b' = 1 - a' round to the float32
+    # coefficients of a_t and b_t at every step of the default schedule
+    sched = make_schedule()
+    x = img(np.tanh(standard_normal((8, 8), seed=27)))
+    for t in range(1, sched.T + 1):
+        e = standard_normal((8, 8), 28, draw_index=t)
+        z = standard_normal((8, 8), 29, draw_index=t) if inject else None
+        assert np.array_equal(reverse_step(x, t, e, sched, z),
+                              _one_step_reference(x, t, e, sched, z)), t
+
+
+def test_fractional_reverse_target_raises():
+    # int(2.5) made this the step to s=2
+    with pytest.raises(ValueError, match="integer"):
+        reverse_step(const_img(0.1), 12, None, make_schedule(300), s=2.5)
+
+
 # ------------------------------------------------------------ denoise_from
 
 def test_denoise_single_step_zero_predictor():
     s = make_schedule(300)
     x = img(standard_normal((8, 8), seed=9))
     out = denoise_from(x, 1, lambda im, t: np.zeros(im.shape), s)
-    assert np.allclose(out, x / math.sqrt(s.alpha(1)), rtol=1e-6)
+    assert np.allclose(out, x / math.sqrt(s.alphas[1 - 1]), rtol=1e-6)
 
 
 def test_denoise_runs_exactly_t_start_steps():
@@ -491,8 +563,9 @@ def test_injected_chain_variance_follows_the_recursion(steps):
 
 
 def test_steps_below_one_raise():
+    # range() raised TypeError for a fractional count
     sched = make_schedule(300)
-    for steps in (0, -3):
+    for steps in (0, -3, 2.5):
         with pytest.raises(ValueError, match="steps"):
             denoise_from(const_img(0.1), 10, lambda im, t: np.zeros(im.shape),
                          sched, steps=steps)

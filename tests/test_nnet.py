@@ -802,6 +802,39 @@ def test_every_batch_of_every_epoch_draws_its_own_streams(monkeypatch):
     assert len(set(streams)) == len(streams)
 
 
+def test_training_corrupts_every_batch_through_forward_jump(monkeypatch):
+    # each network input is a forward_jump output or a slice of one
+    train_mod = importlib.import_module("usdenoise.nnet.train")
+    jumps, inputs = [], []
+
+    def jump(x0, t, sched, eps, real=train_mod.forward_jump):
+        jumps.append(real(x0, t, sched, eps))
+        return jumps[-1]
+
+    def forward(params, cfg, x, t, real=train_mod.unet_forward):
+        inputs.append((len(jumps), x))
+        return real(params, cfg, x, t)
+
+    monkeypatch.setattr(train_mod, "forward_jump", jump)
+    monkeypatch.setattr(train_mod, "unet_forward", forward)
+    data = _toy_data(14, 16, seed=4)
+    train(data[:8], make_schedule(300), TrainConfig(epochs=2, batch_size=4),
+          SMALL, heldout_set=data[8:])
+    # per epoch: two training batches, one jump each, then one jump over
+    # the six held-out images, which the network sees as batches of 4 and 2
+    assert [n for n, _ in inputs] == [1, 2, 3, 3, 4, 5, 6, 6]
+    assert all(np.shares_memory(x, jumps[n - 1]) for n, x in inputs)
+    assert sum(x.shape[0] for _, x in inputs) == 2 * (8 + 6)
+
+
+def test_non_finite_dataset_raises_at_its_first_corrupted_batch():
+    data = _toy_data(8, 16, seed=4)
+    data[5, 3, 3] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        train(data, make_schedule(300), TrainConfig(epochs=1, batch_size=4),
+              SMALL)
+
+
 def test_train_divergence_raises_before_writing(tmp_path):
     # a diverging run returned NaN losses and wrote a NaN checkpoint and log
     data = _toy_data(8, 16, seed=4)
