@@ -56,7 +56,24 @@ def receive_window(geometry: TransducerGeometry) -> np.ndarray:
     return np.hanning(geometry.element_count)
 
 
-def das_beamform(rf: RFFrame, grid: ImagingGrid) -> np.ndarray:
+def _pixels(grid: ImagingGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Lateral and depth positions of every pixel, ``(nz*nx,)`` each, in
+    raster order."""
+    X, Z = np.meshgrid(grid.x, grid.z)
+    return X.reshape(-1), Z.reshape(-1)
+
+
+def _receive_delays(geometry: TransducerGeometry,
+                   grid: ImagingGrid) -> np.ndarray:
+    """``rx_delay`` from every pixel of ``grid`` to every element: the
+    ``(elements, nz*nx)`` array ``das_beamform`` adds its transmit delay to.
+    """
+    X, Z = _pixels(grid)
+    return rx_delay(X, Z, geometry.element_x()[:, None], geometry)
+
+
+def das_beamform(rf: RFFrame, grid: ImagingGrid, *,
+                 rx: np.ndarray | None = None) -> np.ndarray:
     """Delay-and-sum image reconstruction: the float64 ``(nz, nx)`` RF sum
     before envelope detection.
 
@@ -67,18 +84,20 @@ def das_beamform(rf: RFFrame, grid: ImagingGrid) -> np.ndarray:
     aperture sidelobes; low f-numbers otherwise put a noticeable clutter
     floor inside anechoic targets.  A non-finite RF sample that reaches
     the image raises ``NumericError`` here, before the envelope FFT.
+
+    ``rx`` is ``_receive_delays(rf.geometry, grid)``, which does not depend
+    on the steering angle; ``bmode_from_frames`` computes it once per
+    geometry and passes it, and it is computed here when omitted.
     """
     g = rf.geometry
     weights = receive_window(g)
-    xs = grid.x
-    zs = grid.z
-    X, Z = (a.reshape(-1) for a in np.meshgrid(xs, zs))    # (nz*nx,)
-    # (elements, pixels) fractional sample indices, in one buffer
-    idx = rx_delay(X, Z, g.element_x()[:, None], g)
-    idx += tx_delay(X, Z, rf.steer_angle, g)
+    if rx is None:
+        rx = _receive_delays(g, grid)
+    X, Z = _pixels(grid)
+    # (elements, pixels) fractional sample indices
+    idx = rx + tx_delay(X, Z, rf.steer_angle, g)
     idx *= g.sampling_rate
-    summed = _kernels.das_sum(rf.samples.astype(np.float64) * weights[:, None],
-                              idx)
+    summed = _kernels.das_sum(rf.samples * weights[:, None], idx)
     if not np.isfinite(summed).all():
         raise NumericError("beamformed image contains non-finite samples")
     return summed.reshape(grid.nz, grid.nx)
@@ -92,6 +111,16 @@ def compound(images: list) -> np.ndarray:
 
 def bmode_from_frames(frames: list[RFFrame], grid: ImagingGrid,
                       dynamic_range_db: float) -> Image2D:
-    """Beamform each steered frame, compound envelopes, log-compress."""
-    envelopes = [envelope_image(das_beamform(f, grid)) for f in frames]
+    """Beamform each steered frame, compound envelopes, log-compress.
+
+    The receive delays are computed once per distinct geometry among the
+    frames and shared by its steering angles.
+    """
+    delays = {}
+    envelopes = []
+    for f in frames:
+        if f.geometry not in delays:
+            delays[f.geometry] = _receive_delays(f.geometry, grid)
+        envelopes.append(envelope_image(das_beamform(
+            f, grid, rx=delays[f.geometry])))
     return log_compress(compound(envelopes), dynamic_range_db)

@@ -10,14 +10,16 @@ Scatterer ``s`` echoes ``Re{A exp(i 2 pi f0 t)} G(t - tau)`` on element
 ``e`` for steering angle ``a``: ``G`` is the Gaussian pulse envelope,
 ``tau = tx_a + rx_e`` the transmit plus receive delay, and
 ``A = (re + i im) exp(-i 2 pi f0 tau)`` the echo's complex amplitude at
-``t = 0``.  NumPy 2.4 evaluates float64 ``cos``, ``sin`` and ``hypot`` one
-element at a time, 14-30 ns each against about 1.7 ns for ``exp`` (x86-64
-Xeon VM), so ``synth_rf`` calls ``cos`` and ``sin`` as rarely as the model
-allows: one pair per scatterer and element, for the receive phasor shared
-by every angle, and one pair per scatterer and angle, for the transmit
-phasor.  The receive delay is ``beamform.rx_delay``, a square root of the
-squared sum, not ``hypot``.  ``_kernels.deposit_pulses`` then deposits each
-(element, angle) trace with ``exp`` alone.
+``t = 0``.  ``synth_rf`` splits ``exp(-i 2 pi f0 tau)`` into a receive
+phasor per scatterer and element, shared by every angle, and a transmit
+phasor per scatterer and angle.  NumPy 2.4 evaluates float64 ``cos``,
+``sin`` and ``hypot`` one element at a time, 14-30 ns each against about
+1.7 ns for ``exp`` (x86-64 Xeon VM), so none of them runs per scatterer:
+each phasor is ``_kernels.cycle_phasor``, a gather from a table of 1024
+turns rotated by a degree-5 polynomial, and the receive delay is
+``beamform.rx_delay``, a square root of the squared sum.
+``_kernels.deposit_pulses`` then deposits each (element, angle) trace with
+``exp`` alone.
 """
 
 from __future__ import annotations
@@ -189,8 +191,9 @@ def synth_rf(spec: PhantomSpec) -> list[RFFrame]:
 
     The scatterers are drawn once; ``exp(-i 2 pi f0 tau)`` is split into the
     transmit phasor of each angle and the receive phasor of each element,
-    each computed once (see the module docstring).  Each trace is
-    ``_trace_length`` samples long.
+    each computed once by the table-driven ``_kernels.cycle_phasor``, with
+    no ``cos`` or ``sin`` per scatterer (see the module docstring).  Each
+    trace is ``_trace_length`` samples long.
     """
     g = spec.geometry
     f0, fs = g.center_frequency, g.sampling_rate

@@ -5,6 +5,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -210,3 +211,52 @@ def test_das_sum_non_finite_positions_contribute_zero_without_warning():
     want = (0.75 * rf[[0, 2], 2] + 0.25 * rf[[0, 2], 3]).sum()
     assert np.array_equal(got[:3], np.zeros(3))
     assert abs(got[3] - want) < 1e-12
+
+
+def test_cycle_phasor_matches_cos_sin_of_the_turn_fraction():
+    rng = np.random.default_rng(6)
+    whole = np.concatenate([np.arange(-64.0, 65.0),
+                            rng.integers(-10**6, 10**6, 256).astype(float),
+                            [-1e6, 1e6]])
+    halves = whole + 0.5
+    turns = np.arange(-4096, 4097) / 2048.0   # table turns and midpoints
+    cycles = np.concatenate([
+        whole, halves, turns, [-0.0],
+        *(np.nextafter(a, to) for a in (whole, halves, turns)
+          for to in (np.inf, -np.inf)),
+        rng.uniform(-1e6, 1e6, 20000), rng.uniform(-2.0, 2.0, 20000)])
+    angle = 2.0 * np.pi * (cycles - np.floor(cycles))
+    want = np.cos(angle) + 1j * np.sin(angle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.cycle_phasor(cycles)
+    assert got.dtype == np.complex128 and got.shape == cycles.shape
+    assert np.abs(got - want).max() <= 1e-15
+    assert np.abs(np.abs(got) - 1.0).max() <= 4e-16
+    assert np.all(_kernels.cycle_phasor(whole) == 1.0 + 0.0j)
+    assert _kernels.cycle_phasor(np.array([-0.0]))[0] == 1.0 + 0.0j
+
+
+def test_turn_table_is_within_an_ulp_of_the_float64_circle():
+    # entry k is exp(i 2 pi k / PHASOR_TURNS) with 2 pi the float64 constant;
+    # k * 2 pi rounds by up to 4e-16, which would show here
+    n = _kernels.PHASOR_TURNS
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for k, t in enumerate(_kernels._TURNS):
+            a = Decimal(2.0 * math.pi) * k / n
+            term, parts = Decimal(1), [Decimal(1), Decimal(0)]
+            for j in range(1, 60):      # exp(i a) = sum (i a)^j / j!
+                term = term * a / j
+                parts[j % 2] += -term if j % 4 in (2, 3) else term
+            assert abs(complex(float(parts[0]), float(parts[1])) - t) <= 2e-16
+
+
+def test_cycle_phasor_non_finite_gives_nan_and_empty_gives_empty():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.cycle_phasor(np.array([np.nan, np.inf, -np.inf, 0.25]))
+        empty = _kernels.cycle_phasor(np.array([]))
+    assert np.isnan(got.real[:3]).all() and np.isnan(got.imag[:3]).all()
+    assert abs(got[3] - 1j) <= 1e-15
+    assert empty.shape == (0,) and empty.dtype == np.complex128

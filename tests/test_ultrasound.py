@@ -14,6 +14,7 @@ from usdenoise.ultrasound import (
     PhantomSpec,
     RFFrame,
     TransducerGeometry,
+    bmode_from_frames,
     compound,
     das_beamform,
     envelope_image,
@@ -26,6 +27,7 @@ from usdenoise.ultrasound import (
     synth_rf,
     tx_delay,
 )
+from usdenoise.ultrasound import beamform
 from usdenoise.ultrasound.phantom import cyst_mask
 
 
@@ -307,8 +309,9 @@ def test_rx_delay_matches_hypot():
 
 
 def test_das_beamform_keeps_the_bits_of_its_delay_formula():
-    # das_beamform adds the transmit delay to rx_delay's buffer; the sum
-    # tx + rx, then times fs, is the same float as before, so the image is
+    # das_beamform adds the transmit delay to rx_delay's delays; the sum
+    # tx + rx, then times fs, is the same float as here, so the image is
+    # the same to the bit
     spec = PhantomSpec(nx=24, nz=20, geometry=TEST_GEOMETRY,
                        scatterer_density=2.0, seed=8, angles=(-0.1, 0.15))
     grid = spec.grid()
@@ -322,6 +325,45 @@ def test_das_beamform_keeps_the_bits_of_its_delay_formula():
         rf = frame.samples.astype(np.float64) * np.hanning(g.element_count)[:, None]
         want = _kernels.das_sum(rf, idx).reshape(grid.nz, grid.nx)
         assert np.array_equal(das_beamform(frame, grid), want)
+
+
+def _spy_rx_delay(monkeypatch):
+    calls = []
+    real = beamform.rx_delay
+
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(beamform, "rx_delay", spy)
+    return calls
+
+
+def test_bmode_computes_receive_delays_once_per_geometry(monkeypatch):
+    spec = PhantomSpec(nx=24, nz=20, geometry=TEST_GEOMETRY,
+                       scatterer_density=2.0, seed=8,
+                       angles=(-0.1, 0.0, 0.15))
+    frames = synth_rf(spec)
+    calls = _spy_rx_delay(monkeypatch)
+    bmode_from_frames(frames, spec.grid(), spec.dynamic_range_db)
+    assert calls == [TEST_GEOMETRY]
+
+
+def test_bmode_of_mixed_geometries_is_per_frame_das(monkeypatch):
+    # RF files read from disk may mix element counts in one B-mode
+    other = dataclasses.replace(TEST_GEOMETRY, element_count=33)
+    specs = [PhantomSpec(nx=24, nz=20, geometry=g, scatterer_density=2.0,
+                         seed=8, angles=(-0.1, 0.15))
+             for g in (TEST_GEOMETRY, other)]
+    a, b = (synth_rf(sp) for sp in specs)
+    frames = [a[0], b[0], a[1], b[1]]
+    grid, dr = specs[0].grid(), specs[0].dynamic_range_db
+    want = log_compress(compound([envelope_image(das_beamform(f, grid))
+                                  for f in frames]), dr)
+    calls = _spy_rx_delay(monkeypatch)
+    got = bmode_from_frames(frames, grid, dr)
+    assert calls == [TEST_GEOMETRY, other]
+    assert np.array_equal(got.data, want.data)
 
 
 def test_das_zero_rf_gives_zero_image():
@@ -471,6 +513,29 @@ def test_synth_rf_skips_zero_amplitude_scatterers_exactly(monkeypatch):
         full = real(tx + rx, a.real, a.imag, g.sampling_rate, f0, sigma_t,
                     trace.size, half_width)
         assert np.array_equal(trace, full)
+
+
+def test_synth_rf_calls_cos_and_sin_only_on_small_arrays(monkeypatch):
+    # NumPy evaluates float64 cos and sin one element at a time; phasors
+    # come from cycle_phasor's table, so no call sees the scatterers.  The
+    # scatterers are drawn first: their Box-Muller normals take a cos each
+    sizes = []
+
+    def spy(real):
+        def wrapped(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return real(x, *args, **kwargs)
+        return wrapped
+
+    spec = PhantomSpec(geometry=TEST_GEOMETRY, seed=4)
+    drawn = phantom._scatterers(spec)
+    monkeypatch.setattr(phantom, "_scatterers", lambda _: drawn)
+    _kernels._carrier_table.cache_clear()
+    monkeypatch.setattr(np, "cos", spy(np.cos))
+    monkeypatch.setattr(np, "sin", spy(np.sin))
+    synth_rf(spec)
+    monkeypatch.undo()
+    assert max(sizes, default=0) <= _kernels.PHASOR_TURNS
 
 
 def test_synth_rf_one_pass_equals_one_angle_at_a_time():
