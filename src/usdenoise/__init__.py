@@ -7,7 +7,7 @@ Library layout:
 - ``baselines``   -- NLM and BM3D reference denoisers
 - ``metrics``     -- MSE / PSNR / GCNR
 - ``ultrasound``  -- FFT, envelope detection, DAS beamforming, phantoms
-- ``formats``     -- bit-exact file formats (PGM, tensors, checkpoints, RF)
+- ``formats``     -- bit-exact file formats of the CLI (PGM, checkpoints, RF)
 - ``bench``       -- benchmark harness and report files of ``usdenoise bench``
 - ``_kernels``    -- NumPy hot loops (NLM, block matching, pulse synthesis, DAS)
 """

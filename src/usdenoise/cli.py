@@ -24,7 +24,6 @@ from usdenoise.bench import BenchConfig, DdpmDenoiser, run_bench
 from usdenoise.diffusion import DEFAULT_STEPS, forward_jump, make_schedule
 from usdenoise.formats import (
     FormatError,
-    load_cifar,
     read_pgm,
     read_rf,
     write_pgm,
@@ -107,19 +106,19 @@ def cmd_corrupt(args) -> int:
 # ------------------------------------------------------------------- train
 
 def _load_dataset(source: str, image_size: int, seed: int) -> np.ndarray:
-    """Dataset sources: a directory of PGMs, a CIFAR-style .bin batch, or
-    ``speckle:N`` for N synthetic patches.  Returns signed (N, H, W)."""
+    """Training images from ``speckle:N`` (N synthetic patches) or a
+    directory of PGMs (in file-name order).  Returns signed (N, H, W)."""
     if source.startswith("speckle:"):
         n = int(source.split(":", 1)[1])
         return speckle_patches(n, size=image_size, seed=seed) * 2.0 - 1.0
     path = Path(source)
-    if path.is_dir():
-        stacks = [to_signed(read_pgm(p)) for p in sorted(path.glob("*.pgm"))]
-        if not stacks:
-            raise ValueError(f"no PGM images in {source}")
-        return np.stack(stacks)
-    images, _ = load_cifar(path, to_gray=True)
-    return images
+    if not path.is_dir():
+        raise ValueError(f"--data {source} is neither speckle:N nor a "
+                         "directory of PGM images")
+    stacks = [to_signed(read_pgm(p)) for p in sorted(path.glob("*.pgm"))]
+    if not stacks:
+        raise ValueError(f"no PGM images in {source}")
+    return np.stack(stacks)
 
 
 def cmd_train(args) -> int:
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = command("train", parents=[seeded],
                 help="train the noise predictor")
     q.add_argument("--data", required=True, default=argparse.SUPPRESS,
-                   help="PGM directory, CIFAR .bin batch, or speckle:N")
+                   help="speckle:N (N synthetic patches) or a PGM directory")
     q.add_argument("--epochs", type=int, default=TrainConfig.epochs,
                    help="passes over the training set")
     q.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,

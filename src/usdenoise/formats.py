@@ -1,4 +1,4 @@
-"""Bit-exact readers and writers for the on-disk formats.
+"""Bit-exact readers and writers for the on-disk formats of the CLI.
 
 All integers are little-endian regardless of host.  Readers validate fully
 before returning and raise a typed ``FormatError`` subclass on any
@@ -7,11 +7,12 @@ malformation; there are no partial silent reads.
 Formats:
 
 - PGM       binary "P5", maxval 255 only
-- tensor    magic ``NDF1`` | ndim u32 | dims u32 each | float32 payload
 - checkpoint  magic ``DDPMCKPT`` | version u32 | count u32 |
-              (name_len u16, name, embedded tensor blob)* | crc32 u32
-- CIFAR batch  3073-byte records: label byte + 3x32x32 channel-planar pixels
+              (name_len u16, name, tensor blob)* | crc32 u32
 - RF        text ``key=value`` header, blank line, float32 element-major
+
+A checkpoint entry's tensor blob is magic ``NDF1`` | ndim u32 | dims u32
+each | float32 payload.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from usdenoise.ultrasound.types import RFFrame, TransducerGeometry
 TENSOR_MAGIC = b"NDF1"
 CHECKPOINT_MAGIC = b"DDPMCKPT"
 CHECKPOINT_VERSION = 1
-CIFAR_RECORD_BYTES = 3073
 
 RF_HEADER_KEYS = ("elements", "samples", "fs_hz", "c_mps", "pitch_m",
                   "f0_hz", "angle_rad")
@@ -136,11 +136,10 @@ def tensor_bytes(arr: np.ndarray) -> bytes:
     return bytes(out)
 
 
-def _parse_tensor(blob: bytes, offset: int = 0,
-                  end: int | None = None) -> tuple[np.ndarray, int]:
+def _parse_tensor(blob: bytes, offset: int,
+                  end: int) -> tuple[np.ndarray, int]:
     """Parse one embedded tensor from ``blob[offset:end]`` without slicing
     ``blob``; returns (array, bytes consumed)."""
-    end = len(blob) if end is None else end
     if end < offset + 4 or blob[offset:offset + 4] != TENSOR_MAGIC:
         raise MagicError("bad tensor magic")
     pos = offset + 4
@@ -165,18 +164,6 @@ def _parse_tensor(blob: bytes, offset: int = 0,
                           f"{end - pos} available")
     arr = np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
     return arr.reshape(dims).copy(), pos + nbytes - offset
-
-
-def write_tensor(path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(tensor_bytes(arr))
-
-
-def read_tensor(path) -> np.ndarray:
-    blob = Path(path).read_bytes()
-    arr, consumed = _parse_tensor(blob)
-    if consumed != len(blob):
-        raise LengthError(f"{len(blob) - consumed} trailing bytes after tensor")
-    return arr
 
 
 # -------------------------------------------------------------- checkpoint
@@ -234,31 +221,6 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     if pos != end:
         raise LengthError(f"{end - pos} unparsed bytes in checkpoint body")
     return entries
-
-
-# ------------------------------------------------------------------ CIFAR
-
-def load_cifar(path, to_gray: bool = True):
-    """Load a binary batch of 3073-byte records.
-
-    Returns ``(images, labels)``: images are float32 in [-1, 1], a byte
-    read as ``to_signed`` maps its PGM level, shaped (N, 32, 32) when
-    ``to_gray`` (unweighted mean of the channel planes) else (N, 3, 32, 32).
-    """
-    blob = Path(path).read_bytes()
-    if len(blob) == 0 or len(blob) % CIFAR_RECORD_BYTES != 0:
-        raise LengthError(f"file length {len(blob)} is not a multiple of "
-                          f"{CIFAR_RECORD_BYTES}")
-    n = len(blob) // CIFAR_RECORD_BYTES
-    records = np.frombuffer(blob, dtype=np.uint8).reshape(n, CIFAR_RECORD_BYTES)
-    labels = records[:, 0].copy()
-    if np.any(labels > 9):
-        bad = int(np.argmax(labels > 9))
-        raise HeaderError(f"record {bad} has label {labels[bad]} > 9")
-    pixels = _unit_levels(records[:, 1:].reshape(n, 3, 32, 32)) * 2.0 - 1.0
-    if to_gray:
-        return pixels.mean(axis=1), labels
-    return pixels, labels
 
 
 # --------------------------------------------------------------------- RF

@@ -22,7 +22,7 @@ from usdenoise.formats import (
     write_pgm,
     write_rf,
 )
-from usdenoise.image import Image2D
+from usdenoise.image import Image2D, to_signed
 from usdenoise.metrics import psnr
 from usdenoise.nnet import (
     TrainConfig,
@@ -513,6 +513,54 @@ def test_train_non_finite_arguments_exit_2(tmp_path, capsys):
                        "--out", tmp_path) == 2
         assert named in capsys.readouterr().err
     assert not (tmp_path / "model.ckpt").exists()
+
+
+def _constant_pgms(folder):
+    """Three constant 16x16 PGMs whose names do not sort by level; returns
+    the levels in file-name order."""
+    folder.mkdir()
+    for name, level in (("b.pgm", 0), ("c.pgm", 128), ("a.pgm", 255)):
+        (folder / name).write_bytes(b"P5\n16 16\n255\n"
+                                    + bytes([level]) * 256)
+    return [255, 0, 128]
+
+
+def test_train_data_pgm_directory_stacks_in_name_order(tmp_path):
+    levels = _constant_pgms(tmp_path / "pgms")
+    data = cli._load_dataset(str(tmp_path / "pgms"), image_size=32, seed=0)
+    assert data.dtype == np.float32 and data.shape == (3, 16, 16)
+    expect = np.stack([to_signed(read_pgm(tmp_path / "pgms" / name))
+                       for name in ("a.pgm", "b.pgm", "c.pgm")])
+    assert data.tobytes() == expect.tobytes()
+    for image, level in zip(data, levels):
+        assert np.allclose(image, 2 * level / 255 - 1, rtol=0, atol=1e-7)
+
+
+def test_train_on_a_pgm_directory_writes_a_checkpoint(tmp_path):
+    _constant_pgms(tmp_path / "pgms")
+    assert run_cli("train", "--data", tmp_path / "pgms", "--epochs", 1,
+                   "--base-channels", 8, "--depth", 1,
+                   "--out", tmp_path / "run") == 0
+    assert (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_train_on_an_empty_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    assert run_cli("train", "--data", tmp_path / "empty", "--epochs", 1,
+                   "--out", tmp_path / "run") == 2
+    assert "no PGM images" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["missing", "file.pgm"])
+def test_train_data_neither_speckle_nor_a_directory_exits_2(tmp_path, capsys,
+                                                           name):
+    (tmp_path / "file.pgm").write_bytes(b"P5\n1 1\n255\n\x00")
+    assert run_cli("train", "--data", tmp_path / name, "--epochs", 1,
+                   "--out", tmp_path / "run") == 2
+    err = capsys.readouterr().err
+    assert "speckle:N" in err and "directory of PGM images" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_beamform_and_cyst_bad_geometry_exits_2(tmp_path, phantom_dir,

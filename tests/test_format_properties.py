@@ -8,9 +8,7 @@ derandomized so the suite sees the same inputs on every run.
 """
 
 import math
-import struct
 import tempfile
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,32 +17,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from tests.test_formats import (
-    _valid_cifar,
-    _valid_ckpt,
-    _valid_pgm,
-    _valid_rf,
-    _valid_tensor,
-)
+from tests.test_formats import _valid_ckpt, _valid_pgm, _valid_rf, _with_crc
 from usdenoise.formats import (
-    CIFAR_RECORD_BYTES,
     RF_HEADER_KEYS,
     FormatError,
-    load_cifar,
     read_checkpoint,
     read_pgm,
     read_rf,
-    read_tensor,
     write_checkpoint,
     write_pgm,
     write_rf,
-    write_tensor,
 )
 from usdenoise.image import RANGE_UNIT, Image2D
 from usdenoise.ultrasound import RFFrame, TransducerGeometry
 
-READERS = {"pgm": read_pgm, "tensor": read_tensor, "ckpt": read_checkpoint,
-           "cifar": load_cifar, "rf": read_rf}
+READERS = {"pgm": read_pgm, "ckpt": read_checkpoint, "rf": read_rf}
 
 # Each test reuses one file under tmp_path, rewritten per example.
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
@@ -54,8 +41,7 @@ FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
 def _valid_blobs() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        return {"pgm": _valid_pgm(tmp), "tensor": _valid_tensor(),
-                "ckpt": _valid_ckpt(tmp), "cifar": _valid_cifar(),
+        return {"pgm": _valid_pgm(tmp), "ckpt": _valid_ckpt(tmp),
                 "rf": _valid_rf(tmp)}
 
 
@@ -69,10 +55,6 @@ def _read_or_format_error(reader, path, blob):
         return reader(path)
     except FormatError:
         return None
-
-
-def _with_crc(body: bytes) -> bytes:
-    return body + struct.pack("<I", zlib.crc32(body))
 
 
 @st.composite
@@ -196,14 +178,6 @@ _FLOAT32_TENSORS = arrays(np.float32, array_shapes(min_dims=1, max_dims=4,
 
 
 @ROUND_TRIP
-@given(arr=_FLOAT32_TENSORS)
-def test_tensor_round_trip(tmp_path, arr):
-    p = tmp_path / "r.ndf"
-    write_tensor(p, arr)
-    assert _same_bits(read_tensor(p), arr)
-
-
-@ROUND_TRIP
 @given(entries=st.dictionaries(st.text(max_size=12), _FLOAT32_TENSORS,
                                max_size=5))
 def test_checkpoint_round_trip(tmp_path, entries):
@@ -233,20 +207,3 @@ def test_rf_round_trip(tmp_path, data, elements, n, pitch, fs, c, f0, angle):
     assert back.geometry == geometry
     assert back.steer_angle == angle
     assert _same_bits(back.samples, samples)
-
-
-@ROUND_TRIP
-@given(labels=st.lists(st.integers(0, 9), min_size=1, max_size=3),
-       data=st.data())
-def test_cifar_records_decode_to_their_pixels(tmp_path, labels, data):
-    # CIFAR has no writer: build the records from the layout instead
-    pixels = data.draw(arrays(np.uint8, (len(labels), 3, 32, 32)))
-    blob = b"".join(bytes([lab]) + img.tobytes()
-                    for lab, img in zip(labels, pixels))
-    assert len(blob) == len(labels) * CIFAR_RECORD_BYTES
-    p = tmp_path / "r.bin"
-    p.write_bytes(blob)
-    images, back = load_cifar(p, to_gray=False)
-    assert back.tolist() == labels
-    levels = pixels.astype(np.float32) * np.float32(1 / 255)   # read_pgm's
-    assert np.array_equal(images, levels * 2 - 1)

@@ -11,15 +11,12 @@ from usdenoise.formats import (
     HeaderError,
     LengthError,
     MagicError,
-    load_cifar,
     read_checkpoint,
     read_pgm,
     read_rf,
-    read_tensor,
     write_checkpoint,
     write_pgm,
     write_rf,
-    write_tensor,
 )
 from usdenoise.image import RANGE_UNIT, Image2D, to_signed, to_unit_clipped
 from usdenoise.ultrasound import RFFrame, TransducerGeometry
@@ -99,22 +96,8 @@ def test_pgm_accepts_comment_lines(tmp_path):
 
 # ---------------------------------------------------------------- tensors
 
-@pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 4), (2, 1, 3, 2)])
-def test_tensor_round_trip(tmp_path, shape):
-    rng = np.random.default_rng(1)
-    arr = rng.normal(size=shape).astype(np.float32)
-    p = tmp_path / "t.ndf"
-    write_tensor(p, arr)
-    back = read_tensor(p)
-    assert back.shape == arr.shape
-    assert np.array_equal(back, arr)
-
-
-def test_tensor_header_bytes(tmp_path):
-    arr = np.array([[1.0, 2.0]], dtype=np.float32)
-    p = tmp_path / "h.ndf"
-    write_tensor(p, arr)
-    blob = p.read_bytes()
+def test_tensor_header_bytes():
+    blob = fm.tensor_bytes(np.array([[1.0, 2.0]], dtype=np.float32))
     assert blob[:4] == b"NDF1"
     assert struct.unpack_from("<I", blob, 4)[0] == 2      # ndim
     assert struct.unpack_from("<II", blob, 8) == (1, 2)   # dims
@@ -123,7 +106,7 @@ def test_tensor_header_bytes(tmp_path):
 
 def test_tensor_rejects_bad_ndim():
     with pytest.raises(ValueError):
-        write_tensor("/dev/null", np.zeros((1, 1, 1, 1, 1), dtype=np.float32))
+        fm.tensor_bytes(np.zeros((1, 1, 1, 1, 1), dtype=np.float32))
 
 
 # ------------------------------------------------------------- checkpoint
@@ -180,7 +163,7 @@ def test_checkpoint_entries_parse_from_one_buffer(tmp_path, monkeypatch):
     seen = []
     real = fm._parse_tensor
 
-    def spy(blob, offset=0, end=None):
+    def spy(blob, offset, end):
         seen.append((blob, end))
         return real(blob, offset, end)
 
@@ -203,71 +186,6 @@ def test_parse_tensor_stops_at_end():
         fm._parse_tensor(padded, 0, len(blob) - 1)
     with pytest.raises(MagicError):
         fm._parse_tensor(padded, 0, 3)
-
-
-# ------------------------------------------------------------------ CIFAR
-
-def _cifar_blob(labels, fill):
-    out = bytearray()
-    for lab, val in zip(labels, fill):
-        out.append(lab)
-        out.extend([val] * 3072)
-    return bytes(out)
-
-
-def test_cifar_two_record_fixture(tmp_path):
-    p = tmp_path / "batch.bin"
-    p.write_bytes(_cifar_blob([3, 7], [0, 255]))
-    images, labels = load_cifar(p, to_gray=True)
-    assert images.shape == (2, 32, 32)
-    assert labels.tolist() == [3, 7]
-    assert np.allclose(images[0], -1.0)
-    assert np.allclose(images[1], 1.0)
-
-
-def test_cifar_color_mode(tmp_path):
-    p = tmp_path / "batch.bin"
-    p.write_bytes(_cifar_blob([0], [128]))
-    images, _ = load_cifar(p, to_gray=False)
-    assert images.shape == (1, 3, 32, 32)
-    assert np.allclose(images, 128 / 127.5 - 1.0, atol=1e-6)
-
-
-def test_cifar_byte_reads_as_its_pgm_level_made_signed(tmp_path):
-    # bytes mapped as k / 127.5 - 1 read one float32 ulp off the PGM path
-    # on 111 of the 256 levels
-    levels = bytes(range(256))
-    (tmp_path / "levels.pgm").write_bytes(b"P5\n16 16\n255\n" + levels)
-    (tmp_path / "batch.bin").write_bytes(bytes([0]) + levels * 12)
-    images, _ = load_cifar(tmp_path / "batch.bin", to_gray=False)
-    expect = to_signed(read_pgm(tmp_path / "levels.pgm")).ravel()
-    assert images.dtype == expect.dtype == np.float32
-    assert images.tobytes() == np.tile(expect, 12).tobytes()
-
-
-def test_cifar_gray_is_channel_mean(tmp_path):
-    rec = bytearray([1])
-    rec.extend([30] * 1024)   # R plane
-    rec.extend([60] * 1024)   # G plane
-    rec.extend([120] * 1024)  # B plane
-    p = tmp_path / "batch.bin"
-    p.write_bytes(bytes(rec))
-    images, _ = load_cifar(p, to_gray=True)
-    assert np.allclose(images, 70 / 127.5 - 1.0, atol=1e-6)
-
-
-def test_cifar_truncated_file(tmp_path):
-    p = tmp_path / "short.bin"
-    p.write_bytes(_cifar_blob([1], [5])[:-10])
-    with pytest.raises(LengthError):
-        load_cifar(p)
-
-
-def test_cifar_label_out_of_range(tmp_path):
-    p = tmp_path / "bad.bin"
-    p.write_bytes(_cifar_blob([10], [5]))
-    with pytest.raises(HeaderError):
-        load_cifar(p)
 
 
 # --------------------------------------------------------------------- RF
@@ -340,11 +258,6 @@ def _valid_pgm(tmp_path):
     return p.read_bytes()
 
 
-def _valid_tensor():
-    import usdenoise.formats as fm
-    return fm.tensor_bytes(np.arange(6, dtype=np.float32).reshape(2, 3))
-
-
 def _valid_ckpt(tmp_path):
     p = tmp_path / "v.ckpt"
     write_checkpoint(p, {"a": np.ones(3, dtype=np.float32)})
@@ -357,8 +270,25 @@ def _valid_rf(tmp_path):
     return p.read_bytes()
 
 
-def _valid_cifar():
-    return _cifar_blob([1, 2], [9, 9])
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+# _valid_ckpt's one entry is a u16 name length, the name "a" and the
+# tensor blob, which runs from here to the CRC
+_ENTRY_TENSOR = 16 + 2 + 1
+
+
+def _body(mutate):
+    """A ckpt mutation of the body that recomputes the CRC, so that it
+    reaches the entry table."""
+    return lambda b: _with_crc(mutate(b[:-4]))
+
+
+def _in_entry(mutate):
+    """A ckpt mutation of the entry's tensor blob that recomputes the CRC,
+    so that it reaches ``_parse_tensor`` through ``read_checkpoint``."""
+    return _body(lambda b: b[:_ENTRY_TENSOR] + mutate(b[_ENTRY_TENSOR:]))
 
 
 MUTATIONS = [
@@ -368,19 +298,22 @@ MUTATIONS = [
     ("pgm", lambda b: b.replace(b"255", b"256")),           # bad maxval
     ("pgm", lambda b: b"P5\n-3 4\n255\n" + b"\x00" * 12),   # negative dims
     ("pgm", lambda b: b"P5\n"),                             # header cut short
-    ("tensor", lambda b: b"XDF1" + b[4:]),                  # wrong magic
-    ("tensor", lambda b: b[:-2]),                           # truncated payload
-    ("tensor", lambda b: b + b"\x00\x00"),                  # trailing garbage
-    ("tensor", lambda b: b[:4] + struct.pack("<I", 9) + b[8:]),   # ndim 9
-    ("tensor", lambda b: b[:8] + struct.pack("<I", 0) + b[12:]),  # zero dim
     ("ckpt", lambda b: b"WRONGMAG" + b[8:]),                # wrong magic
     ("ckpt", lambda b: b[:-1]),                             # truncated
     ("ckpt", lambda b: b[:20] + bytes([b[20] ^ 0xFF]) + b[21:]),  # bit flip
     ("ckpt", lambda b: b[:8] + struct.pack("<I", 99) + b[12:]),   # bad version
     ("ckpt", lambda b: b[:12] + struct.pack("<I", 5) + b[16:]),   # count lies
-    ("cifar", lambda b: b[: len(b) // 2 + 1]),              # not a multiple
-    ("cifar", lambda b: bytes([200]) + b[1:]),              # label 200
-    ("cifar", lambda b: b""),                               # empty file
+    ("ckpt", _in_entry(lambda b: b"XDF1" + b[4:])),         # tensor magic
+    ("ckpt", _in_entry(lambda b: b[:-2])),                  # tensor truncated
+    ("ckpt", _in_entry(lambda b: b + b"\x00\x00")),         # unparsed bytes
+    ("ckpt", _in_entry(lambda b: b[:4] + struct.pack("<I", 9)
+                       + b[8:])),                           # ndim 9
+    ("ckpt", _in_entry(lambda b: b[:8] + struct.pack("<I", 0)
+                       + b[12:])),                          # zero dim
+    ("ckpt", _body(lambda b: b[:12] + struct.pack("<I", 2)
+                   + b[16:] + b[16:])),                     # entry twice
+    ("ckpt", _body(lambda b: b[:12] + struct.pack("<I", 2)
+                   + b[16:])),                              # count 2 of 1
     ("rf", lambda b: b.replace(b"fs_hz=", b"fs_xx=")),      # missing key
     ("rf", lambda b: b + b"\x00" * 4),                      # extra payload
     ("rf", lambda b: b.replace(b"elements=8", b"elements=ten")),  # bad value
@@ -388,16 +321,20 @@ MUTATIONS = [
 ]
 
 
+def test_re_signed_mutations_start_from_a_valid_entry(tmp_path):
+    # unmutated, the re-signing keeps the file, and the slice it mutates
+    # is the entry's whole tensor blob
+    blob = _valid_ckpt(tmp_path)
+    assert _in_entry(lambda b: b)(blob) == blob
+    assert blob[_ENTRY_TENSOR:-4] == fm.tensor_bytes(np.ones(3, np.float32))
+
+
 @pytest.mark.parametrize("kind,mutate", MUTATIONS)
 def test_mutated_files_raise_typed_errors(tmp_path, kind, mutate):
     if kind == "pgm":
         blob, reader = _valid_pgm(tmp_path), read_pgm
-    elif kind == "tensor":
-        blob, reader = _valid_tensor(), read_tensor
     elif kind == "ckpt":
         blob, reader = _valid_ckpt(tmp_path), read_checkpoint
-    elif kind == "cifar":
-        blob, reader = _valid_cifar(), load_cifar
     else:
         blob, reader = _valid_rf(tmp_path), read_rf
     target = tmp_path / f"mut.{kind}"
